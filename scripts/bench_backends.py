@@ -672,8 +672,8 @@ def compiled_scenarios(quick: bool = False) -> dict[str, dict]:
     """The compiled-vs-batched matrix: mobility x connectivity x process.
 
     Broadcast scenarios cover the three compiled mobility kernels at
-    ``r = 0`` (the fused flood driver) and the compiled labelling/edge-diff
-    engines at ``r = 1`` (recompute and incremental); the ``frog`` scenario
+    ``r = 0`` (the fused flood driver) and the compiled labels kernel and
+    engine at ``r = 1`` (recompute and incremental); the ``frog`` scenario
     covers a dissemination process driver.  ``quick`` shrinks everything to
     a smoke-test size.
     """

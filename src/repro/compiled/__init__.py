@@ -1,13 +1,12 @@
 """Compiled step-loop backend: beyond-numpy hot kernels, bit-for-bit.
 
 ``backend="compiled"`` runs the batched replication loops with the per-step
-hot kernels — mobility apply, component labelling, the ``r = 0``
-flood/label scatter, and the incremental edge-diff core — executed by a
-*compiled provider* instead of interpreted numpy, while consuming the
-identical per-trial RNG streams (all draws stay on the numpy generators;
-only the apply/labelling passes move).  Results are therefore bit-for-bit
-identical to the serial and batched backends, which the property suites
-verify trial for trial.
+hot kernels — mobility apply, component labelling and the ``r = 0``
+flood/label scatter — executed by a *compiled provider* instead of
+interpreted numpy, while consuming the identical per-trial RNG streams (all
+draws stay on the numpy generators; only the apply/labelling passes move).
+Results are therefore bit-for-bit identical to the serial and batched
+backends, which the property suites verify trial for trial.
 
 Three providers, selected via ``REPRO_COMPILED_PROVIDER``:
 
@@ -15,7 +14,7 @@ Three providers, selected via ``REPRO_COMPILED_PROVIDER``:
   ``numba`` dependency: ``pip install repro-pettarin2011[compiled]``);
 * ``cc`` — bundled C kernels built once with the host C compiler and bound
   through ctypes (no third-party dependency); the only provider carrying
-  the fused multi-step broadcast driver and the compiled delta engine;
+  the fused multi-step broadcast driver;
 * ``python`` — the uncompiled reference kernels (test-only; never selected
   automatically and deliberately *not* counted as "available").
 

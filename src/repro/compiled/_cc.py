@@ -111,9 +111,8 @@ class CcOps:
     """
 
     name = "cc"
-    #: cc-only extensions (the numba/python providers fall back without them).
+    #: cc-only extension (the numba/python providers fall back without it).
     has_block_driver = True
-    has_delta = True
 
     def __init__(self) -> None:
         self._lib = _build_library()
@@ -124,7 +123,6 @@ class CcOps:
             "repro_flood_r0",
             "repro_broadcast_r0_block",
             "repro_labels_batch",
-            "repro_delta_step",
         ):
             getattr(self._lib, fn).restype = ctypes.c_int64
 
@@ -191,7 +189,7 @@ class CcOps:
         labels = np.empty((n_trials, k), dtype=np.int64)
         if n_trials == 0 or k == 0:
             return labels
-        ki = np.empty((k, 2), dtype=np.int64)  # struct {i64 key; i64 idx;}
+        ki = np.empty((2 * k, 2), dtype=np.int64)  # struct {i64 key; i64 idx;} x 2k
         parent = np.empty(k, dtype=np.int64)
         rank = np.empty(k, dtype=np.int64)
         minid = np.empty(k, dtype=np.int64)
@@ -202,7 +200,7 @@ class CcOps:
         )
         return labels
 
-    # -- cc-only extensions ----------------------------------------------- #
+    # -- cc-only extension ------------------------------------------------ #
     def broadcast_r0_block(
         self,
         kernel: Optional[tuple],
@@ -253,33 +251,3 @@ class CcOps:
                 _i64(table), ctypes.c_int64(epoch0), _i64(done_at), _i64(counts_out),
             )
         )
-
-    def delta_step(
-        self,
-        radius: float,
-        newpos: np.ndarray,
-        statepos: np.ndarray,
-        initialized: bool,
-        base: int,
-        edges: np.ndarray,
-        n_edges: int,
-        labels_out: np.ndarray,
-        scratch: tuple,
-    ) -> tuple[int, int]:
-        """One edge-diff step of one trial; returns ``(status, n_edges)``.
-
-        ``status`` is 0 on success or the required edge capacity when the
-        current buffer is too small (retry with a grown buffer; ``n_edges``
-        then holds the surviving-edge count to carry into the retry).
-        """
-        mover, ki, parent, rank, minid = scratch
-        k = labels_out.shape[0]
-        n_out = np.empty(1, dtype=np.int64)
-        status = self._lib.repro_delta_step(
-            ctypes.c_int64(k), ctypes.c_double(float(radius)),
-            _i64(newpos), _i64(statepos), ctypes.c_int64(1 if initialized else 0),
-            ctypes.c_int64(base), _i64(edges), ctypes.c_int64(n_edges),
-            ctypes.c_int64(edges.shape[0]), _i64(labels_out), _i64(n_out),
-            _u8(mover), _i64(ki), _i64(parent), _i64(rank), _i64(minid),
-        )
-        return int(status), int(n_out[0])

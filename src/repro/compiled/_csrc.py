@@ -3,16 +3,11 @@
 One translation unit, compiled once per source hash by
 :mod:`repro.compiled._cc` into a cached shared object.  Every function is a
 line-for-line translation of the reference kernels in
-:mod:`repro.compiled.kernels_py` (property-tested against them), plus two
-cc-only extensions the pure-Python/numba providers do not carry:
-
-* ``repro_broadcast_r0_block`` — the fused multi-step broadcast driver for
-  the paper's sparse ``r = 0`` regime: flood + count + completion detection
-  + mobility apply for a whole pre-drawn block of steps in one call;
-* ``repro_delta_step`` — the edge-diff core of the compiled incremental
-  connectivity engine: mover detection, incident-edge removal, around-mover
-  candidate generation and min-label union-find over the maintained edge
-  set.
+:mod:`repro.compiled.kernels_py` (property-tested against them), plus one
+cc-only extension the pure-Python/numba providers do not carry:
+``repro_broadcast_r0_block``, the fused multi-step broadcast driver for the
+paper's sparse ``r = 0`` regime (flood + count + completion detection +
+mobility apply for a whole pre-drawn block of steps in one call).
 
 Everything is single-threaded by construction (determinism is part of the
 backend contract); numerical semantics match numpy exactly — ``rint`` under
@@ -169,14 +164,39 @@ i64 repro_broadcast_r0_block(i64 A, i64 k, i64 side, i64 n_nodes, i64 steps,
 
 typedef struct { i64 key; i64 idx; } KeyIdx;
 
-static int cmp_keyidx(const void *a, const void *b)
+/*
+ * Stable LSD radix sort of ki[0..n) by key (0 <= key <= max_key), one
+ * 8-bit digit per pass, ping-ponging through tmp (n more entries).  The
+ * entries arrive in idx order, so equal keys stay sorted by idx.  A pass
+ * whose digit is the same for every entry is skipped; below SMALL_SORT
+ * entries a (equally stable) insertion sort beats the 256-slot passes.
+ */
+#define SMALL_SORT 32
+
+static void radix_sort_keys(KeyIdx *ki, KeyIdx *tmp, i64 n, i64 max_key)
 {
-    const KeyIdx *x = (const KeyIdx *)a, *y = (const KeyIdx *)b;
-    if (x->key < y->key) return -1;
-    if (x->key > y->key) return 1;
-    if (x->idx < y->idx) return -1;
-    if (x->idx > y->idx) return 1;
-    return 0;
+    if (n < SMALL_SORT) {
+        for (i64 i = 1; i < n; i++) {
+            KeyIdx e = ki[i];
+            i64 j = i;
+            while (j > 0 && ki[j - 1].key > e.key) { ki[j] = ki[j - 1]; j--; }
+            ki[j] = e;
+        }
+        return;
+    }
+    i64 count[256];
+    KeyIdx *src = ki, *dst = tmp;
+    for (int shift = 0; shift < 64 && (max_key >> shift) > 0; shift += 8) {
+        for (int d = 0; d < 256; d++) count[d] = 0;
+        for (i64 i = 0; i < n; i++) count[(src[i].key >> shift) & 255]++;
+        if (count[(src[0].key >> shift) & 255] == n) continue;
+        i64 sum = 0;
+        for (int d = 0; d < 256; d++) { i64 c = count[d]; count[d] = sum; sum += c; }
+        for (i64 i = 0; i < n; i++) dst[count[(src[i].key >> shift) & 255]++] = src[i];
+        KeyIdx *t = src; src = dst; dst = t;
+    }
+    if (src != ki)
+        for (i64 i = 0; i < n; i++) ki[i] = src[i];
 }
 
 static i64 uf_find(i64 *parent, i64 i)
@@ -196,18 +216,6 @@ static void uf_union(i64 *parent, i64 *rank_, i64 a, i64 b)
     else { parent[rb] = ra; rank_[ra]++; }
 }
 
-/* First sorted slot holding `key`, or `n` when absent. */
-static i64 lower_bound(const KeyIdx *ki, i64 n, i64 key)
-{
-    i64 lo = 0, hi = n;
-    while (lo < hi) {
-        i64 mid = lo + (hi - lo) / 2;
-        if (ki[mid].key < key) lo = mid + 1;
-        else hi = mid;
-    }
-    return lo;
-}
-
 static void min_label_pass(i64 *parent, i64 *minid, i64 base, i64 k, i64 *out)
 {
     for (i64 i = 0; i < k; i++) minid[i] = k;
@@ -221,8 +229,12 @@ static void min_label_pass(i64 *parent, i64 *minid, i64 base, i64 k, i64 *out)
 /*
  * Batched component labels: for every trial, two agents share a label iff
  * they are connected in G_t(radius) under the Manhattan metric; the label
- * is trial * k + (min flat index of the component).  Scratch requirements:
- * ki (k KeyIdx), parent/rank/minid (k i64 each).  Returns 0.
+ * is trial * k + (min flat index of the component).  Each trial's agents
+ * are radix-sorted by cell key; the same cell is scanned forward in the
+ * sorted run, and each of the four forward-neighbour cells through a
+ * cursor that only moves forward (the targets grow with the key).
+ * Scratch requirements: ki (2k KeyIdx), parent/rank/minid (k i64 each).
+ * Returns 0.
  */
 i64 repro_labels_batch(i64 n_trials, i64 k, const i64 *pos, double radius,
                        i64 *labels, KeyIdx *ki, i64 *parent, i64 *rank_, i64 *minid)
@@ -237,18 +249,21 @@ i64 repro_labels_batch(i64 n_trials, i64 k, const i64 *pos, double radius,
             if (p[2 * i + 1] < ymin) ymin = p[2 * i + 1];
             if (p[2 * i + 1] > ymax) ymax = p[2 * i + 1];
         }
+        i64 max_key = 0;
         if (radius <= 0) {
             i64 width = ymax - ymin + 1;
             for (i64 i = 0; i < k; i++) {
-                ki[i].key = (p[2 * i] - xmin) * width + (p[2 * i + 1] - ymin);
+                i64 key = (p[2 * i] - xmin) * width + (p[2 * i + 1] - ymin);
+                ki[i].key = key;
                 ki[i].idx = i;
+                if (key > max_key) max_key = key;
             }
-            qsort(ki, (size_t)k, sizeof(KeyIdx), cmp_keyidx);
+            radix_sort_keys(ki, ki + k, k, max_key);
             i64 start = 0;
             while (start < k) {
                 i64 stop = start + 1;
                 while (stop < k && ki[stop].key == ki[start].key) stop++;
-                i64 lo = ki[start].idx; /* sorted ties by idx: first is min */
+                i64 lo = ki[start].idx; /* stable sort: first is min */
                 for (i64 s = start; s < stop; s++) lab[ki[s].idx] = r * k + lo;
                 start = stop;
             }
@@ -258,12 +273,14 @@ i64 repro_labels_batch(i64 n_trials, i64 k, const i64 *pos, double radius,
         for (i64 i = 0; i < k; i++) {
             i64 cx = (p[2 * i] - xmin) / cell;
             i64 cy = (p[2 * i + 1] - ymin) / cell;
-            ki[i].key = cx * width + cy + 1;
+            i64 key = cx * width + cy + 1;
+            ki[i].key = key;
             ki[i].idx = i;
+            if (key > max_key) max_key = key;
         }
-        qsort(ki, (size_t)k, sizeof(KeyIdx), cmp_keyidx);
+        radix_sort_keys(ki, ki + k, k, max_key);
         for (i64 i = 0; i < k; i++) { parent[i] = i; rank_[i] = 0; }
-        i64 offs[4];
+        i64 offs[4], cursor[4] = {0, 0, 0, 0};
         offs[0] = 1; offs[1] = width - 1; offs[2] = width; offs[3] = width + 1;
         for (i64 si = 0; si < k; si++) {
             i64 i = ki[si].idx;
@@ -275,8 +292,10 @@ i64 repro_labels_batch(i64 n_trials, i64 k, const i64 *pos, double radius,
             }
             for (int o = 0; o < 4; o++) {
                 i64 target = ki[si].key + offs[o];
-                for (i64 sj = lower_bound(ki, k, target);
-                     sj < k && ki[sj].key == target; sj++) {
+                i64 sj = cursor[o];
+                while (sj < k && ki[sj].key < target) sj++;
+                cursor[o] = sj;
+                for (; sj < k && ki[sj].key == target; sj++) {
                     i64 j = ki[sj].idx;
                     i64 dist = llabs(xi - p[2 * j]) + llabs(yi - p[2 * j + 1]);
                     if ((double)dist <= radius) uf_union(parent, rank_, i, j);
@@ -286,110 +305,6 @@ i64 repro_labels_batch(i64 n_trials, i64 k, const i64 *pos, double radius,
         for (i64 i = 0; i < k; i++) parent[i] = uf_find(parent, i);
         min_label_pass(parent, minid, r * k, k, lab);
     }
-    return 0;
-}
-
-/* ------------------------------------------------------------------ */
-/* incremental edge-diff engine (one trial per call)                  */
-/* ------------------------------------------------------------------ */
-
-/*
- * One incremental step of one trial's visibility graph at radius > 0.
- *
- * State owned by the caller: `statepos` (k, 2) -- the positions the current
- * `edges` list (n_edges entries of lo * k + hi) was built against.  The
- * call classifies movers (new vs. stored positions; `initialized == 0`
- * treats every agent as a mover over an empty edge list), drops edges with
- * a mover endpoint, generates the candidate pairs around movers (full 3x3
- * cell neighbourhood; mover-mover pairs deduplicated by keeping (m, j)
- * only when j is not a mover or j > m), and rebuilds labels with a
- * min-label union-find over the maintained edge set.
- *
- * Returns the required edge capacity when it exceeds `capacity` -- in that
- * case `*n_edges_out` holds the (already compacted) survivor count, no new
- * edges were appended and `statepos` is untouched, so the call can simply
- * be repeated with a larger buffer.  Returns 0 on success, with
- * `*n_edges_out` the new edge count, `statepos` updated and `labels`
- * filled (base + min component member).
- *
- * Scratch, all caller-allocated: mover (k u8), ki (k KeyIdx),
- * parent/rank/minid (k i64 each).
- */
-i64 repro_delta_step(i64 k, double radius, const i64 *newpos, i64 *statepos,
-                     i64 initialized, i64 base, i64 *edges, i64 n_edges,
-                     i64 capacity, i64 *labels, i64 *n_edges_out, u8 *mover,
-                     KeyIdx *ki, i64 *parent, i64 *rank_, i64 *minid)
-{
-    i64 cell = radius <= 0 ? 1 : (i64)ceil(radius);
-    i64 n_movers = 0;
-    for (i64 i = 0; i < k; i++) {
-        mover[i] = !initialized ||
-                   statepos[2 * i] != newpos[2 * i] ||
-                   statepos[2 * i + 1] != newpos[2 * i + 1];
-        if (mover[i]) n_movers++;
-    }
-    /* Drop edges with a mover endpoint (idempotent for fixed statepos). */
-    i64 kept = 0;
-    for (i64 e = 0; e < n_edges; e++) {
-        i64 lo = edges[e] / k, hi = edges[e] % k;
-        if (!mover[lo] && !mover[hi]) edges[kept++] = edges[e];
-    }
-    if (n_movers > 0) {
-        /* Cell table over the *new* positions. */
-        i64 xmin = newpos[0], ymin = newpos[1], ymax = newpos[1];
-        for (i64 i = 1; i < k; i++) {
-            if (newpos[2 * i] < xmin) xmin = newpos[2 * i];
-            if (newpos[2 * i + 1] < ymin) ymin = newpos[2 * i + 1];
-            if (newpos[2 * i + 1] > ymax) ymax = newpos[2 * i + 1];
-        }
-        i64 width = (ymax - ymin) / cell + 3;
-        for (i64 i = 0; i < k; i++) {
-            i64 cx = (newpos[2 * i] - xmin) / cell;
-            i64 cy = (newpos[2 * i + 1] - ymin) / cell;
-            ki[i].key = cx * width + cy + 1;
-            ki[i].idx = i;
-        }
-        qsort(ki, (size_t)k, sizeof(KeyIdx), cmp_keyidx);
-        /* Two passes over the mover neighbourhoods: count, then commit. */
-        i64 n_new = 0;
-        for (int pass = 0; pass < 2; pass++) {
-            if (pass == 1) {
-                if (kept + n_new > capacity) { *n_edges_out = kept; return kept + n_new; }
-                n_new = 0;
-            }
-            for (i64 m = 0; m < k; m++) {
-                if (!mover[m]) continue;
-                i64 xm = newpos[2 * m], ym = newpos[2 * m + 1];
-                i64 mkey = ((xm - xmin) / cell) * width + (ym - ymin) / cell + 1;
-                for (i64 dx = -1; dx <= 1; dx++) {
-                    for (i64 dy = -1; dy <= 1; dy++) {
-                        i64 target = mkey + dx * width + dy;
-                        for (i64 sj = lower_bound(ki, k, target);
-                             sj < k && ki[sj].key == target; sj++) {
-                            i64 j = ki[sj].idx;
-                            if (j == m || (mover[j] && j <= m)) continue;
-                            i64 dist = llabs(xm - newpos[2 * j]) +
-                                       llabs(ym - newpos[2 * j + 1]);
-                            if ((double)dist > radius) continue;
-                            if (pass == 1) {
-                                i64 lo = m < j ? m : j, hi = m < j ? j : m;
-                                edges[kept + n_new] = lo * k + hi;
-                            }
-                            n_new++;
-                        }
-                    }
-                }
-            }
-        }
-        kept += n_new;
-        for (i64 i = 0; i < 2 * k; i++) statepos[i] = newpos[i];
-    }
-    *n_edges_out = kept;
-    for (i64 i = 0; i < k; i++) { parent[i] = i; rank_[i] = 0; }
-    for (i64 e = 0; e < kept; e++)
-        uf_union(parent, rank_, edges[e] / k, edges[e] % k);
-    for (i64 i = 0; i < k; i++) parent[i] = uf_find(parent, i);
-    min_label_pass(parent, minid, base, k, labels);
     return 0;
 }
 """

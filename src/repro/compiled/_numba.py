@@ -27,6 +27,7 @@ _JITTED_HELPERS = {
     "_reflect": _jit(kernels_py._reflect),
     "_uf_find": _jit(kernels_py._uf_find),
     "_uf_union": _jit(kernels_py._uf_union),
+    "_radix_sort": _jit(kernels_py._radix_sort),
 }
 _JITTED_HELPERS["_min_label_pass"] = _jit(
     types.FunctionType(

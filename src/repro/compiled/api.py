@@ -2,8 +2,8 @@
 
 A *provider* is an object exposing the compiled kernel set at numpy level
 (``apply_lazy`` / ``apply_masked`` / ``apply_brownian`` / ``flood_r0`` /
-``labels_batch``, plus the cc-only ``broadcast_r0_block`` and
-``delta_step`` extensions flagged by ``has_block_driver`` / ``has_delta``).
+``labels_batch``, plus the cc-only ``broadcast_r0_block`` extension
+flagged by ``has_block_driver``).
 :class:`LoopOps` adapts any namespace of loop kernels with the
 :mod:`repro.compiled.kernels_py` signatures (the jitted numba module or the
 plain-Python reference module itself) to that protocol; the cc provider
@@ -18,7 +18,7 @@ flood behind the same ``flood`` method the batched loop already calls.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class LoopOps:
     """Adapt a kernels_py-style namespace to the provider protocol."""
 
     has_block_driver = False
-    has_delta = False
 
     def __init__(self, kernels: Any, name: str) -> None:
         self._kernels = kernels
@@ -181,14 +180,3 @@ def make_labels_fn(ops: Any):
         return ops.labels_batch(positions, radius)
 
     return labels_fn
-
-
-def resolve_connectivity_engine(
-    ops: Any, k: int, radius: float, side: int, n_trials: int
-) -> Optional[Any]:
-    """The compiled incremental engine for ``radius > 0``, if the provider has one."""
-    if radius <= 0 or not getattr(ops, "has_delta", False):
-        return None
-    from repro.compiled.engine import CompiledDeltaEngine
-
-    return CompiledDeltaEngine(ops, k, radius, n_trials=n_trials)

@@ -16,7 +16,10 @@ sets), trials that complete stop being flooded/recorded exactly one step
 after completion, and the serial backend's "move even on the completion
 step" convention is honoured by construction (the pre-drawn block entries
 of a finished trial are simply never read — its generator has already
-advanced past them either way).
+advanced past them either way).  Once per block the driver advances the
+same ``repro_sim_steps_total{loop="batched_broadcast"}`` counter and
+``repro_sim_active_trials`` gauge the per-step loop keeps, by the
+trial-steps the block recorded.
 """
 
 from __future__ import annotations
@@ -26,16 +29,21 @@ from typing import Any
 import numpy as np
 
 from repro.compiled.api import SUPPORTED_KERNELS
+from repro.connectivity.visibility import effective_radius
 from repro.mobility.kernels import BlockDrawStepper, NoDrawStepper
+from repro.obs.metrics import step_loop_instruments
 
 
 def fused_broadcast_supported(
     ops: Any, radius: float, stepper: Any, n_trials: int, n_nodes: int
 ) -> bool:
-    """Whether the fused block driver can run this broadcast workload."""
+    """Whether the fused block driver can run this broadcast workload.
+
+    It floods co-located groups, i.e. runs at effective radius ``⌊r⌋ = 0``.
+    """
     from repro.connectivity.incremental import SAME_CELL_TABLE_LIMIT
 
-    if radius != 0 or not getattr(ops, "has_block_driver", False):
+    if effective_radius(radius) != 0 or not getattr(ops, "has_block_driver", False):
         return False
     if n_trials * n_nodes > SAME_CELL_TABLE_LIMIT:
         return False
@@ -75,9 +83,11 @@ def run_broadcast_r0_fused(
     n_informed = np.full(n_trials, k, dtype=np.int64)
     step_trials: list[np.ndarray] = []
     step_counts: list[np.ndarray] = []
+    steps_metric, active_metric = step_loop_instruments("batched_broadcast")
     active = np.arange(n_trials)
     t = 0
     while active.size and t < horizon:
+        active_metric.set(int(active.size))
         if kernel is None:
             draws = None
             block = min(horizon - t, 128)
@@ -91,10 +101,11 @@ def run_broadcast_r0_fused(
             table, epoch, done_at, counts_out,
         )
         epoch += steps_run
+        recorded = counts_out[:steps_run] >= 0
+        steps_metric.inc(int(recorded.sum()))
         for s in range(steps_run):
-            recorded = counts_out[s] >= 0
-            step_trials.append(active[recorded])
-            step_counts.append(counts_out[s][recorded])
+            step_trials.append(active[recorded[s]])
+            step_counts.append(counts_out[s][recorded[s]])
         t += steps_run
         finished = done_at >= 0
         if finished.any():
@@ -105,6 +116,7 @@ def run_broadcast_r0_fused(
             positions = positions[keep]
             informed = informed[keep]
             active = active[keep]
+    active_metric.set(0)
     n_steps[active] = t
     if active.size:
         n_informed[active] = informed.sum(axis=1)

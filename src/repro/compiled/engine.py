@@ -1,21 +1,18 @@
-"""Compiled incremental connectivity engine (cc-provider edge-diff core).
+"""Compiled incremental connectivity engine.
 
-The compiled counterpart of
-:class:`repro.connectivity.incremental.DeltaConnectivityEngine` for
-``radius > 0``: per trial, the C core classifies movers against the stored
-positions, drops the edges incident to them, regenerates the candidate
-pairs around movers from a fresh cell table and rebuilds component labels
-with a min-label union-find over the maintained edge set — one native call
-per (step, trial).
+The engine ``auto`` runs under the compiled backend for ``radius > 0``.  It
+keeps no state: each step is one provider ``labels_batch`` call over every
+active trial, the same work as the ``recompute`` path's labels function.
+It stays a separate engine so that the compiled ``incremental`` choice
+names the step its time is spent in
+(``CompiledDeltaEngine.step``, which ``perfbench`` traces as the
+``connectivity.engine`` layer).
 
-Labels are ``trial * k + min component member``: non-negative, cross-trial
-distinct and partition-identical to the numpy engine's (both use the
-minimum member as representative), which is everything the flooding and
-process-kernel consumers require.
-
-State is indexed by *original* trial id through the loop's ``active``
-array, exactly like the numpy engine, so mid-run compaction needs no state
-surgery.
+Labels are ``row * k + min component member``, the provider's
+``labels_batch`` values: non-negative, cross-row distinct and
+partition-identical to the numpy engines' (the minimum member is the
+representative), which is everything the flooding and process-kernel
+consumers require.
 """
 
 from __future__ import annotations
@@ -26,65 +23,19 @@ import numpy as np
 
 
 class CompiledDeltaEngine:
-    """Per-trial edge-diff labelling state over the cc provider."""
+    """Per-step component labels from a compiled provider's ``labels_batch``."""
 
     def __init__(self, ops: Any, n_points: int, radius: float, n_trials: int = 1) -> None:
         if radius <= 0:
             raise ValueError("CompiledDeltaEngine requires radius > 0")
-        if not getattr(ops, "has_delta", False):
-            raise ValueError(f"provider {ops.name!r} has no compiled delta core")
         self._ops = ops
-        self._k = int(n_points)
         self._radius = float(radius)
-        self._n_trials = int(n_trials)
-        k = self._k
-        self._statepos = np.zeros((self._n_trials, k, 2), dtype=np.int64)
-        self._initialized = np.zeros(self._n_trials, dtype=bool)
-        self._n_edges = np.zeros(self._n_trials, dtype=np.int64)
-        self._edges = [np.empty(max(4 * k, 16), dtype=np.int64) for _ in range(self._n_trials)]
-        # Shared per-call scratch (one trial is processed at a time).
-        self._scratch = (
-            np.empty(k, dtype=np.uint8),        # mover mask
-            np.empty((k, 2), dtype=np.int64),   # KeyIdx structs
-            np.empty(k, dtype=np.int64),        # union-find parent
-            np.empty(k, dtype=np.int64),        # union-find rank
-            np.empty(k, dtype=np.int64),        # min-label scratch
-        )
 
     def step(self, positions: np.ndarray, active: np.ndarray) -> np.ndarray:
-        """Advance the active trials to ``positions`` and return their labels.
+        """Return the labels of the active trials at ``positions``.
 
-        ``positions`` has shape ``(A, k, 2)`` and ``active`` maps its rows to
-        original trial ids (the batched loops' compaction contract).
+        ``positions`` has shape ``(A, k, 2)``; ``active`` (the batched loops'
+        compaction contract) is accepted for the engine interface and
+        unused, since nothing is carried between steps.
         """
-        positions = np.ascontiguousarray(positions, dtype=np.int64)
-        n_rows, k = positions.shape[:2]
-        labels = np.empty((n_rows, k), dtype=np.int64)
-        for row in range(n_rows):
-            trial = int(active[row])
-            newpos = positions[row]
-            if not newpos.flags["C_CONTIGUOUS"]:  # pragma: no cover - defensive
-                newpos = np.ascontiguousarray(newpos)
-            while True:
-                status, n_edges = self._ops.delta_step(
-                    self._radius,
-                    newpos,
-                    self._statepos[trial],
-                    bool(self._initialized[trial]),
-                    trial * k,
-                    self._edges[trial],
-                    int(self._n_edges[trial]),
-                    labels[row],
-                    self._scratch,
-                )
-                self._n_edges[trial] = n_edges
-                if status == 0:
-                    break
-                # Edge buffer too small: grow past the requirement and retry
-                # (the C core leaves the stored positions untouched on
-                # failure, so the retry re-derives the same mover set).
-                grown = np.empty(max(status, 2 * self._edges[trial].shape[0]), dtype=np.int64)
-                grown[:n_edges] = self._edges[trial][:n_edges]
-                self._edges[trial] = grown
-            self._initialized[trial] = True
-        return labels
+        return self._ops.labels_batch(positions, self._radius)

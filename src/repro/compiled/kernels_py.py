@@ -164,18 +164,83 @@ def _min_label_pass(parent, minid, base, k, row, out_labels):
         out_labels[row, i] = base + minid[parent[i]]
 
 
+#: Below this many entries ``_radix_sort`` insertion-sorts instead.
+_SMALL_SORT = 32
+
+
+def _radix_sort(key, order, tmp_key, tmp_order, count, max_key):
+    """Stable LSD radix sort of ``(key, order)`` pairs by key, in place.
+
+    One 8-bit digit per pass (``count`` holds the 256-slot histogram),
+    ping-ponging through ``tmp_key``/``tmp_order``; a pass whose digit is
+    the same for every entry is skipped.  Keys lie in ``[0, max_key]``.
+    Pairs that arrive in ``order`` order leave with equal keys still in
+    that order.  Below ``_SMALL_SORT`` entries an (equally stable)
+    insertion sort beats the 256-slot passes.
+    """
+    n = key.shape[0]
+    if n < _SMALL_SORT:
+        for i in range(1, n):
+            moving_key = key[i]
+            moving_order = order[i]
+            j = i
+            while j > 0 and key[j - 1] > moving_key:
+                key[j] = key[j - 1]
+                order[j] = order[j - 1]
+                j -= 1
+            key[j] = moving_key
+            order[j] = moving_order
+        return
+    src_key, src_order, dst_key, dst_order = key, order, tmp_key, tmp_order
+    swapped = False
+    shift = 0
+    while shift < 64 and (max_key >> shift) > 0:
+        for d in range(256):
+            count[d] = 0
+        for i in range(n):
+            count[(src_key[i] >> shift) & 255] += 1
+        if count[(src_key[0] >> shift) & 255] != n:
+            total = 0
+            for d in range(256):
+                c = count[d]
+                count[d] = total
+                total += c
+            for i in range(n):
+                d = (src_key[i] >> shift) & 255
+                dst_key[count[d]] = src_key[i]
+                dst_order[count[d]] = src_order[i]
+                count[d] += 1
+            src_key, dst_key = dst_key, src_key
+            src_order, dst_order = dst_order, src_order
+            swapped = not swapped
+        shift += 8
+    if swapped:
+        for i in range(n):
+            key[i] = src_key[i]
+            order[i] = src_order[i]
+
+
 def labels_batch(positions, radius, out_labels):
-    """Fused cell-key build + candidate sweep + union-find, one trial at a time.
+    """Fused cell-key build + radix sort + candidate sweep + union-find, per trial.
 
     Produces, for every trial ``r``, labels where two agents share a value
     iff they lie within Manhattan distance ``radius`` transitively; the
-    shared value is ``r * k + (min flat index of the component)``.
+    shared value is ``r * k + (min flat index of the component)``.  Each
+    trial's agents are radix-sorted by cell key; the same cell is scanned
+    forward in the sorted run, and each of the four forward-neighbour cells
+    through a cursor that only moves forward (targets grow with the key).
     """
     n_trials, k = positions.shape[0], positions.shape[1]
     key = np.empty(k, dtype=np.int64)
+    order = np.empty(k, dtype=np.int64)
+    tmp_key = np.empty(k, dtype=np.int64)
+    tmp_order = np.empty(k, dtype=np.int64)
+    count = np.empty(256, dtype=np.int64)
     parent = np.empty(k, dtype=np.int64)
     rank = np.zeros(k, dtype=np.int64)
     minid = np.empty(k, dtype=np.int64)
+    offsets = np.empty(4, dtype=np.int64)
+    cursor = np.empty(4, dtype=np.int64)
     cell = np.int64(1) if radius <= 0 else np.int64(np.ceil(radius))
     for r in range(n_trials):
         xmin = positions[r, 0, 0]
@@ -188,21 +253,22 @@ def labels_batch(positions, radius, out_labels):
                 ymin = positions[r, i, 1]
             if positions[r, i, 1] > ymax:
                 ymax = positions[r, i, 1]
+        max_key = np.int64(0)
         if radius <= 0:
             # Exact-position grouping: sort by node key, label runs.
             width = ymax - ymin + 1
             for i in range(k):
                 key[i] = (positions[r, i, 0] - xmin) * width + (positions[r, i, 1] - ymin)
-            order = np.argsort(key)
+                order[i] = i
+                if key[i] > max_key:
+                    max_key = key[i]
+            _radix_sort(key, order, tmp_key, tmp_order, count, max_key)
             start = 0
             while start < k:
                 stop = start + 1
-                while stop < k and key[order[stop]] == key[order[start]]:
+                while stop < k and key[stop] == key[start]:
                     stop += 1
-                lo = order[start]
-                for s in range(start + 1, stop):
-                    if order[s] < lo:
-                        lo = order[s]
+                lo = order[start]  # stable sort: a run starts at its min member
                 for s in range(start, stop):
                     out_labels[r, order[s]] = r * k + lo
                 start = stop
@@ -214,33 +280,44 @@ def labels_batch(positions, radius, out_labels):
             cx = (positions[r, i, 0] - xmin) // cell
             cy = (positions[r, i, 1] - ymin) // cell
             key[i] = cx * width + cy + 1
-        order = np.argsort(key)
-        skey = key[order]
+            order[i] = i
+            if key[i] > max_key:
+                max_key = key[i]
+        _radix_sort(key, order, tmp_key, tmp_order, count, max_key)
         for i in range(k):
             parent[i] = i
             rank[i] = 0
+        # Forward neighbour cells: +y, +x-y, +x, +x+y in key space.
+        offsets[0] = 1
+        offsets[1] = width - 1
+        offsets[2] = width
+        offsets[3] = width + 1
+        for o in range(4):
+            cursor[o] = 0
         for si in range(k):
             i = order[si]
             xi = positions[r, i, 0]
             yi = positions[r, i, 1]
             # Same cell: forward half of the sorted run.
             sj = si + 1
-            while sj < k and skey[sj] == skey[si]:
+            while sj < k and key[sj] == key[si]:
                 j = order[sj]
                 dist = abs(xi - positions[r, j, 0]) + abs(yi - positions[r, j, 1])
                 if dist <= radius:
                     _uf_union(parent, rank, i, j)
                 sj += 1
-            # Forward neighbour cells: +y, +x-y, +x, +x+y in key space.
-            for off in (np.int64(1), width - 1, width, width + 1):
-                target = skey[si] + off
-                lo = np.searchsorted(skey, target, side="left")
-                hi = np.searchsorted(skey, target, side="right")
-                for sj in range(lo, hi):
+            for o in range(4):
+                target = key[si] + offsets[o]
+                sj = cursor[o]
+                while sj < k and key[sj] < target:
+                    sj += 1
+                cursor[o] = sj
+                while sj < k and key[sj] == target:
                     j = order[sj]
                     dist = abs(xi - positions[r, j, 0]) + abs(yi - positions[r, j, 1])
                     if dist <= radius:
                         _uf_union(parent, rank, i, j)
+                    sj += 1
         # Compress everything so the label pass can read parent[i] directly.
         for i in range(k):
             parent[i] = _uf_find(parent, i)

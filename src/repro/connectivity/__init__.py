@@ -20,6 +20,7 @@ from repro.connectivity.unionfind import UnionFind
 from repro.connectivity.batched import batched_visibility_labels
 from repro.connectivity.spatial_hash import SpatialHash, neighbor_pairs
 from repro.connectivity.visibility import (
+    effective_radius,
     position_group_key,
     same_cell_labels,
     visibility_components,
@@ -51,6 +52,7 @@ __all__ = [
     "batched_visibility_labels",
     "SpatialHash",
     "neighbor_pairs",
+    "effective_radius",
     "position_group_key",
     "same_cell_labels",
     "DeltaConnectivityEngine",

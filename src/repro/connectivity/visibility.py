@@ -8,11 +8,24 @@ is both exact and faster than the general path.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import networkx as nx
 
 from repro.connectivity.spatial_hash import neighbor_pairs
 from repro.connectivity.unionfind import UnionFind
+
+
+def effective_radius(radius: float) -> int:
+    """The integer radius ``⌊r⌋`` that ``G_t(r)`` actually depends on.
+
+    Manhattan distances between integer grid positions are integers, so
+    ``d <= r`` holds exactly when ``d <= ⌊r⌋``: ``G_t(r)`` and ``G_t(⌊r⌋)``
+    are the same graph.  Path decisions and labelling calls use this value;
+    configurations and results keep the radius the user gave.
+    """
+    return math.floor(radius)
 
 
 def position_group_key(positions: np.ndarray) -> np.ndarray:

@@ -33,13 +33,24 @@ the property tests, for every built-in mobility model.
 
 The ``compiled`` flag (``backend="compiled"``) keeps this exact loop and
 draw order but routes the per-step hot kernels — mobility apply, component
-labelling, the ``r = 0`` flood scatter and the incremental edge-diff core —
-through :mod:`repro.compiled`; for ``r = 0`` broadcasts with block-draw
-mobility the whole flood → record → complete → move iteration runs as fused
-multi-step native blocks.  All randomness still comes from the same numpy
-generators in the same order, so ``compiled`` results are bit-for-bit
-identical to ``batched`` and ``serial`` (again property-verified trial for
-trial).
+labelling and the ``r = 0`` flood scatter — through :mod:`repro.compiled`;
+for ``r = 0`` broadcasts with block-draw mobility the whole flood → record →
+complete → move iteration runs as fused multi-step native blocks.  Above
+``r = 0`` the incremental engine is the provider's stateless
+:class:`~repro.compiled.engine.CompiledDeltaEngine` (one compiled
+``labels_batch`` call per step) under compiled and the
+numpy :class:`~repro.connectivity.incremental.DeltaConnectivityEngine`
+otherwise (``auto`` picks per backend, see
+:func:`repro.core.runner.auto_pair`).  All randomness still comes from the
+same numpy generators in the same order, so ``compiled`` results are
+bit-for-bit identical to ``batched`` and ``serial`` (again property-verified
+trial for trial).
+
+Every path decision and labelling call uses the effective radius ``⌊r⌋``
+(:func:`~repro.connectivity.visibility.effective_radius`): between integer
+positions ``G_t(r)`` and ``G_t(⌊r⌋)`` are the same graph, so an ``r = 0.5``
+broadcast runs the ``r = 0`` flood paths.  Configurations and results keep
+the radius the user gave.
 """
 
 from __future__ import annotations
@@ -49,10 +60,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.connectivity.batched import batched_visibility_labels
+from repro.connectivity.incremental import SAME_CELL_TABLE_LIMIT, DeltaConnectivityEngine
+from repro.connectivity.visibility import effective_radius
 from repro.core.config import BroadcastConfig, GossipConfig
 from repro.core.gossip import GossipResult
 from repro.core.protocol import flood_informed_batch, flood_rumors_batch
-from repro.core.runner import ReplicationSummary, check_rng_streams, summarise_values
+from repro.core.runner import (
+    ReplicationSummary,
+    check_rng_streams,
+    resolve_pair,
+    summarise_values,
+)
 from repro.core.simulation import BroadcastResult
 from repro.grid.lattice import Grid2D
 from repro.mobility import make_mobility
@@ -213,16 +231,12 @@ def run_broadcast_replications_batched(
     explicit per-trial generator instead of deriving them from ``seed`` (the
     executor's chunked work units use this).  ``connectivity`` selects the
     component-labelling engine (``None`` resolves the config's field); with
-    ``"incremental"`` one :class:`~repro.connectivity.incremental.DeltaConnectivityEngine`
-    carries per-trial spatial-hash and label state across steps, indexed by
-    the loop's ``active`` trials so mid-run compaction needs no state
-    surgery.  ``compiled`` routes the hot kernels through the active
-    :mod:`repro.compiled` provider (raising when none is available) without
-    touching the draw order — see the module docstring.
+    ``"incremental"`` one engine (:func:`_make_engine`) carries per-trial
+    state across steps, indexed by the loop's ``active`` trials so mid-run
+    compaction needs no state surgery.  ``compiled`` routes the hot kernels
+    through the active :mod:`repro.compiled` provider (raising when none is
+    available) without touching the draw order — see the module docstring.
     """
-    from repro.connectivity.incremental import SAME_CELL_TABLE_LIMIT, DeltaConnectivityEngine
-    from repro.core.runner import resolve_connectivity
-
     n_replications = check_positive_int(n_replications, "n_replications")
     if not supports_batched_broadcast(config):
         raise ValueError(
@@ -240,10 +254,11 @@ def run_broadcast_replications_batched(
     states, positions, sources = _initial_state(mobility, config, rngs, with_source=True)
     k = config.n_agents
     n_trials = n_replications
-    incremental = resolve_connectivity(config, connectivity) == "incremental"
+    radius = effective_radius(config.radius)
+    incremental = _resolve_engine(config, connectivity, compiled) == "incremental"
     table_fits = n_trials * grid.n_nodes <= SAME_CELL_TABLE_LIMIT
     engine = flood = None
-    if config.radius == 0:
+    if radius == 0:
         if ops is not None and table_fits:
             # Compiled r = 0 flood scatter (used for both connectivity
             # engines: the epoch table already is the incremental state, and
@@ -260,7 +275,7 @@ def run_broadcast_replications_batched(
             # table for the whole run.
             flood = _EpochColocatedFlood(n_trials, grid.n_nodes)
     elif incremental:
-        engine = _make_delta_engine(ops, k, config.radius, grid.side, n_trials)
+        engine = _make_engine(ops, k, radius, grid.side, n_trials)
     labels_fn = _resolve_labels_fn(ops)
 
     informed = np.zeros((n_trials, k), dtype=bool)
@@ -277,7 +292,7 @@ def run_broadcast_replications_batched(
         stepper = accelerate_stepper(ops, stepper)
 
     horizon = config.horizon
-    if ops is not None and _fused_broadcast_usable(ops, config.radius, stepper, n_trials, grid):
+    if ops is not None and _fused_broadcast_usable(ops, radius, stepper, n_trials, grid):
         # Whole-loop fused native path: flood -> record -> complete -> move
         # runs block-at-a-time in the provider, bit-for-bit with the loop
         # below (the pre-drawn mobility blocks come from the same stepper).
@@ -302,10 +317,10 @@ def run_broadcast_replications_batched(
             informed = flood_informed_batch(informed, engine.step(positions, active))
         elif flood is not None:
             informed = flood.flood(grid, positions, informed)
-        elif config.radius == 0:
+        elif radius == 0:
             informed = _flood_colocated(grid, positions, informed)
         else:
-            labels = labels_fn(positions, config.radius)
+            labels = labels_fn(positions, radius)
             informed = flood_informed_batch(informed, labels)
         counts = informed.sum(axis=1)
         step_trials.append(active)
@@ -331,17 +346,16 @@ def run_broadcast_replications_batched(
     return _broadcast_results(config, n_trials, broadcast_time, n_steps, n_informed, curves)
 
 
-def _make_delta_engine(ops, k: int, radius: float, side: int, n_trials: int):
-    """The incremental engine for ``radius > 0``: compiled when possible.
+def _resolve_engine(
+    config: BroadcastConfig | GossipConfig, connectivity: Optional[str], compiled: bool
+) -> str:
+    """The connectivity engine of a batched run (``None`` resolves ``auto``)."""
+    return resolve_pair(config, "compiled" if compiled else "batched", connectivity)[1]
 
-    Providers without a compiled edge-diff core (numba, python) fall back to
-    the numpy :class:`~repro.connectivity.incremental.DeltaConnectivityEngine`
-    — labels differ only by relabelling, which every consumer is invariant
-    under, so results stay bit-for-bit identical either way.
-    """
-    from repro.connectivity.incremental import DeltaConnectivityEngine
 
-    if ops is not None and getattr(ops, "has_delta", False):
+def _make_engine(ops, k: int, radius: float, side: int, n_trials: int):
+    """The incremental engine: the provider's for ``radius > 0``, else numpy's."""
+    if ops is not None and radius > 0:
         from repro.compiled.engine import CompiledDeltaEngine
 
         return CompiledDeltaEngine(ops, k, radius, n_trials=n_trials)
@@ -403,7 +417,7 @@ def run_process_replications_batched(
     batch-wide according to the kernel's ``needs`` declaration —
 
     * ``"labels"`` — one :func:`~repro.connectivity.batched.batched_visibility_labels`
-      pass per step, or one :class:`~repro.connectivity.incremental.DeltaConnectivityEngine`
+      pass per step, or one incremental engine (:func:`_make_engine`)
       addressed by the loop's ``active`` trials when ``connectivity ==
       "incremental"`` (compaction-free state, bit-for-bit identical labels);
     * ``"pairs"`` — per-trial within-radius pairs (direct-pair predicates,
@@ -417,10 +431,10 @@ def run_process_replications_batched(
     (:func:`repro.dissemination.kernels.run_process_serial`) for identical
     seeds — Hypothesis-verified per kernel.
 
-    ``compiled`` swaps the labelling passes (and the incremental engine at
-    ``radius > 0``) for the active :mod:`repro.compiled` provider's kernels;
-    the process kernels keep owning their own draws, so results are again
-    bit-for-bit identical.
+    ``compiled`` swaps the labelling passes for the active
+    :mod:`repro.compiled` provider's labels kernel or engine; the process
+    kernels keep owning their own draws, so results are again bit-for-bit
+    identical.
     """
     from repro.connectivity.spatial_hash import neighbor_pairs
 
@@ -434,22 +448,18 @@ def run_process_replications_batched(
     rngs = list(rng_streams) if rng_streams is not None else spawn_rngs(seed, n_replications)
     n_trials = n_replications
     bstate = process.init_batch(rngs)
+    radius = effective_radius(process.radius)
     labels_fn = _resolve_labels_fn(ops)
     engine = None
-    if process.needs == "labels" and connectivity == "incremental":
-        if process.radius > 0:
-            engine = _make_delta_engine(
-                ops, process.n_points, process.radius, process.grid.side, n_trials
-            )
-        elif ops is None:
-            from repro.connectivity.incremental import DeltaConnectivityEngine
-
-            engine = DeltaConnectivityEngine(
-                process.n_points, process.radius, process.grid.side, n_trials=n_trials
-            )
-        # Compiled at radius == 0: labels_fn's exact-position grouping *is*
-        # the same-cell labelling; recomputing it per step is the compiled
-        # incremental face (identical partitions, no engine state).
+    # Compiled at radius 0: labels_fn's exact-position grouping *is* the
+    # same-cell labelling; recomputing it per step is the compiled
+    # incremental face (identical partitions, no engine state).
+    if (
+        process.needs == "labels"
+        and connectivity == "incremental"
+        and (radius > 0 or ops is None)
+    ):
+        engine = _make_engine(ops, process.n_points, radius, process.grid.side, n_trials)
 
     n_steps = np.zeros(n_trials, dtype=np.int64)
     step_trials: list[np.ndarray] = []
@@ -470,7 +480,7 @@ def run_process_replications_batched(
             if engine is not None:
                 conn = engine.step(bstate.positions, active)
             else:
-                conn = labels_fn(bstate.positions, process.radius)
+                conn = labels_fn(bstate.positions, radius)
         elif process.needs == "pairs":
             conn = [
                 neighbor_pairs(bstate.positions[row], process.radius)
@@ -512,8 +522,6 @@ def run_gossip_replications_batched(
     trials in one pass per step.  ``rng_streams``, ``connectivity`` and
     ``compiled`` behave as in :func:`run_broadcast_replications_batched`.
     """
-    from repro.core.runner import resolve_connectivity
-
     n_replications = check_positive_int(n_replications, "n_replications")
     if not supports_batched_gossip(config):
         raise ValueError(
@@ -531,17 +539,15 @@ def run_gossip_replications_batched(
     states, positions, _ = _initial_state(mobility, config, rngs, with_source=False)
     k = config.n_agents
     n_trials = n_replications
+    radius = effective_radius(config.radius)
     labels_fn = _resolve_labels_fn(ops)
     engine = None
-    if resolve_connectivity(config, connectivity) == "incremental":
-        if config.radius > 0:
-            engine = _make_delta_engine(ops, k, config.radius, grid.side, n_trials)
-        elif ops is None:
-            from repro.connectivity.incremental import DeltaConnectivityEngine
-
-            engine = DeltaConnectivityEngine(k, config.radius, grid.side, n_trials=n_trials)
-        # Compiled at radius == 0: per-step compiled labels recompute (see
-        # the process runner — identical partitions, no engine state).
+    # Compiled at radius 0: per-step compiled labels recompute (see the
+    # process runner — identical partitions, no engine state).
+    if _resolve_engine(config, connectivity, compiled) == "incremental" and (
+        radius > 0 or ops is None
+    ):
+        engine = _make_engine(ops, k, radius, grid.side, n_trials)
 
     rumors = np.broadcast_to(np.eye(k, dtype=bool), (n_trials, k, k)).copy()
     gossip_time = np.full(n_trials, -1, dtype=np.int64)
@@ -566,7 +572,7 @@ def run_gossip_replications_batched(
         if engine is not None:
             labels = engine.step(positions, active)
         else:
-            labels = labels_fn(positions, config.radius)
+            labels = labels_fn(positions, radius)
         rumors = flood_rumors_batch(rumors, labels)
         totals = rumors.sum(axis=(1, 2))
         step_trials.append(active)

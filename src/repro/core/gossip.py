@@ -57,7 +57,7 @@ class GossipSimulation:
         connectivity: str | None = None,
     ) -> None:
         from repro.connectivity.incremental import DeltaConnectivityEngine
-        from repro.core.runner import resolve_connectivity
+        from repro.core.runner import resolve_pair
 
         self._config = config
         self._rng = default_rng(rng)
@@ -68,7 +68,7 @@ class GossipSimulation:
         self._mobility_state = mobility.init_state(config.n_agents, self._rng)
         self._engine = (
             DeltaConnectivityEngine(config.n_agents, config.radius, self._grid.side)
-            if resolve_connectivity(config, connectivity) == "incremental"
+            if resolve_pair(config, "serial", connectivity)[1] == "incremental"
             else None
         )
 

@@ -15,8 +15,10 @@ the ``backend`` argument (or the config's ``backend`` field):
 * ``"compiled"`` — the batched loop with its per-step hot kernels compiled
   (:mod:`repro.compiled`); raises when no provider (numba or the bundled C
   kernels) is available on the host;
-* ``"auto"`` — the fastest backend the configuration and host support:
-  compiled when a provider is available, else batched, else serial.
+* ``"auto"`` — the fastest backend the configuration and host support,
+  resolved jointly with the connectivity engine by one policy
+  (:func:`auto_pair`): compiled when a provider is available, else batched,
+  else serial.
 
 All backends consume identical per-trial random streams (derived with
 :func:`repro.util.rng.spawn_rngs`) and return bit-for-bit identical results,
@@ -45,6 +47,7 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.analysis.statistics import ReplicationAggregate
 
+from repro.connectivity.visibility import effective_radius
 from repro.core.config import (
     BroadcastConfig,
     GossipConfig,
@@ -267,37 +270,6 @@ def current_backend_override() -> Optional[str]:
     return _BACKEND_OVERRIDE
 
 
-def resolve_backend(
-    config: BroadcastConfig | GossipConfig, backend: Optional[str] = None
-) -> str:
-    """Resolve the effective backend (``"serial"``, ``"batched"`` or ``"compiled"``).
-
-    ``backend`` overrides the config's ``backend`` field (as does an active
-    :func:`backend_override` block); ``"auto"`` picks, among the backends the
-    configuration supports, the compiled one when a :mod:`repro.compiled`
-    provider is available on this host and the batched one otherwise.  An
-    explicit ``"batched"``/``"compiled"`` request for an unsupported
-    configuration (or, for ``"compiled"``, a host without any provider)
-    raises when the runner is invoked, rather than silently falling back.
-    """
-    from repro.core.batched import supports_batched_broadcast, supports_batched_gossip
-
-    if backend is None:
-        backend = _BACKEND_OVERRIDE
-    choice = check_backend(backend if backend is not None else config.backend)
-    if choice != "auto":
-        return choice
-    if isinstance(config, BroadcastConfig):
-        supported = supports_batched_broadcast(config)
-    else:
-        supported = supports_batched_gossip(config)
-    if not supported:
-        return "serial"
-    from repro.compiled import available as compiled_available
-
-    return "compiled" if compiled_available() else "batched"
-
-
 #: Process-wide connectivity override installed by :func:`connectivity_override`.
 _CONNECTIVITY_OVERRIDE: Optional[str] = None
 
@@ -329,32 +301,141 @@ def current_connectivity_override() -> Optional[str]:
     return _CONNECTIVITY_OVERRIDE
 
 
-def resolve_connectivity(
-    config: BroadcastConfig | GossipConfig, connectivity: Optional[str] = None
-) -> str:
-    """Resolve the effective engine (``"recompute"`` or ``"incremental"``).
+#: The numpy backends (serial, batched) keep the incremental engine below
+#: this effective radius; from here up the recompute path's bucket-level
+#: candidate expansion wins, since cells span several nodes and the edge
+#: set grows dense.
+NUMPY_INCREMENTAL_BELOW = 2
 
-    ``connectivity`` overrides the config's ``connectivity`` field (as does
-    an active :func:`connectivity_override` block).  ``"auto"`` picks the
-    incremental engine where it is the faster choice: every radius below 2
-    (the same-cell fast path at ``r = 0`` and the one-node-per-cell delta
-    engine up to ``r = 1``); larger radii keep the recompute path, whose
-    bucket-level candidate expansion wins once cells span several nodes and
-    the edge set is dense.  Both engines produce bit-for-bit identical
-    simulation results, so the choice is purely a performance knob.
+
+def auto_pair(
+    backend: str,
+    connectivity: str,
+    radius: float,
+    *,
+    batchable: bool = True,
+    labels: bool = True,
+    process: bool = False,
+) -> tuple[str, str]:
+    """The ``auto`` policy: resolve backend × connectivity as one pair.
+
+    ``backend`` and ``connectivity`` are the requested choices; explicit
+    ones come back unchanged, ``"auto"`` ones are resolved against the
+    effective radius ``r_eff = ⌊radius⌋``
+    (:func:`~repro.connectivity.visibility.effective_radius`), to the
+    fastest pair measured (with the bundled C provider):
+
+    =============================  =========================  =========================
+    run                            compiled provider          no provider
+    =============================  =========================  =========================
+    ``r_eff = 0``                  compiled × incremental     batched × incremental
+    ``r_eff = 1``                  compiled × incremental     batched × incremental
+    ``r_eff >= 2``                 compiled × incremental     batched × recompute
+    label process, ``r_eff = 0``   batched × incremental      batched × incremental
+    =============================  =========================  =========================
+
+    Under compiled, ``r_eff = 0`` runs the fused block driver where it
+    applies, else the compiled epoch flood or labels kernel, and from
+    ``r_eff = 1`` up the compiled engine
+    (:class:`~repro.compiled.engine.CompiledDeltaEngine`): one compiled
+    ``labels_batch`` call per step, which beats every numpy engine.
+    Process kernels (``process=True``) keep their own mobility draws and
+    applies, so at ``r_eff = 0`` compiled would only swap the numpy
+    same-cell engine for the compiled labels kernel, which measured slower
+    — unless recompute is requested, which compiled runs faster.
+    An unbatchable configuration (``batchable=False``) resolves ``auto`` to
+    serial; serial and batched, explicit or resolved, follow the numpy
+    column.  Runs that consume no component labels (``labels=False``) have
+    no engine to maintain and resolve to ``"recompute"``.
+    """
+    r_eff = effective_radius(radius)
+    if backend == "auto":
+        from repro.compiled import available as compiled_available
+
+        if not batchable:
+            backend = "serial"
+        elif not compiled_available():
+            backend = "batched"
+        elif process and labels and r_eff == 0 and connectivity != "recompute":
+            backend = "batched"
+        else:
+            backend = "compiled"
+    if connectivity == "auto":
+        if not labels:
+            connectivity = "recompute"
+        elif backend == "compiled":
+            connectivity = "incremental"
+        else:
+            connectivity = "incremental" if r_eff < NUMPY_INCREMENTAL_BELOW else "recompute"
+    return backend, connectivity
+
+
+def resolve_pair(
+    config: BroadcastConfig | GossipConfig,
+    backend: Optional[str] = None,
+    connectivity: Optional[str] = None,
+) -> tuple[str, str]:
+    """The ``(backend, connectivity)`` pair a run of ``config`` executes.
+
+    Each request is the explicit argument if given, else the active
+    :func:`backend_override` / :func:`connectivity_override`, else the
+    config's field; :func:`auto_pair` resolves whatever is left at
+    ``"auto"``.  Only configurations the batched backend supports resolve
+    to batched or compiled.  An explicit ``"batched"``/``"compiled"``
+    request for an unsupported configuration (or, for ``"compiled"``, a
+    host without any provider) raises when the runner is invoked, rather
+    than silently falling back.
     """
     from repro.connectivity.incremental import supports_incremental_connectivity
 
+    if backend is None:
+        backend = _BACKEND_OVERRIDE
     if connectivity is None:
         connectivity = _CONNECTIVITY_OVERRIDE
-    choice = check_connectivity(
+    backend = check_backend(backend if backend is not None else config.backend)
+    connectivity = check_connectivity(
         connectivity if connectivity is not None else config.connectivity
     )
-    if choice != "auto":
-        return choice
-    if supports_incremental_connectivity(config) and config.radius < 2:
-        return "incremental"
-    return "recompute"
+    batchable = True
+    if backend == "auto":
+        from repro.core.batched import supports_batched_broadcast, supports_batched_gossip
+
+        if isinstance(config, BroadcastConfig):
+            batchable = supports_batched_broadcast(config)
+        else:
+            batchable = supports_batched_gossip(config)
+    return auto_pair(
+        backend,
+        connectivity,
+        config.radius,
+        batchable=batchable,
+        labels=supports_incremental_connectivity(config),
+    )
+
+
+def resolve_backend(
+    config: BroadcastConfig | GossipConfig, backend: Optional[str] = None
+) -> str:
+    """The backend (``"serial"``, ``"batched"`` or ``"compiled"``) a run executes.
+
+    The backend half of :func:`resolve_pair`, with ``backend`` overriding
+    the config's field.
+    """
+    return resolve_pair(config, backend)[0]
+
+
+def resolve_connectivity(
+    config: BroadcastConfig | GossipConfig, connectivity: Optional[str] = None
+) -> str:
+    """The engine (``"recompute"`` or ``"incremental"``) a run executes.
+
+    The connectivity half of :func:`resolve_pair`, with ``connectivity``
+    overriding the config's field: ``"auto"`` depends on the backend the
+    run resolves to (see :func:`auto_pair`).  Both engines produce
+    bit-for-bit identical simulation results, so the choice is purely a
+    performance knob.
+    """
+    return resolve_pair(config, connectivity=connectivity)[1]
 
 
 def check_rng_streams(rng_streams: Optional[Sequence], n_replications: int) -> None:
@@ -393,7 +474,7 @@ def run_broadcast_replications(
     """
     n_replications = check_positive_int(n_replications, "n_replications")
     check_rng_streams(rng_streams, n_replications)
-    engine = resolve_connectivity(config, connectivity)
+    resolved, engine = resolve_pair(config, backend, connectivity)
     if rng_streams is None:
         from repro.exec.executor import current_executor
 
@@ -401,10 +482,9 @@ def run_broadcast_replications(
         if executor is not None:
             return executor.run_replications(
                 "broadcast", config, n_replications, seed,
-                backend=resolve_backend(config, backend),
+                backend=resolved,
                 connectivity=engine,
             )
-    resolved = resolve_backend(config, backend)
     if resolved in ("batched", "compiled"):
         from repro.core.batched import run_broadcast_replications_batched
 
@@ -441,7 +521,7 @@ def run_gossip_replications(
     """
     n_replications = check_positive_int(n_replications, "n_replications")
     check_rng_streams(rng_streams, n_replications)
-    engine = resolve_connectivity(config, connectivity)
+    resolved, engine = resolve_pair(config, backend, connectivity)
     if rng_streams is None:
         from repro.exec.executor import current_executor
 
@@ -449,10 +529,9 @@ def run_gossip_replications(
         if executor is not None:
             return executor.run_replications(
                 "gossip", config, n_replications, seed,
-                backend=resolve_backend(config, backend),
+                backend=resolved,
                 connectivity=engine,
             )
-    resolved = resolve_backend(config, backend)
     if resolved in ("batched", "compiled"):
         from repro.core.batched import run_gossip_replications_batched
 

@@ -82,6 +82,8 @@ class BroadcastSimulation:
     connectivity:
         Resolved connectivity engine (``"recompute"``, ``"incremental"`` or
         ``"auto"``); ``None`` resolves the config's ``connectivity`` field.
+        ``"auto"`` resolves as for the serial backend (see
+        :func:`repro.core.runner.auto_pair`).
         Both engines produce bit-for-bit identical results — see
         :mod:`repro.connectivity.incremental`.
     """
@@ -94,7 +96,7 @@ class BroadcastSimulation:
         connectivity: str | None = None,
     ) -> None:
         from repro.connectivity.incremental import DeltaConnectivityEngine
-        from repro.core.runner import resolve_connectivity
+        from repro.core.runner import resolve_pair
 
         self._config = config
         self._rng = default_rng(rng)
@@ -105,7 +107,7 @@ class BroadcastSimulation:
         self._mobility_state = mobility.init_state(config.n_agents, self._rng)
         self._engine = (
             DeltaConnectivityEngine(config.n_agents, config.radius, self._grid.side)
-            if resolve_connectivity(config, connectivity) == "incremental"
+            if resolve_pair(config, "serial", connectivity)[1] == "incremental"
             else None
         )
 

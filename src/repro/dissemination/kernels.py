@@ -24,9 +24,10 @@ The connectivity input is declared per kernel via ``needs``:
   :class:`~repro.connectivity.incremental.DeltaConnectivityEngine` (both
   induce the same partition, so the choice is purely a performance knob);
 * ``"pairs"`` — the raw within-radius index pairs (the predator–prey capture
-  test at ``r > 0`` is a *direct-pair* predicate, which component labels
-  would over-approximate; at ``r = 0`` co-location components coincide with
-  direct pairs, so that case runs on labels and the incremental engine);
+  test at ``r >= 1`` is a *direct-pair* predicate, which component labels
+  would over-approximate; below ``r = 1`` co-location components coincide
+  with direct pairs, so that case runs on labels and the incremental
+  engine);
 * ``"none"`` — no connectivity at all (pure cover-time processes).
 
 Stream equivalence is the contract that makes the backends interchangeable:
@@ -48,11 +49,12 @@ from typing import Any, Literal, Optional, Sequence
 import numpy as np
 
 from repro.connectivity.spatial_hash import neighbor_pairs
-from repro.connectivity.visibility import visibility_components
+from repro.connectivity.visibility import effective_radius, visibility_components
 from repro.core.config import check_backend, check_connectivity, default_max_steps
 from repro.core.protocol import flood_informed, flood_informed_batch
 from repro.core.runner import (
     ReplicationSummary,
+    auto_pair,
     check_rng_streams,
     current_backend_override,
     current_connectivity_override,
@@ -559,10 +561,10 @@ class PredatorPreyProcess(ProcessKernel):
     The point set stacks the ``k`` predators first and the ``m`` preys
     second (dead preys stay frozen at their capture position and are simply
     masked out of the capture test).  A prey is caught when a predator is
-    within the capture radius — a *direct-pair* predicate, so at ``r > 0``
-    the kernel consumes raw pairs; at ``r = 0`` co-location components
-    coincide with direct pairs and the kernel runs on labels (and hence on
-    the incremental connectivity engine).
+    within the capture radius — a *direct-pair* predicate, so at ``r >= 1``
+    the kernel consumes raw pairs; below ``r = 1`` (effective radius 0)
+    co-location components coincide with direct pairs and the kernel runs
+    on labels (and hence on the incremental connectivity engine).
     """
 
     name = "predator_prey"
@@ -594,7 +596,7 @@ class PredatorPreyProcess(ProcessKernel):
 
     @property
     def needs(self) -> ConnectivityNeed:
-        return "labels" if self.radius == 0 else "pairs"
+        return "labels" if effective_radius(self.radius) == 0 else "pairs"
 
     @property
     def spec(self) -> dict[str, Any]:
@@ -1303,44 +1305,45 @@ def make_process(name: str, **kwargs: Any) -> ProcessKernel:
     return cls(**kwargs)
 
 
-def resolve_process_backend(process: ProcessKernel, backend: Optional[str] = None) -> str:
-    """Resolve the effective replication backend for a process run.
+def resolve_process_pair(
+    process: ProcessKernel,
+    backend: Optional[str] = None,
+    connectivity: Optional[str] = None,
+) -> tuple[str, str]:
+    """The ``(backend, connectivity)`` pair a process run executes.
 
-    Mirrors :func:`repro.core.runner.resolve_backend`: an explicit argument
-    wins, then an active :func:`~repro.core.runner.backend_override`, then
-    ``"auto"`` — the compiled batched path when a :mod:`repro.compiled`
-    provider is available on this host, else plain batched (every registered
-    process kernel implements the batched face of the contract).
+    Mirrors :func:`repro.core.runner.resolve_pair`: each request is the
+    explicit argument if given, else the active
+    :func:`~repro.core.runner.backend_override` /
+    :func:`~repro.core.runner.connectivity_override`, else ``"auto"``, and
+    the one policy :func:`~repro.core.runner.auto_pair` resolves it (every
+    registered kernel implements the batched face, so ``auto`` never lands
+    on serial).  Pair- and connectivity-free kernels have no label engine
+    to maintain, so for them both engines are the same computation.
     """
     if backend is None:
         backend = current_backend_override()
-    choice = check_backend(backend if backend is not None else "auto")
-    if choice != "auto":
-        return choice
-    from repro.compiled import available as compiled_available
+    if connectivity is None:
+        connectivity = current_connectivity_override()
+    return auto_pair(
+        check_backend(backend if backend is not None else "auto"),
+        check_connectivity(connectivity if connectivity is not None else "auto"),
+        process.radius,
+        labels=process.needs == "labels",
+        process=True,
+    )
 
-    return "compiled" if compiled_available() else "batched"
+
+def resolve_process_backend(process: ProcessKernel, backend: Optional[str] = None) -> str:
+    """The backend half of :func:`resolve_process_pair`."""
+    return resolve_process_pair(process, backend)[0]
 
 
 def resolve_process_connectivity(
     process: ProcessKernel, connectivity: Optional[str] = None
 ) -> str:
-    """Resolve the effective connectivity engine for a process run.
-
-    ``"auto"`` picks the incremental engine exactly where the simulation
-    core does — label-consuming processes below radius 2 — and the
-    recompute path everywhere else.  Pair- and connectivity-free kernels
-    have no label engine to maintain, so for them both resolved choices are
-    the same computation (and trivially result-identical).
-    """
-    if connectivity is None:
-        connectivity = current_connectivity_override()
-    choice = check_connectivity(connectivity if connectivity is not None else "auto")
-    if choice != "auto":
-        return choice
-    if process.needs == "labels" and process.radius < 2:
-        return "incremental"
-    return "recompute"
+    """The connectivity half of :func:`resolve_process_pair`."""
+    return resolve_process_pair(process, connectivity=connectivity)[1]
 
 
 def run_process_replications(
@@ -1356,10 +1359,10 @@ def run_process_replications(
 
     The process-kernel counterpart of
     :func:`repro.core.runner.run_broadcast_replications`: ``backend``
-    selects serial, batched or compiled execution (default ``"auto"`` —
-    compiled when a provider is available, else batched, both of which
-    every kernel supports), ``connectivity`` selects the component-labelling
-    engine for label-consuming kernels, and both honour the process-wide
+    selects serial, batched or compiled execution and ``connectivity`` the
+    component-labelling engine for label-consuming kernels (default
+    ``"auto"`` for both, resolved jointly by :func:`resolve_process_pair`),
+    and both honour the process-wide
     ``backend_override`` / ``connectivity_override`` blocks the CLI flags
     install.  ``rng_streams`` supplies explicit per-trial generators (the
     executor's chunked work units use this); without it, an active
@@ -1369,8 +1372,7 @@ def run_process_replications(
     """
     n_replications = check_positive_int(n_replications, "n_replications")
     check_rng_streams(rng_streams, n_replications)
-    engine = resolve_process_connectivity(process, connectivity)
-    resolved_backend = resolve_process_backend(process, backend)
+    resolved_backend, engine = resolve_process_pair(process, backend, connectivity)
     if rng_streams is None:
         from repro.exec.executor import current_executor
 

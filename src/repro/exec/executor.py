@@ -1493,7 +1493,7 @@ class SweepExecutor:
         Returns one ``(point, ReplicationSummary, results)`` triple per
         sweep point, in sweep order.
         """
-        from repro.core.runner import resolve_backend, resolve_connectivity
+        from repro.core.runner import resolve_pair
 
         points = list(sweep)
         root = SeedStreamSpec.reserve(seed, len(points))
@@ -1501,14 +1501,15 @@ class SweepExecutor:
         spans: list[tuple[int, int, Any]] = []
         for index, point in enumerate(points):
             config = config_factory(point)
+            point_backend, point_connectivity = resolve_pair(config, backend)
             point_units = self.decompose(
                 label=f"{label}[{point.label()}]",
                 kind=kind,
                 payload={"config": config},
                 n_replications=n_replications,
                 seed=root.child_sequence(index),
-                backend=resolve_backend(config, backend),
-                connectivity=resolve_connectivity(config),
+                backend=point_backend,
+                connectivity=point_connectivity,
             )
             spans.append((len(units), len(units) + len(point_units), config))
             units.extend(point_units)

@@ -55,11 +55,17 @@ def ops(request):
     return request.param
 
 
-def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and bool(
-        np.array_equal(a[:, None] == a[None, :], b[:, None] == b[None, :])
-    )
+def min_member_labels(positions: np.ndarray, radius: float) -> np.ndarray:
+    """The labels contract: ``trial * k + min component member``.
+
+    That is each component's minimum flat agent index, over the partition
+    of the numpy reference (components never cross trials).
+    """
+    dense = batched_visibility_labels(positions, radius).ravel()
+    flat_index = np.arange(dense.size)
+    minimum = np.full(dense.max() + 1, dense.size)
+    np.minimum.at(minimum, dense, flat_index)
+    return minimum[dense].reshape(positions.shape[:2])
 
 
 # --------------------------------------------------------------------------- #
@@ -105,19 +111,39 @@ class TestKernelParity:
             )
 
     @settings(max_examples=max_examples(25), deadline=None)
-    @given(n_trials=st.integers(1, 4), k=st.integers(1, 14),
-           radius=st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0]), seed=seeds)
-    def test_labels_batch_matches_numpy_partition(self, ops, n_trials, k, radius, seed):
+    @given(n_trials=st.integers(1, 4), k=st.integers(1, 300),
+           extent=st.sampled_from([3, 9, 40, 300, 3000]),
+           radius=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 6.0]),
+           seed=seeds)
+    def test_labels_batch_matches_numpy_partition(
+        self, ops, n_trials, k, extent, radius, seed
+    ):
+        """Exact labels on sparse and dense inputs.
+
+        Coordinates up to 3000 put cell keys above 2^16, so the radix sort
+        runs several digit passes; k up to 300 crosses the small-input
+        insertion-sort cutoff.
+        """
         rng = np.random.default_rng(seed)
-        positions = rng.integers(0, 9, size=(n_trials, k, 2))
+        positions = rng.integers(0, extent, size=(n_trials, k, 2))
         got = ops.labels_batch(positions, radius)
-        expected = batched_visibility_labels(positions, radius)
-        assert got.min() >= 0
-        for trial in range(n_trials):
-            assert same_partition(got[trial], expected[trial])
-        # Cross-trial distinctness, as the flooding consumers require.
-        for trial in range(1, n_trials):
-            assert not np.intersect1d(got[trial], got[:trial]).size
+        assert np.array_equal(got, min_member_labels(positions, radius))
+        reference = api.LoopOps(kernels_py, "python").labels_batch(positions, radius)
+        assert np.array_equal(got, reference)
+
+    @settings(max_examples=max_examples(25), deadline=None)
+    @given(n_trials=st.integers(1, 4), k=st.integers(1, 64),
+           spacing=st.sampled_from([1, 256]), seed=seeds)
+    def test_labels_batch_r0_ties_label_by_min_member(self, ops, n_trials, k, spacing, seed):
+        """At r = 0 a co-located run takes its first sorted member's index,
+        so both sorts (insertion below the cutoff, radix above) must keep
+        equal keys in agent order.  A spacing of 256 makes every key's low
+        digit 0: the radix sort skips that pass and must still run the
+        higher ones."""
+        rng = np.random.default_rng(seed)
+        positions = rng.integers(0, 3, size=(n_trials, k, 2)) * spacing
+        got = ops.labels_batch(positions, 0.0)
+        assert np.array_equal(got, min_member_labels(positions, 0.0))
 
     @settings(max_examples=max_examples(20), deadline=None)
     @given(side=st.integers(1, 8), n_trials=st.integers(1, 4),
@@ -239,7 +265,7 @@ class TestProviderSelection:
         provider_env("python")
         assert repro.compiled.provider_name() == "python"
         ops = repro.compiled.require_ops()
-        assert not ops.has_block_driver and not ops.has_delta
+        assert not ops.has_block_driver
 
     def test_invalid_provider_name_rejected(self, provider_env):
         provider_env("gpu")
@@ -266,37 +292,16 @@ class TestProviderSelection:
 
 
 # --------------------------------------------------------------------------- #
-# Compiled delta engine plumbing (providers with an edge-diff core)
+# Compiled connectivity engine plumbing
 # --------------------------------------------------------------------------- #
 class TestCompiledDeltaEngine:
     def _ops(self):
         if not repro.compiled.available():
             pytest.skip("no repro.compiled provider on this host")
-        ops = repro.compiled.require_ops()
-        if not ops.has_delta:
-            pytest.skip(f"provider {ops.name!r} has no compiled edge-diff kernel")
-        return ops
+        return repro.compiled.require_ops()
 
     def test_requires_positive_radius(self):
         from repro.compiled.engine import CompiledDeltaEngine
 
         with pytest.raises(ValueError, match="radius"):
             CompiledDeltaEngine(self._ops(), 4, 0.0)
-
-    def test_edge_capacity_grows_transparently(self):
-        """A dense configuration overflowing the initial edge buffer must
-        retry with a grown buffer, not fail or corrupt state."""
-        from repro.compiled.engine import CompiledDeltaEngine
-        from repro.connectivity.incremental import labels_equivalent
-        from repro.connectivity.visibility import visibility_components
-
-        ops = self._ops()
-        rng = np.random.default_rng(1)
-        k, radius = 30, 50.0  # complete graph: k*(k-1)/2 edges >> 4k cap
-        engine = CompiledDeltaEngine(ops, k, radius)
-        for _ in range(3):
-            positions = rng.integers(0, 10, size=(1, k, 2))
-            labels = engine.step(positions, np.arange(1))
-            assert labels_equivalent(
-                labels[0], visibility_components(positions[0], radius)
-            )

@@ -21,7 +21,7 @@ from repro.connectivity.incremental import (
     labels_equivalent,
 )
 from repro.connectivity.visibility import same_cell_labels, visibility_components
-from repro.core.config import BroadcastConfig, GossipConfig
+from repro.core.config import BroadcastConfig
 from repro.core.runner import run_broadcast_replications, run_gossip_replications
 from repro.exec import SweepExecutor, execution_override
 from repro.grid.lattice import Grid2D
@@ -277,28 +277,14 @@ def test_broadcast_incremental_is_chunking_invariant(
     assert_broadcast_results_identical(reference, sharded)
 
 
-def test_auto_connectivity_picks_incremental_below_radius_two():
-    """``"auto"`` mirrors ``backend="auto"``: engine where it wins."""
-    from repro.core.runner import resolve_connectivity
-
-    small = BroadcastConfig(n_nodes=100, n_agents=4, radius=1.0)
-    large = BroadcastConfig(n_nodes=100, n_agents=4, radius=3.0)
-    assert resolve_connectivity(small) == "incremental"
-    assert resolve_connectivity(large) == "recompute"
-    assert resolve_connectivity(small, "recompute") == "recompute"
-    assert resolve_connectivity(large, "incremental") == "incremental"
-    gossip = GossipConfig(n_nodes=100, n_agents=4, radius=0.0)
-    assert resolve_connectivity(gossip) == "incremental"
-
-
 def test_connectivity_override_reaches_simulations():
     """The process-wide override mirrors ``backend_override``."""
     from repro.core.runner import connectivity_override, resolve_connectivity
 
     config = BroadcastConfig(n_nodes=100, n_agents=4, radius=1.0)
-    with connectivity_override("recompute"):
-        assert resolve_connectivity(config) == "recompute"
-    assert resolve_connectivity(config) == "incremental"
+    for forced in ("recompute", "incremental"):
+        with connectivity_override(forced):
+            assert resolve_connectivity(config) == forced
 
 
 def test_engine_fallback_mode_matches_recompute():
@@ -347,7 +333,7 @@ def test_engine_reset_rebuilds_cleanly():
 
 
 # --------------------------------------------------------------------------- #
-# Compiled delta engine and compiled-backend incremental runs
+# Compiled engine and compiled-backend incremental runs
 # --------------------------------------------------------------------------- #
 import pytest  # noqa: E402
 
@@ -356,14 +342,6 @@ import repro.compiled  # noqa: E402
 requires_compiled = pytest.mark.skipif(
     not repro.compiled.available(), reason="no repro.compiled provider on this host"
 )
-
-
-def _delta_ops():
-    """The active provider's ops, or skip when it has no edge-diff kernel."""
-    ops = repro.compiled.require_ops()
-    if not ops.has_delta:
-        pytest.skip(f"provider {ops.name!r} has no compiled edge-diff kernel")
-    return ops
 
 
 @requires_compiled
@@ -378,10 +356,10 @@ def _delta_ops():
 def test_compiled_engine_partitions_match_recompute_on_kernel_trajectories(
     side, n_agents, radius, kernel, seed
 ):
-    """The compiled edge-diff engine ≡ recompute along real trajectories."""
+    """The compiled engine ≡ recompute along real trajectories."""
     from repro.compiled.engine import CompiledDeltaEngine
 
-    ops = _delta_ops()
+    ops = repro.compiled.require_ops()
     name, kwargs = kernel
     grid = Grid2D(side)
     mobility = make_mobility(name, grid, **kwargs)
@@ -410,7 +388,7 @@ def test_compiled_engine_batched_labels_match_per_trial_with_compaction(
     """Batched compiled-engine labels ≡ per-trial recompute, with compaction."""
     from repro.compiled.engine import CompiledDeltaEngine
 
-    ops = _delta_ops()
+    ops = repro.compiled.require_ops()
     rng = np.random.default_rng(seed)
     engine = CompiledDeltaEngine(ops, n_agents, radius, n_trials=n_trials)
     positions = rng.integers(0, side, size=(n_trials, n_agents, 2))
