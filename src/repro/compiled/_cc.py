@@ -26,6 +26,7 @@ import numpy as np
 from repro.compiled._csrc import C_SOURCE
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
+_I32P = ctypes.POINTER(ctypes.c_int32)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
 _F64P = ctypes.POINTER(ctypes.c_double)
 
@@ -49,6 +50,10 @@ def cache_dir() -> Path:
 
 def _i64(arr: np.ndarray) -> ctypes.c_void_p:
     return ctypes.cast(arr.ctypes.data, _I64P)
+
+
+def _i32(arr: np.ndarray) -> ctypes.c_void_p:
+    return ctypes.cast(arr.ctypes.data, _I32P)
 
 
 def _u8(arr: np.ndarray) -> ctypes.c_void_p:
@@ -102,6 +107,10 @@ def _build_library() -> ctypes.CDLL:
         raise CcBuildError(f"cannot load {lib_path}: {exc}") from exc
 
 
+#: The fused kernel's ``apply_kind`` per mobility kernel spec (0: static).
+_BLOCK_KINDS = {"lazy": 1, "masked": 2, "brownian": 3}
+
+
 class CcOps:
     """Provider object binding the C kernels behind the common kernel API.
 
@@ -129,11 +138,11 @@ class CcOps:
     # -- mobility applies ------------------------------------------------- #
     def apply_lazy(self, side: int, positions: np.ndarray, choice: np.ndarray) -> np.ndarray:
         positions = _contig_i64(positions)
-        choice = _contig_i64(choice)
+        choice = np.ascontiguousarray(choice, dtype=np.int32)
         out = np.empty_like(positions)
         self._lib.repro_apply_lazy(
             ctypes.c_int64(choice.size), ctypes.c_int64(side),
-            _i64(positions), _i64(choice), _i64(out),
+            _i64(positions), _i32(choice), _i64(out),
         )
         return out
 
@@ -141,12 +150,12 @@ class CcOps:
         self, side: int, free_mask: np.ndarray, positions: np.ndarray, choice: np.ndarray
     ) -> np.ndarray:
         positions = _contig_i64(positions)
-        choice = _contig_i64(choice)
+        choice = np.ascontiguousarray(choice, dtype=np.int32)
         mask = np.ascontiguousarray(free_mask, dtype=np.uint8).ravel()
         out = np.empty_like(positions)
         self._lib.repro_apply_masked(
             ctypes.c_int64(choice.size), ctypes.c_int64(side),
-            _u8(mask), _i64(positions), _i64(choice), _i64(out),
+            _u8(mask), _i64(positions), _i32(choice), _i64(out),
         )
         return out
 
@@ -205,49 +214,59 @@ class CcOps:
         self,
         kernel: Optional[tuple],
         side: int,
-        n_nodes: int,
         draws: Optional[np.ndarray],
         positions: np.ndarray,
         informed: np.ndarray,
-        table: np.ndarray,
-        epoch0: int,
+        marks: np.ndarray,
         done_at: np.ndarray,
         counts_out: np.ndarray,
     ) -> int:
-        """Run up to ``counts_out.shape[0]`` fused steps; return steps run."""
+        """Run up to ``counts_out.shape[0]`` fused steps, trial-major.
+
+        ``draws`` (int32 choices, or float64 displacements for brownian) is
+        read in place when each trial's slice is contiguous.  ``marks`` is
+        the shared all-zero uint8 table of ``side * side`` cells.
+        ``done_at`` (A,) and ``counts_out`` (steps, A) arrive filled with
+        -1; steps after a trial completed keep their -1.  Returns the steps
+        the longest-running trial ran.
+        """
         n_steps, n_trials = counts_out.shape
         k = informed.shape[1]
         if not positions.flags["C_CONTIGUOUS"] or not informed.flags["C_CONTIGUOUS"]:
             raise ValueError("positions and informed must be C-contiguous (mutated in place)")
+        if marks.dtype != np.uint8 or marks.size < side * side:
+            raise ValueError("marks must be a uint8 table of side * side cells")
         # Keep every marshalled temporary referenced for the call's duration.
         mask_arr: Optional[np.ndarray] = None
-        draw_arr: Optional[np.ndarray] = None
         mask_ptr = ctypes.cast(None, _U8P)
-        ichoice = ctypes.cast(None, _I64P)
+        ichoice = ctypes.cast(None, _I32P)
         fdisp = ctypes.cast(None, _F64P)
-        if kernel is None:
-            kind = 0
-        elif kernel[0] == "lazy":
-            kind = 1
-            draw_arr = _contig_i64(draws)
-            ichoice = _i64(draw_arr)
-        elif kernel[0] == "masked":
-            kind = 2
-            mask_arr = np.ascontiguousarray(kernel[2], dtype=np.uint8).ravel()
-            mask_ptr = _u8(mask_arr)
-            draw_arr = _contig_i64(draws)
-            ichoice = _i64(draw_arr)
-        elif kernel[0] == "brownian":
-            kind = 3
-            draw_arr = np.ascontiguousarray(draws, dtype=np.float64)
-            fdisp = _f64(draw_arr)
-        else:  # pragma: no cover - guarded by the driver's support check
-            raise ValueError(f"unsupported fused kernel {kernel[0]!r}")
+        kind = stride = 0
+        if kernel is not None:
+            kind = _BLOCK_KINDS[kernel[0]]
+            expected = (n_trials, n_steps, k) + ((2,) if kind == 3 else ())
+            if draws is None or draws.shape != expected:
+                raise ValueError(f"draws must have shape {expected}")
+            dtype = np.float64 if kind == 3 else np.int32
+            if (
+                draws.dtype != dtype
+                or not draws[:1].flags["C_CONTIGUOUS"]
+                or draws.strides[0] % draws.itemsize
+            ):
+                draws = np.ascontiguousarray(draws, dtype=dtype)
+            stride = draws.strides[0] // draws.itemsize
+            if kind == 3:
+                fdisp = _f64(draws)
+            else:
+                ichoice = _i32(draws)
+            if kind == 2:
+                mask_arr = np.ascontiguousarray(kernel[2], dtype=np.uint8).ravel()
+                mask_ptr = _u8(mask_arr)
         return int(
             self._lib.repro_broadcast_r0_block(
                 ctypes.c_int64(n_trials), ctypes.c_int64(k), ctypes.c_int64(side),
-                ctypes.c_int64(n_nodes), ctypes.c_int64(n_steps), ctypes.c_int64(kind),
-                mask_ptr, ichoice, fdisp, _i64(positions), _u8(informed),
-                _i64(table), ctypes.c_int64(epoch0), _i64(done_at), _i64(counts_out),
+                ctypes.c_int64(n_steps), ctypes.c_int64(kind), mask_ptr, ichoice, fdisp,
+                ctypes.c_int64(stride), _i64(positions), _u8(informed), _u8(marks),
+                _i64(done_at), _i64(counts_out),
             )
         )

@@ -7,7 +7,10 @@ line-for-line translation of the reference kernels in
 cc-only extension the pure-Python/numba providers do not carry:
 ``repro_broadcast_r0_block``, the fused multi-step broadcast driver for the
 paper's sparse ``r = 0`` regime (flood + count + completion detection +
-mobility apply for a whole pre-drawn block of steps in one call).
+mobility apply for a whole pre-drawn block of steps in one call).  It runs
+trial-major over one ``n_nodes``-byte mark table shared by all trials, and
+reads the int32 (or Brownian float64) draw block in place through its
+trial stride.  The mobility applies read int32 proposal choices too.
 
 Everything is single-threaded by construction (determinism is part of the
 backend contract); numerical semantics match numpy exactly — ``rint`` under
@@ -32,7 +35,7 @@ static const i64 PROP_DY[5] = {0, 0, 0, 1, -1};
 /* mobility apply kernels                                             */
 /* ------------------------------------------------------------------ */
 
-void repro_apply_lazy(i64 n, i64 side, const i64 *pos, const i64 *choice, i64 *out)
+void repro_apply_lazy(i64 n, i64 side, const i64 *pos, const int32_t *choice, i64 *out)
 {
     for (i64 i = 0; i < n; i++) {
         i64 c = choice[i];
@@ -45,7 +48,7 @@ void repro_apply_lazy(i64 n, i64 side, const i64 *pos, const i64 *choice, i64 *o
 }
 
 void repro_apply_masked(i64 n, i64 side, const u8 *free_mask,
-                        const i64 *pos, const i64 *choice, i64 *out)
+                        const i64 *pos, const int32_t *choice, i64 *out)
 {
     for (i64 i = 0; i < n; i++) {
         i64 c = choice[i];
@@ -94,52 +97,64 @@ void repro_flood_r0(i64 n_trials, i64 k, i64 side, i64 n_nodes,
     }
 }
 
+static void clear_marks(i64 k, i64 side, const i64 *p, u8 *marks)
+{
+    for (i64 i = 0; i < k; i++) marks[p[2 * i] * side + p[2 * i + 1]] = 0;
+}
+
 /*
  * Fused multi-step r = 0 broadcast driver.  Runs up to `steps` iterations
  * of flood -> count -> completion check -> mobility apply entirely in C,
- * consuming pre-drawn mobility blocks.  apply_kind: 0 none (static),
- * 1 lazy, 2 masked, 3 brownian.  `ichoice` is the (A, steps, k) int64 draw
- * block (lazy/masked), `fdisp` the (A, steps, k, 2) double block
- * (brownian).  `done_at` must arrive filled with -1; `counts_out` is the
- * (steps, A) record, -1 meaning "trial already finished, nothing recorded".
- * Returns the number of steps actually run (short only when every trial
- * finished).
+ * consuming pre-drawn mobility blocks, trial-major: each trial runs its
+ * steps (or until it completes) before the next starts, so its positions,
+ * marks and draws stay in cache (trials are independent).  `marks` is one
+ * n_nodes-byte table shared by every trial: a step sets the marks at the
+ * informed agents' cells, reads them, and clears them (in the move loop,
+ * which visits every agent's cell), so it is all-zero on entry and return.
+ * apply_kind: 0 none (static), 1 lazy, 2 masked, 3 brownian.  `ichoice` is
+ * the int32 draw block (lazy/masked), `fdisp` the double block (brownian);
+ * each trial's (steps, k[, 2]) slice is contiguous and starts
+ * `draw_stride` elements after the previous trial's.  `done_at` and the
+ * (steps, A) record `counts_out` must arrive filled with -1; the steps
+ * after a trial completed keep their -1.  Returns the number of steps the
+ * longest-running trial ran (short of `steps` only when all completed).
  */
-i64 repro_broadcast_r0_block(i64 A, i64 k, i64 side, i64 n_nodes, i64 steps,
-                             i64 apply_kind, const u8 *free_mask,
-                             const i64 *ichoice, const double *fdisp,
-                             i64 *pos, u8 *informed, i64 *table, i64 epoch0,
+i64 repro_broadcast_r0_block(i64 A, i64 k, i64 side, i64 steps, i64 apply_kind,
+                             const u8 *free_mask, const int32_t *ichoice,
+                             const double *fdisp, i64 draw_stride,
+                             i64 *pos, u8 *informed, u8 *marks,
                              i64 *done_at, i64 *counts_out)
 {
-    i64 remaining = A;
-    i64 s = 0;
-    for (; s < steps && remaining > 0; s++) {
-        i64 epoch = epoch0 + s + 1;
-        for (i64 a = 0; a < A; a++) {
-            if (done_at[a] >= 0) { counts_out[s * A + a] = -1; continue; }
-            i64 *p = pos + a * k * 2;
-            u8 *inf = informed + a * k;
-            i64 *tab = table + a * n_nodes;
+    i64 longest = 0;
+    for (i64 a = 0; a < A; a++) {
+        i64 *p = pos + a * k * 2;
+        u8 *inf = informed + a * k;
+        i64 s = 0;
+        while (s < steps) {
             for (i64 i = 0; i < k; i++)
-                if (inf[i]) tab[p[2 * i] * side + p[2 * i + 1]] = epoch;
+                if (inf[i]) marks[p[2 * i] * side + p[2 * i + 1]] = 1;
             i64 cnt = 0;
-            for (i64 i = 0; i < k; i++)
-                if (tab[p[2 * i] * side + p[2 * i + 1]] == epoch) { inf[i] = 1; cnt++; }
+            for (i64 i = 0; i < k; i++) {
+                u8 m = marks[p[2 * i] * side + p[2 * i + 1]];
+                inf[i] = m;
+                cnt += m;
+            }
             counts_out[s * A + a] = cnt;
             if (cnt == k) {
                 /* Completed this step: record and stop advancing the trial
                  * (its pre-drawn block entries are simply never read, which
                  * leaves every generator exactly where the per-step loop
                  * would leave it). */
-                done_at[a] = s;
-                remaining--;
-                continue;
+                done_at[a] = s++;
+                clear_marks(k, side, p, marks);
+                break;
             }
             if (apply_kind == 1 || apply_kind == 2) {
-                const i64 *ch = ichoice + (a * steps + s) * k;
+                const int32_t *ch = ichoice + a * draw_stride + s * k;
                 for (i64 i = 0; i < k; i++) {
-                    i64 c = ch[i];
                     i64 x = p[2 * i], y = p[2 * i + 1];
+                    marks[x * side + y] = 0;
+                    i64 c = ch[i];
                     i64 nx = x + PROP_DX[c], ny = y + PROP_DY[c];
                     if (nx < 0 || nx >= side || ny < 0 || ny >= side ||
                         (apply_kind == 2 && !free_mask[nx * side + ny])) {
@@ -148,14 +163,19 @@ i64 repro_broadcast_r0_block(i64 A, i64 k, i64 side, i64 n_nodes, i64 steps,
                     p[2 * i] = nx;
                     p[2 * i + 1] = ny;
                 }
-            } else if (apply_kind == 3) {
-                const double *d = fdisp + (a * steps + s) * k * 2;
-                for (i64 i = 0; i < 2 * k; i++)
-                    p[i] = reflect1(p[i] + (i64)rint(d[i]), side);
+            } else {
+                clear_marks(k, side, p, marks);
+                if (apply_kind == 3) {
+                    const double *d = fdisp + a * draw_stride + s * k * 2;
+                    for (i64 i = 0; i < 2 * k; i++)
+                        p[i] = reflect1(p[i] + (i64)rint(d[i]), side);
+                }
             }
+            s++;
         }
+        if (s > longest) longest = s;
     }
-    return s;
+    return longest;
 }
 
 /* ------------------------------------------------------------------ */

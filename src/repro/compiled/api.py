@@ -145,20 +145,6 @@ class EpochFloodR0:
         self._table = np.zeros(n_trials * n_nodes, dtype=np.int64)
         self._epoch = 0
 
-    @property
-    def epoch(self) -> int:
-        """The last epoch stamp used (exposed for the fused block driver)."""
-        return self._epoch
-
-    @property
-    def table(self) -> np.ndarray:
-        """The epoch table (exposed for the fused block driver)."""
-        return self._table
-
-    def advance(self, steps: int) -> None:
-        """Account for ``steps`` epochs consumed by the fused block driver."""
-        self._epoch += steps
-
     def flood(self, grid: Any, positions: np.ndarray, informed: np.ndarray) -> np.ndarray:
         self._epoch += 1
         self._ops.flood_r0(

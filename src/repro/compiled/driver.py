@@ -6,8 +6,15 @@ whose interpreter overhead dominates once the arrays are in cache.  The cc
 provider's ``repro_broadcast_r0_block`` runs whole *blocks* of pre-drawn
 steps (flood → count → completion check → apply) in a single native call;
 this module owns the Python side of that loop: draw-block handoff from the
-mobility stepper, per-step curve reconstruction, completion bookkeeping and
+mobility stepper, block records for the curves, completion bookkeeping and
 trial compaction at block boundaries.
+
+The native block is cache-resident and copy-free.  One ``n_nodes``-byte
+mark table serves every trial (each step sets, reads and clears its own
+marks, so the table carries no state and does not grow with the trial
+count); inside a block the trials run one after another (trial-major); and
+the int32 draw block is read in place through its trial stride, a view of
+the stepper's buffer while every trial is active.
 
 The loop is bit-for-bit equivalent to the batched runner's per-step loop:
 draws come from the very same :class:`~repro.mobility.kernels.BlockDrawStepper`
@@ -34,18 +41,17 @@ from repro.mobility.kernels import BlockDrawStepper, NoDrawStepper
 from repro.obs.metrics import step_loop_instruments
 
 
-def fused_broadcast_supported(
-    ops: Any, radius: float, stepper: Any, n_trials: int, n_nodes: int
-) -> bool:
+def fused_broadcast_supported(ops: Any, radius: float, stepper: Any, n_nodes: int) -> bool:
     """Whether the fused block driver can run this broadcast workload.
 
-    It floods co-located groups, i.e. runs at effective radius ``⌊r⌋ = 0``.
+    It floods co-located groups, i.e. runs at effective radius ``⌊r⌋ = 0``,
+    with a mark table of ``n_nodes`` bytes whatever the trial count.
     """
     from repro.connectivity.incremental import SAME_CELL_TABLE_LIMIT
 
     if effective_radius(radius) != 0 or not getattr(ops, "has_block_driver", False):
         return False
-    if n_trials * n_nodes > SAME_CELL_TABLE_LIMIT:
+    if n_nodes > SAME_CELL_TABLE_LIMIT:
         return False
     if isinstance(stepper, NoDrawStepper):
         return True
@@ -69,15 +75,14 @@ def run_broadcast_r0_fused(
     """Run the whole ``r = 0`` broadcast hot loop through the fused driver.
 
     Returns ``(step_trials, step_counts, broadcast_time, n_steps,
-    n_informed)`` in exactly the shapes the batched runner's per-step loop
-    would have produced.  ``positions`` and ``informed`` are consumed
-    (mutated and compacted).
+    n_informed)``: the curve records as one flattened ``(trials, counts)``
+    pair per block, in step order, for
+    :func:`repro.core.batched._regroup_curves`, and the per-trial outcomes.
+    ``positions`` and ``informed`` are consumed (mutated and compacted).
     """
     k = informed.shape[1]
-    side, n_nodes = grid.side, grid.n_nodes
     kernel = getattr(stepper, "kernel", None)
-    table = np.zeros(n_trials * n_nodes, dtype=np.int64)
-    epoch = 0
+    marks = np.zeros(grid.n_nodes, dtype=np.uint8)
     broadcast_time = np.full(n_trials, -1, dtype=np.int64)
     n_steps = np.zeros(n_trials, dtype=np.int64)
     n_informed = np.full(n_trials, k, dtype=np.int64)
@@ -97,15 +102,13 @@ def run_broadcast_r0_fused(
         done_at = np.full(active.size, -1, dtype=np.int64)
         counts_out = np.full((block, active.size), -1, dtype=np.int64)
         steps_run = ops.broadcast_r0_block(
-            kernel, side, n_nodes, draws, positions, informed,
-            table, epoch, done_at, counts_out,
+            kernel, grid.side, draws, positions, informed, marks, done_at, counts_out
         )
-        epoch += steps_run
-        recorded = counts_out[:steps_run] >= 0
-        steps_metric.inc(int(recorded.sum()))
-        for s in range(steps_run):
-            step_trials.append(active[recorded[s]])
-            step_counts.append(counts_out[s][recorded[s]])
+        counts_out = counts_out[:steps_run]
+        recorded = counts_out >= 0
+        step_trials.append(np.broadcast_to(active, recorded.shape)[recorded])
+        step_counts.append(counts_out[recorded])
+        steps_metric.inc(int(step_trials[-1].size))
         t += steps_run
         finished = done_at >= 0
         if finished.any():
@@ -118,6 +121,5 @@ def run_broadcast_r0_fused(
             active = active[keep]
     active_metric.set(0)
     n_steps[active] = t
-    if active.size:
-        n_informed[active] = informed.sum(axis=1)
+    n_informed[active] = informed.sum(axis=1)
     return step_trials, step_counts, broadcast_time, n_steps, n_informed

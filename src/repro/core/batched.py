@@ -83,10 +83,11 @@ from repro.util.validation import ValidationError, check_positive_int
 def _regroup_curves(
     n_trials: int, step_trials: list[np.ndarray], step_counts: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """Per-trial time series from per-step ``(active, counts)`` records.
+    """Per-trial time series from ``(trials, counts)`` records in step order.
 
-    One stable sort replaces the per-trial Python appends the hot loop would
-    otherwise do at every step.
+    A record is one step's ``(active, counts)``, or a fused block's records
+    flattened into one pair.  One stable sort replaces the per-trial Python
+    appends the hot loop would otherwise do at every step.
     """
     if not step_trials:
         return [np.empty(0, dtype=np.int64) for _ in range(n_trials)]
@@ -255,6 +256,27 @@ def run_broadcast_replications_batched(
     k = config.n_agents
     n_trials = n_replications
     radius = effective_radius(config.radius)
+    informed = np.zeros((n_trials, k), dtype=bool)
+    informed[np.arange(n_trials), sources] = True
+    stepper = mobility.batch_stepper(k, rngs, states)
+    if ops is not None:
+        from repro.compiled.api import accelerate_stepper
+
+        stepper = accelerate_stepper(ops, stepper)
+
+    horizon = config.horizon
+    if ops is not None and _fused_broadcast_usable(ops, radius, stepper, grid):
+        # Whole-loop fused native path: flood -> record -> complete -> move
+        # runs block-at-a-time in the provider, bit-for-bit with the loop
+        # below (the pre-drawn mobility blocks come from the same stepper).
+        from repro.compiled.driver import run_broadcast_r0_fused
+
+        step_trials, step_counts, broadcast_time, n_steps, n_informed = run_broadcast_r0_fused(
+            ops, grid, stepper, positions, informed, n_trials, horizon
+        )
+        curves = _regroup_curves(n_trials, step_trials, step_counts)
+        return _broadcast_results(config, n_trials, broadcast_time, n_steps, n_informed, curves)
+
     incremental = _resolve_engine(config, connectivity, compiled) == "incremental"
     table_fits = n_trials * grid.n_nodes <= SAME_CELL_TABLE_LIMIT
     engine = flood = None
@@ -278,31 +300,11 @@ def run_broadcast_replications_batched(
         engine = _make_engine(ops, k, radius, grid.side, n_trials)
     labels_fn = _resolve_labels_fn(ops)
 
-    informed = np.zeros((n_trials, k), dtype=bool)
-    informed[np.arange(n_trials), sources] = True
     broadcast_time = np.full(n_trials, -1, dtype=np.int64)
     n_steps = np.zeros(n_trials, dtype=np.int64)
     n_informed = np.full(n_trials, k, dtype=np.int64)
     step_trials: list[np.ndarray] = []
     step_counts: list[np.ndarray] = []
-    stepper = mobility.batch_stepper(k, rngs, states)
-    if ops is not None:
-        from repro.compiled.api import accelerate_stepper
-
-        stepper = accelerate_stepper(ops, stepper)
-
-    horizon = config.horizon
-    if ops is not None and _fused_broadcast_usable(ops, radius, stepper, n_trials, grid):
-        # Whole-loop fused native path: flood -> record -> complete -> move
-        # runs block-at-a-time in the provider, bit-for-bit with the loop
-        # below (the pre-drawn mobility blocks come from the same stepper).
-        from repro.compiled.driver import run_broadcast_r0_fused
-
-        step_trials, step_counts, broadcast_time, n_steps, n_informed = run_broadcast_r0_fused(
-            ops, grid, stepper, positions, informed, n_trials, horizon
-        )
-        curves = _regroup_curves(n_trials, step_trials, step_counts)
-        return _broadcast_results(config, n_trials, broadcast_time, n_steps, n_informed, curves)
 
     # The hot loop works on arrays compacted to the still-active trials
     # (``active`` maps compact rows back to trial indices); completed trials
@@ -371,10 +373,10 @@ def _resolve_labels_fn(ops):
     return make_labels_fn(ops)
 
 
-def _fused_broadcast_usable(ops, radius: float, stepper, n_trials: int, grid: Grid2D) -> bool:
+def _fused_broadcast_usable(ops, radius: float, stepper, grid: Grid2D) -> bool:
     from repro.compiled.driver import fused_broadcast_supported
 
-    return fused_broadcast_supported(ops, radius, stepper, n_trials, grid.n_nodes)
+    return fused_broadcast_supported(ops, radius, stepper, grid.n_nodes)
 
 
 def _broadcast_results(

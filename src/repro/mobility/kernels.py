@@ -18,7 +18,11 @@ order the serial ``step`` would, so a batched trial reproduces its serial
 counterpart bit for bit.  Bulk numpy draws preserve this property — e.g.
 ``rng.integers(0, 5, size=(block, k))`` yields the same values as ``block``
 successive draws of size ``k`` — which is what :class:`BlockDrawStepper`
-exploits.
+exploits.  The lazy and obstacle walks draw their blocks as int32: numpy
+draws every integer range below ``2**32`` through the same 32-bit bounded
+routine for int32 and int64 output, so the values and the generator state
+after the draw are unchanged, and the block is half the size.  The serial
+:func:`lazy_step` keeps int64.
 
 Per-trial auxiliary state (e.g. waypoints) lives in explicit
 :class:`MobilityState` objects created by ``model.init_state`` rather than on
@@ -264,8 +268,9 @@ class BlockDrawStepper(BatchStepper):
     ``draw(rng, block)`` must return the stacked draws of ``block``
     successive serial steps (leading axis = block axis) while consuming the
     generator exactly as those successive per-step draws would — true of
-    bulk numpy ``Generator`` calls such as ``rng.integers(0, 5, (block, k))``
-    or ``rng.normal(0, s, (block, k, 2))``.  ``apply(positions, draws)``
+    bulk numpy ``Generator`` calls such as
+    ``rng.integers(0, 5, (block, k), dtype=np.int32)`` or
+    ``rng.normal(0, s, (block, k, 2))``.  ``apply(positions, draws)``
     turns one per-step slice into the new positions for the whole compacted
     batch.
 
@@ -333,8 +338,12 @@ class BlockDrawStepper(BatchStepper):
         ``active`` set would have consumed, refilled at the identical step
         index for the identical trial set.  A block chunk never spans a
         refill, so interleaving ``next_draws`` with per-step ``step`` calls
-        keeps the streams aligned.  The returned view's second axis is the
+        keeps the streams aligned.  The returned array's second axis is the
         step axis.
+
+        While every trial is active the result is a basic-slice *view* of
+        the block buffer, not a copy: it is valid only until the next
+        :meth:`step` or ``next_draws`` call, whose refill may overwrite it.
         """
         cursor = self._cursor
         if cursor == self._block:
@@ -343,4 +352,7 @@ class BlockDrawStepper(BatchStepper):
         m = min(int(limit), self._block - cursor)
         self._cursor = cursor + m
         assert self._buffer is not None
+        if active.size == len(self._rngs):
+            # Trials only ever leave the batch, so ``active`` is every trial.
+            return self._buffer[:, cursor:cursor + m]
         return self._buffer[active, cursor:cursor + m]

@@ -96,7 +96,9 @@ class ObstacleWalkMobility(MobilityModel):
         free_mask = self._free_mask
         return BlockDrawStepper(
             rngs,
-            draw=lambda rng, block: rng.integers(0, 5, size=(block, n_agents)),
+            draw=lambda rng, block: rng.integers(
+                0, 5, size=(block, n_agents), dtype=np.int32
+            ),
             apply=lambda positions, choice: apply_masked_choices(
                 side, free_mask, positions, choice
             ),

@@ -83,7 +83,9 @@ class RandomWalkMobility(MobilityModel):
         grid = self._grid
         return BlockDrawStepper(
             rngs,
-            draw=lambda rng, block: rng.integers(0, 5, size=(block, n_agents)),
+            draw=lambda rng, block: rng.integers(
+                0, 5, size=(block, n_agents), dtype=np.int32
+            ),
             apply=lambda positions, choice: apply_lazy_choices(grid, positions, choice),
             kernel=("lazy", grid.side),
         )

@@ -282,6 +282,30 @@ def test_every_path_advances_the_step_counter(monkeypatch, radius):
         assert fused_runs[-1] == (has_driver and radius < 1)
 
 
+@requires_compiled
+def test_fused_driver_table_limit_ignores_the_trial_count(monkeypatch):
+    """The fused driver's mark table holds n_nodes bytes whatever R is, so
+    only n_nodes > SAME_CELL_TABLE_LIMIT sends a run to the per-step loop."""
+    import repro.connectivity.incremental as incremental
+
+    fused = []
+    usable = batched_module._fused_broadcast_usable
+
+    def spying(*args):
+        fused.append(usable(*args))
+        return fused[-1]
+
+    monkeypatch.setattr(batched_module, "_fused_broadcast_usable", spying)
+    has_driver = repro.compiled.require_ops().has_block_driver
+    config = BroadcastConfig(n_nodes=64, n_agents=3, max_steps=300)
+    serial = run_broadcast_replications(config, 5, seed=3, backend="serial")[1]
+    for limit, expected in ((100, has_driver), (63, False)):  # 5 * 64 > 100 >= 64 > 63
+        monkeypatch.setattr(incremental, "SAME_CELL_TABLE_LIMIT", limit)
+        compiled = run_broadcast_replications(config, 5, seed=3, backend="compiled")[1]
+        assert fused[-1] == expected, limit
+        assert _broadcast_outcome(compiled) == _broadcast_outcome(serial)
+
+
 # --------------------------------------------------------------------------- #
 # G_t(r) = G_t(⌊r⌋): auto at r ≡ numpy recompute at r and at ⌊r⌋
 # --------------------------------------------------------------------------- #

@@ -169,6 +169,72 @@ class TestKernelParity:
 
 
 # --------------------------------------------------------------------------- #
+# The fused r = 0 block kernel against per-step reference kernels
+# --------------------------------------------------------------------------- #
+_BLOCK_OPS = next((ops for ops in _PROVIDERS if ops.has_block_driver), None)
+
+
+@pytest.mark.skipif(_BLOCK_OPS is None, reason="no provider with the fused block driver")
+class TestFusedBlockKernel:
+    @settings(max_examples=max_examples(40), deadline=None)
+    @given(side=st.integers(1, 9), n_trials=st.integers(1, 4), k=st.integers(1, 8),
+           kind=st.sampled_from(["static", "lazy", "masked", "brownian"]),
+           block=st.integers(1, 12), data=st.data(), seed=seeds)
+    def test_block_equals_per_step_reference(self, side, n_trials, k, kind, block, data, seed):
+        """A strided view of a draw block, trial-major over shared marks,
+        equals the python provider's flood and apply kernels step by step."""
+        rng = np.random.default_rng(seed)
+        free_mask = rng.random((side, side)) < 0.8
+        kernel = {
+            "static": None,
+            "lazy": ("lazy", side),
+            "masked": ("masked", side, free_mask),
+            "brownian": ("brownian", side),
+        }[kind]
+        if kind == "brownian":
+            buffer = rng.normal(0.0, 1.3, size=(n_trials, block, k, 2))
+        else:
+            dtype = data.draw(st.sampled_from([np.int32, np.int64]), label="choice dtype")
+            buffer = rng.integers(0, 5, size=(n_trials, block, k), dtype=dtype)
+        start = data.draw(st.integers(0, block - 1), label="cursor")
+        steps = data.draw(st.integers(1, block - start), label="steps")
+        draws = None if kernel is None else buffer[:, start:start + steps]
+        positions = rng.integers(0, side, size=(n_trials, k, 2))
+        informed = rng.random((n_trials, k)) < 0.3
+
+        reference = api.LoopOps(kernels_py, "python")
+        ref_pos, ref_inf = positions.copy(), informed.copy()
+        ref_done = np.full(n_trials, -1, dtype=np.int64)
+        ref_counts = np.full((steps, n_trials), -1, dtype=np.int64)
+        table = np.zeros(side * side, dtype=np.int64)
+        for a in range(n_trials):
+            for s in range(steps):
+                ref_counts[s, a] = reference.flood_r0(
+                    ref_pos[a:a + 1], ref_inf[a:a + 1], table, side, side * side, a * steps + s + 1
+                )[0]
+                if ref_counts[s, a] == k:
+                    ref_done[a] = s
+                    break
+                if kernel is not None:
+                    ref_pos[a:a + 1] = api.apply_kernel(
+                        reference, kernel, ref_pos[a:a + 1], draws[a:a + 1, s]
+                    )
+
+        marks = np.zeros(side * side, dtype=np.uint8)
+        done_at = np.full(n_trials, -1, dtype=np.int64)
+        counts = np.full((steps, n_trials), -1, dtype=np.int64)
+        ran = _BLOCK_OPS.broadcast_r0_block(
+            kernel, side, draws, positions, informed, marks, done_at, counts
+        )
+        assert ran == max(d + 1 if d >= 0 else steps for d in ref_done)
+        assert np.array_equal(positions, ref_pos)
+        assert np.array_equal(informed, ref_inf)
+        assert np.array_equal(done_at, ref_done)
+        assert np.array_equal(counts, ref_counts)
+        assert not marks.any()
+
+
+# --------------------------------------------------------------------------- #
 # next_draws: the bulk-draw contract the fused drivers rely on
 # --------------------------------------------------------------------------- #
 class TestNextDraws:
@@ -201,6 +267,8 @@ class TestNextDraws:
             limit = data.draw(st.integers(1, remaining), label="chunk limit")
             draws = bulk.next_draws(active, limit)
             assert 1 <= draws.shape[1] <= limit
+            # Copy-free while every trial is active; a copy once compacted.
+            assert np.shares_memory(draws, bulk._buffer) == (active.size == n_trials)
             for s in range(draws.shape[1]):
                 bulk_pos = apply(bulk_pos, draws[:, s])
                 ref_pos = reference.step(ref_pos, active)

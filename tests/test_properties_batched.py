@@ -15,6 +15,8 @@ Three families of invariants:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from repro.connectivity.batched import batched_visibility_labels
 from repro.connectivity.spatial_hash import neighbor_pairs
 from repro.connectivity.unionfind import UnionFind
 from repro.connectivity.visibility import visibility_components
+from repro.core import batched as batched_module
 from repro.core.config import BroadcastConfig, GossipConfig
 from repro.core.protocol import (
     flood_informed,
@@ -34,14 +37,23 @@ from repro.core.protocol import (
 )
 from repro.core.runner import run_broadcast_replications, run_gossip_replications
 from repro.grid.geometry import pairwise_manhattan
+from repro.obs.metrics import global_registry
 
-from strategies import point_sets as point_sets_strategy, radii
+from strategies import max_examples, point_sets as point_sets_strategy, radii
 
 point_sets = point_sets_strategy(max_coord=25)
 
 requires_compiled = pytest.mark.skipif(
     not repro.compiled.available(), reason="no repro.compiled provider on this host"
 )
+
+
+def _steps_total() -> float:
+    return sum(
+        metric.value
+        for metric in global_registry().collect()
+        if metric.name == "repro_sim_steps_total"
+    )
 
 
 def brute_force_pairs(positions: np.ndarray, radius: float) -> set[tuple[int, int]]:
@@ -527,6 +539,59 @@ class TestCompiledBackendEquivalence:
             config, n_replications, seed=seed, backend="compiled"
         )
         assert np.array_equal(serial_summary.values, compiled_summary.values)
+
+    @settings(max_examples=max_examples(12), deadline=None)
+    @given(
+        side=st.integers(5, 10),
+        k=st.integers(2, 6),
+        radius=st.sampled_from([0.0, 0.5]),
+        name=st.sampled_from(["random_walk", "obstacle_walk", "brownian", "static"]),
+        horizon=st.integers(130, 400),
+        n_replications=st.integers(2, 5),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_fused_driver_identical_across_block_refills(
+        self, side, k, radius, name, horizon, n_replications, seed
+    ):
+        """Past the first 128-step draw block, trial for trial.
+
+        Horizons beyond one block on small grids make some trials complete
+        mid-block while others run on, so draw-block refills, the
+        view/copy switch of ``next_draws`` and compaction followed by
+        further blocks are all compared draw for draw.
+        """
+        _, registry_name, kwargs = _make_model(name, side)
+        config = BroadcastConfig(
+            n_nodes=side * side,
+            n_agents=k,
+            radius=radius,
+            max_steps=horizon,
+            mobility=registry_name,
+            mobility_kwargs=kwargs,
+        )
+        _, serial_results = run_broadcast_replications(
+            config, n_replications, seed=seed, backend="serial"
+        )
+        fused = []
+        usable = batched_module._fused_broadcast_usable
+
+        def spying(*args):
+            fused.append(usable(*args))
+            return fused[-1]
+
+        before = _steps_total()
+        with mock.patch.object(batched_module, "_fused_broadcast_usable", spying):
+            _, compiled_results = run_broadcast_replications(
+                config, n_replications, seed=seed, backend="compiled"
+            )
+        assert _steps_total() - before == sum(r.n_steps for r in compiled_results)
+        assert fused == [repro.compiled.require_ops().has_block_driver]
+        for serial, compiled in zip(serial_results, compiled_results):
+            assert serial.broadcast_time == compiled.broadcast_time
+            assert serial.completed == compiled.completed
+            assert serial.n_steps == compiled.n_steps
+            assert serial.n_informed == compiled.n_informed
+            assert np.array_equal(serial.informed_curve, compiled.informed_curve)
 
     @settings(max_examples=8, deadline=None)
     @given(

@@ -66,6 +66,25 @@ class TestSpawnRngs:
         children = spawn_rngs(None, 2)
         assert len(children) == 2
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+    @pytest.mark.parametrize("size", [1, 2, 127, 128, (128, 5), (3, 7)])
+    def test_int32_bounded_draws_equal_the_int64_stream(self, seed, size):
+        """``integers(0, 5, dtype=np.int32)`` is the int64 stream, value for value.
+
+        The lazy and obstacle walks draw their blocks as int32 on this
+        assumption: numpy draws ranges below 2**32 through one 32-bit
+        bounded routine for both output types, so the values and the
+        generator state after the draw are the same.
+        """
+        narrow, wide = (spawn_rngs(seed, 3)[2] for _ in range(2))
+        for _ in range(2):  # a second round after an interleaved int64 draw
+            a = narrow.integers(0, 5, size=size, dtype=np.int32)
+            b = wide.integers(0, 5, size=size)
+            assert a.dtype == np.int32 and b.dtype == np.int64
+            assert np.array_equal(a, b)
+            assert narrow.bit_generator.state == wide.bit_generator.state
+            assert narrow.integers(0, 10**12) == wide.integers(0, 10**12)
+            assert narrow.bit_generator.state == wide.bit_generator.state
 
 class TestReplicationSeeds:
     def test_count_and_determinism(self):
