@@ -24,7 +24,11 @@ result is cached per process; :func:`available` never raises.  Setting
 exercising the fallback path).  All kernels are single-threaded by
 construction, so no thread-count pinning is needed for determinism; with
 the numba provider, ``NUMBA_NUM_THREADS=1`` additionally pins numba's
-internal thread pool for strict run-to-run environment parity.
+internal thread pool for strict run-to-run environment parity.  The fused
+driver draws the next block on one helper thread while the kernel runs
+the current one, where the process has a CPU to spare; each generator is
+still drawn by one thread at a time, in block order, so no value changes
+(:mod:`repro.compiled.driver`).
 
 See ``docs/COMPILED.md`` for the kernel contract and how to add a kernel.
 """

@@ -9,6 +9,9 @@ writable cache, broken toolchain) raise :class:`CcBuildError`, which the
 provider probe in :mod:`repro.compiled` treats as "provider unavailable".
 
 All kernels are single-threaded; determinism needs no environment pinning.
+ctypes releases the GIL around every native call, which is what lets the
+fused driver (:mod:`repro.compiled.driver`) draw the next block on a helper
+thread while ``repro_broadcast_r0_block`` runs the current one.
 """
 
 from __future__ import annotations

@@ -27,18 +27,91 @@ advanced past them either way).  Once per block the driver advances the
 same ``repro_sim_steps_total{loop="batched_broadcast"}`` counter and
 ``repro_sim_active_trials`` gauge the per-step loop keeps, by the
 trial-steps the block recorded.
+
+While the kernel runs block ``b``, one helper thread draws block ``b + 1``
+into the stepper's spare buffer (:meth:`BlockDrawStepper.prefetch`), and
+the next ``next_draws`` swaps it in.  Both halves release the GIL (ctypes
+around the native call, numpy's bounded-integer and normal fills while they
+fill), so two CPUs run them at once.  No value changes: each trial's
+generator is drawn by one thread at a time, in the same block order; a trial
+that completes during block ``b`` has had block ``b + 1`` drawn for nothing,
+which no result reads, just as none reads a block's unread tail; and a
+generator is never used after its run.  The helper runs only when the process
+has a CPU to spare (:func:`cpu_share`), the block's ``A × block × k`` draws
+reach :data:`PREFETCH_MIN_DRAWS` and steps remain after the block.  It is one
+``ThreadPoolExecutor(max_workers=1)`` per run, made at the first block that
+qualifies and shut down before the run returns or raises; an exception
+raised in a prefetch re-raises in the caller.
+
+Per block the driver adds to ``repro_sim_phase_seconds_total{loop=
+"batched_broadcast", phase}``: ``draws`` (its own ``next_draws`` calls plus
+the helper's prefetches, each timed on the thread that ran it), ``kernel``
+(the native block call) and ``draw_wait`` (blocked on a pending prefetch).
 """
 
 from __future__ import annotations
 
-from typing import Any
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
+from time import perf_counter
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.compiled.api import SUPPORTED_KERNELS
 from repro.connectivity.visibility import effective_radius
-from repro.mobility.kernels import BlockDrawStepper, NoDrawStepper
-from repro.obs.metrics import step_loop_instruments
+from repro.mobility.kernels import BLOCK_STEPS, BlockDrawStepper, NoDrawStepper
+from repro.obs.metrics import phase_seconds, step_loop_instruments
+
+#: Draws per block (``A × block × k`` agent-steps) from which the driver draws
+#: the next block on a helper thread.  Below it the handoff (thread wake-ups
+#: each block, the thread's start and join each run) costs more than the
+#: overlap saves: this is the smallest power of two at which every point of
+#: the crossover sweep in ``docs/PERFORMANCE.md`` ran faster with the helper.
+PREFETCH_MIN_DRAWS = 1 << 17
+
+#: This process's share of the CPUs when a process pool set one.
+_CPU_SHARE: Optional[int] = None
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def set_cpu_share(share: int) -> None:
+    """Record how many CPUs this process may count on.
+
+    A process pool's workers split the host's CPUs between them; each
+    records its share here, so the draw helper never oversubscribes them.
+    """
+    global _CPU_SHARE
+    _CPU_SHARE = share
+
+
+def cpu_share() -> int:
+    """CPUs this process may count on: its pool share if set, else :func:`usable_cpus`."""
+    return usable_cpus() if _CPU_SHARE is None else _CPU_SHARE
+
+
+def prefetch_wanted(draws: int, steps_after: int) -> bool:
+    """Whether the driver draws the next block on a helper thread.
+
+    ``draws`` is the current block's ``A × block × k``, ``steps_after`` the
+    steps left after it.  Only when steps remain, the draws outweigh the
+    thread handoff and the process has a CPU to spare for the helper.
+    """
+    return steps_after > 0 and draws >= PREFETCH_MIN_DRAWS and cpu_share() >= 2
+
+
+def _timed_prefetch(stepper: BlockDrawStepper, active: np.ndarray) -> float:
+    """``stepper.prefetch(active)``; returns the seconds it took."""
+    began = perf_counter()
+    stepper.prefetch(active)
+    return perf_counter() - began
 
 
 def fused_broadcast_supported(ops: Any, radius: float, stepper: Any, n_nodes: int) -> bool:
@@ -89,36 +162,58 @@ def run_broadcast_r0_fused(
     step_trials: list[np.ndarray] = []
     step_counts: list[np.ndarray] = []
     steps_metric, active_metric = step_loop_instruments("batched_broadcast")
+    phases = phase_seconds("batched_broadcast", ("draws", "kernel", "draw_wait"))
+    helper: Optional[ThreadPoolExecutor] = None
     active = np.arange(n_trials)
     t = 0
-    while active.size and t < horizon:
-        active_metric.set(int(active.size))
-        if kernel is None:
-            draws = None
-            block = min(horizon - t, 128)
-        else:
-            draws = stepper.next_draws(active, horizon - t)
-            block = draws.shape[1]
-        done_at = np.full(active.size, -1, dtype=np.int64)
-        counts_out = np.full((block, active.size), -1, dtype=np.int64)
-        steps_run = ops.broadcast_r0_block(
-            kernel, grid.side, draws, positions, informed, marks, done_at, counts_out
-        )
-        counts_out = counts_out[:steps_run]
-        recorded = counts_out >= 0
-        step_trials.append(np.broadcast_to(active, recorded.shape)[recorded])
-        step_counts.append(counts_out[recorded])
-        steps_metric.inc(int(step_trials[-1].size))
-        t += steps_run
-        finished = done_at >= 0
-        if finished.any():
-            done_trials = active[finished]
-            broadcast_time[done_trials] = t - steps_run + done_at[finished]
-            n_steps[done_trials] = broadcast_time[done_trials] + 1
-            keep = ~finished
-            positions = positions[keep]
-            informed = informed[keep]
-            active = active[keep]
+    try:
+        while active.size and t < horizon:
+            active_metric.set(int(active.size))
+            if kernel is None:
+                draws = None
+                block = min(horizon - t, BLOCK_STEPS)
+            else:
+                began = perf_counter()
+                draws = stepper.next_draws(active, horizon - t)
+                phases["draws"].inc(perf_counter() - began)
+                block = draws.shape[1]
+            done_at = np.full(active.size, -1, dtype=np.int64)
+            counts_out = np.full((block, active.size), -1, dtype=np.int64)
+            prefetch: Optional[Future] = None
+            if draws is not None and prefetch_wanted(active.size * block * k, horizon - t - block):
+                # Submitted last, so that the helper's wake-up meets the kernel
+                # call, which releases the GIL, rather than Python work here.
+                if helper is None:
+                    helper = ThreadPoolExecutor(max_workers=1)
+                prefetch = helper.submit(_timed_prefetch, stepper, active)
+            began = perf_counter()
+            steps_run = ops.broadcast_r0_block(
+                kernel, grid.side, draws, positions, informed, marks, done_at, counts_out
+            )
+            phases["kernel"].inc(perf_counter() - began)
+            if prefetch is not None:
+                began = perf_counter()
+                drawn = prefetch.result()
+                phases["draw_wait"].inc(perf_counter() - began)
+                phases["draws"].inc(drawn)
+            counts_out = counts_out[:steps_run]
+            recorded = counts_out >= 0
+            step_trials.append(np.broadcast_to(active, recorded.shape)[recorded])
+            step_counts.append(counts_out[recorded])
+            steps_metric.inc(int(step_trials[-1].size))
+            t += steps_run
+            finished = done_at >= 0
+            if finished.any():
+                done_trials = active[finished]
+                broadcast_time[done_trials] = t - steps_run + done_at[finished]
+                n_steps[done_trials] = broadcast_time[done_trials] + 1
+                keep = ~finished
+                positions = positions[keep]
+                informed = informed[keep]
+                active = active[keep]
+    finally:
+        if helper is not None:
+            helper.shutdown()  # waits for a prefetch the kernel left pending
     active_metric.set(0)
     n_steps[active] = t
     n_informed[active] = informed.sum(axis=1)

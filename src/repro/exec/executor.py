@@ -117,6 +117,20 @@ def check_dispatch(dispatch: str) -> str:
     return dispatch
 
 
+def _init_pool_worker(jobs: int) -> None:
+    """Pool-worker initializer: record this worker's share of the CPUs.
+
+    ``jobs`` workers split the CPUs the executor's process may use, so a
+    worker counts on ``max(1, usable // jobs)`` of them, and the fused
+    driver starts its draw helper thread only where that share leaves a CPU
+    to spare (inline and remote execution count every usable CPU).  Module
+    level, so that ``spawn`` workers can import it.
+    """
+    from repro.compiled.driver import set_cpu_share, usable_cpus
+
+    set_cpu_share(max(1, usable_cpus() // jobs))
+
+
 # --------------------------------------------------------------------------- #
 # Retry policy
 # --------------------------------------------------------------------------- #
@@ -768,7 +782,12 @@ class SweepExecutor:
                 import multiprocessing
 
                 mp_context = multiprocessing.get_context(self.start_method)
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs, mp_context=mp_context)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                mp_context=mp_context,
+                initializer=_init_pool_worker,
+                initargs=(self.jobs,),
+            )
         return self._pool
 
     # -- decomposition ------------------------------------------------------ #

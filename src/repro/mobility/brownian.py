@@ -89,6 +89,7 @@ class BrownianMobility(MobilityModel):
             draw=lambda rng, block: rng.normal(0.0, sigma, size=(block, n_agents, 2)),
             apply=self._apply,
             kernel=("brownian", self._grid.side),
+            step_bytes=16 * n_agents,
         )
 
 

@@ -22,7 +22,10 @@ exploits.  The lazy and obstacle walks draw their blocks as int32: numpy
 draws every integer range below ``2**32`` through the same 32-bit bounded
 routine for int32 and int64 output, so the values and the generator state
 after the draw are unchanged, and the block is half the size.  The serial
-:func:`lazy_step` keeps int64.
+:func:`lazy_step` keeps int64.  A trial's block holds at most
+:data:`BLOCK_STEPS` steps and, down to a single step, at most
+:data:`BLOCK_BYTES` bytes; this bounds both the block buffer and the spare
+that :meth:`BlockDrawStepper.prefetch` fills.
 
 Per-trial auxiliary state (e.g. waypoints) lives in explicit
 :class:`MobilityState` objects created by ``model.init_state`` rather than on
@@ -50,6 +53,14 @@ PROPOSALS = np.array(
 
 # Backwards-compatible alias (the table was private in repro.walks.engine).
 _PROPOSALS = PROPOSALS
+
+#: Most steps in one trial's draw block.
+BLOCK_STEPS = 128
+#: Most bytes in one trial's draw block (the lazy and obstacle walks' int32
+#: choices keep 128 steps up to k = 2048, Brownian float64 pairs up to
+#: k = 512): a buffer and its spare together hold no more than one
+#: 128-step buffer did at k = 4096.
+BLOCK_BYTES = 1 << 20
 
 
 # --------------------------------------------------------------------------- #
@@ -272,11 +283,18 @@ class BlockDrawStepper(BatchStepper):
     ``rng.integers(0, 5, (block, k), dtype=np.int32)`` or
     ``rng.normal(0, s, (block, k, 2))``.  ``apply(positions, draws)``
     turns one per-step slice into the new positions for the whole compacted
-    batch.
+    batch.  A block is ``block`` steps long, or shorter when ``step_bytes``
+    (one trial's draws per step) would take it past :data:`BLOCK_BYTES`.
 
     Trials advance in lockstep (completed trials leave, none join), so a
     single shared cursor tracks every active trial's offset within the
     current block, and refills draw only for the trials still active.
+
+    :meth:`prefetch` draws the block after the current one into a spare
+    buffer of the same shape, so that a caller can draw it on another
+    thread while it consumes the current one; the next refill then swaps
+    the buffers instead of drawing.  Each trial's generator still draws
+    its blocks in order, one thread at a time, so no value changes.
 
     ``kernel``, when given, is a declarative spec of what ``apply`` computes
     — ``("lazy", side)``, ``("masked", side, free_mask)`` or
@@ -291,14 +309,20 @@ class BlockDrawStepper(BatchStepper):
         rngs: Sequence[RandomState],
         draw: Callable[[RandomState, int], np.ndarray],
         apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        block: int = 128,
+        block: int = BLOCK_STEPS,
         kernel: Optional[tuple] = None,
+        step_bytes: int = 0,
     ) -> None:
+        if step_bytes:
+            block = max(1, min(block, BLOCK_BYTES // step_bytes))
         self._rngs = list(rngs)
         self._draw = draw
         self._apply = apply
         self._block = block
         self._buffer: np.ndarray | None = None
+        self._spare: np.ndarray | None = None
+        #: The trials whose next block :meth:`prefetch` drew into the spare.
+        self._prefetched: np.ndarray | None = None
         self._cursor = block  # forces a fill on first use
         self.kernel = kernel
 
@@ -311,14 +335,38 @@ class BlockDrawStepper(BatchStepper):
         """
         self._apply = apply
 
-    def _refill(self, active: np.ndarray) -> None:
+    def _fill(self, buffer: np.ndarray | None, active: np.ndarray) -> np.ndarray | None:
+        """Draw the next block of each ``active`` trial into ``buffer`` (made if None)."""
         for trial in active:
             draws = self._draw(self._rngs[trial], self._block)
-            if self._buffer is None:
-                self._buffer = np.empty(
-                    (len(self._rngs),) + draws.shape, dtype=draws.dtype
-                )
-            self._buffer[trial] = draws
+            if buffer is None:
+                buffer = np.empty((len(self._rngs),) + draws.shape, dtype=draws.dtype)
+            buffer[trial] = draws
+        return buffer
+
+    def _refill(self, active: np.ndarray) -> None:
+        if self._prefetched is None:
+            self._buffer = self._fill(self._buffer, active)
+            return
+        if not np.isin(active, self._prefetched).all():
+            raise RuntimeError("the prefetched block lacks rows for trials that are active")
+        self._buffer, self._spare = self._spare, self._buffer
+        self._prefetched = None
+
+    def prefetch(self, active: np.ndarray) -> None:
+        """Draw the block after the current one, for the trials in ``active``.
+
+        The draws go into a spare buffer; the next refill for a subset of
+        ``active`` swaps it in instead of drawing, and trials that left in
+        between have had one block drawn that nothing reads.  It never
+        writes the buffer the last :meth:`next_draws` view points into, so
+        it may run on another thread while that view is read — but no other
+        method of this stepper may run until it returns.
+        """
+        if self._prefetched is not None:
+            raise RuntimeError("the block prefetched before has not been used yet")
+        self._spare = self._fill(self._spare, active)
+        self._prefetched = active
 
     def step(self, positions: np.ndarray, active: np.ndarray) -> np.ndarray:
         cursor = self._cursor
@@ -342,8 +390,10 @@ class BlockDrawStepper(BatchStepper):
         step axis.
 
         While every trial is active the result is a basic-slice *view* of
-        the block buffer, not a copy: it is valid only until the next
-        :meth:`step` or ``next_draws`` call, whose refill may overwrite it.
+        the block buffer, not a copy.  It stays valid through a
+        :meth:`prefetch`, which fills the other buffer, but only until the
+        next :meth:`step` or ``next_draws`` call: its refill either draws
+        into this buffer or swaps it out to be the next prefetch's target.
         """
         cursor = self._cursor
         if cursor == self._block:

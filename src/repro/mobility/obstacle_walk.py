@@ -103,4 +103,5 @@ class ObstacleWalkMobility(MobilityModel):
                 side, free_mask, positions, choice
             ),
             kernel=("masked", side, free_mask),
+            step_bytes=4 * n_agents,
         )

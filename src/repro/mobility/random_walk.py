@@ -88,4 +88,5 @@ class RandomWalkMobility(MobilityModel):
             ),
             apply=lambda positions, choice: apply_lazy_choices(grid, positions, choice),
             kernel=("lazy", grid.side),
+            step_bytes=4 * n_agents,
         )

@@ -344,6 +344,24 @@ def step_loop_instruments(loop: str) -> "tuple[Counter, Gauge]":
     return steps, active
 
 
+def phase_seconds(loop: str, phases: Sequence[str]) -> "dict[str, Counter]":
+    """The global ``repro_sim_phase_seconds_total`` counter of each phase of one loop.
+
+    A loop adds the seconds each of its phases took (a ``perf_counter``
+    pair around each), so a run says where its time went even where the
+    work runs on another thread.
+    """
+    registry = global_registry()
+    return {
+        phase: registry.counter(
+            "repro_sim_phase_seconds_total",
+            help="Seconds spent in each phase of the simulation step loops.",
+            labels={"loop": loop, "phase": phase},
+        )
+        for phase in phases
+    }
+
+
 def registry_counters(
     registry: MetricsRegistry,
     prefix: str,

@@ -279,6 +279,57 @@ class TestNextDraws:
                 ref_pos = ref_pos[1:]
                 bulk_pos = bulk_pos[1:]
 
+    @settings(max_examples=max_examples(20), deadline=None)
+    @given(seed=seeds, block=st.integers(1, 6), n_steps=st.integers(1, 30),
+           data=st.data())
+    def test_prefetched_blocks_equal_per_step_draws(self, seed, block, n_steps, data):
+        """Blocks drawn ahead by ``prefetch`` and swapped in by the next
+        ``next_draws`` match pure stepping, also when trials leave between
+        the prefetch and the swap."""
+        side, k, n_trials = 7, 4, 4
+
+        def draw(rng, n):
+            return rng.integers(0, 5, size=(n, k), dtype=np.int32)
+
+        def apply(positions, choices):
+            return apply_lazy_choices(Grid2D(side), positions, choices)
+
+        def make_stepper():
+            rngs = [np.random.default_rng([seed, t]) for t in range(n_trials)]
+            return BlockDrawStepper(rngs, draw, apply, block=block)
+
+        reference = make_stepper()
+        bulk = make_stepper()
+        ref_pos = np.zeros((n_trials, k, 2), dtype=np.int64)
+        bulk_pos = ref_pos.copy()
+        active = np.arange(n_trials)
+        remaining = n_steps
+        while remaining:
+            draws = bulk.next_draws(active, remaining)  # the rest of the block
+            for s in range(draws.shape[1]):
+                bulk_pos = apply(bulk_pos, draws[:, s])
+                ref_pos = reference.step(ref_pos, active)
+                remaining -= 1
+            assert np.array_equal(bulk_pos, ref_pos)
+            if remaining and data.draw(st.booleans(), label="prefetch"):
+                bulk.prefetch(active)
+                with pytest.raises(RuntimeError, match="not been used"):
+                    bulk.prefetch(active)
+            if active.size > 1 and data.draw(st.booleans(), label="leave"):
+                rows = sorted(data.draw(
+                    st.sets(st.integers(0, active.size - 1), min_size=1, max_size=active.size - 1),
+                    label="rows kept",
+                ))
+                active, ref_pos, bulk_pos = active[rows], ref_pos[rows], bulk_pos[rows]
+
+    def test_swap_refuses_a_trial_the_prefetch_skipped(self):
+        rngs = [np.random.default_rng(t) for t in range(3)]
+        stepper = BlockDrawStepper(rngs, lambda rng, n: rng.integers(0, 5, (n, 2)), None, block=2)
+        stepper.next_draws(np.arange(3), 2)
+        stepper.prefetch(np.arange(2))
+        with pytest.raises(RuntimeError, match="lacks rows"):
+            stepper.next_draws(np.arange(3), 2)
+
 
 # --------------------------------------------------------------------------- #
 # Provider selection and graceful fallback

@@ -548,18 +548,25 @@ class TestCompiledBackendEquivalence:
         name=st.sampled_from(["random_walk", "obstacle_walk", "brownian", "static"]),
         horizon=st.integers(130, 400),
         n_replications=st.integers(2, 5),
+        helper=st.booleans(),
         seed=st.integers(0, 2**31 - 1),
     )
     def test_fused_driver_identical_across_block_refills(
-        self, side, k, radius, name, horizon, n_replications, seed
+        self, side, k, radius, name, horizon, n_replications, helper, seed
     ):
-        """Past the first 128-step draw block, trial for trial.
+        """Past the first 128-step draw block, trial for trial, with and
+        without the draw helper thread.
 
         Horizons beyond one block on small grids make some trials complete
         mid-block while others run on, so draw-block refills, the
         view/copy switch of ``next_draws`` and compaction followed by
-        further blocks are all compared draw for draw.
+        further blocks are all compared draw for draw.  With ``helper`` the
+        draw threshold is 0 and the process has a CPU to spare, so every
+        block but the last is drawn ahead on the helper thread; without it
+        the CPU check reports 1 and no helper starts.
         """
+        from repro.compiled import driver
+
         _, registry_name, kwargs = _make_model(name, side)
         config = BroadcastConfig(
             n_nodes=side * side,
@@ -579,13 +586,26 @@ class TestCompiledBackendEquivalence:
             fused.append(usable(*args))
             return fused[-1]
 
+        started = []
+        pool = driver.ThreadPoolExecutor
+
+        def spying_pool(*args, **kwargs):
+            started.append(True)
+            return pool(*args, **kwargs)
+
+        min_draws = 0 if helper else driver.PREFETCH_MIN_DRAWS
         before = _steps_total()
-        with mock.patch.object(batched_module, "_fused_broadcast_usable", spying):
+        with mock.patch.object(batched_module, "_fused_broadcast_usable", spying), \
+                mock.patch.object(driver, "ThreadPoolExecutor", spying_pool), \
+                mock.patch.object(driver, "PREFETCH_MIN_DRAWS", min_draws), \
+                mock.patch.object(driver, "cpu_share", lambda: 2 if helper else 1):
             _, compiled_results = run_broadcast_replications(
                 config, n_replications, seed=seed, backend="compiled"
             )
         assert _steps_total() - before == sum(r.n_steps for r in compiled_results)
-        assert fused == [repro.compiled.require_ops().has_block_driver]
+        has_block_driver = repro.compiled.require_ops().has_block_driver
+        assert fused == [has_block_driver]
+        assert started == [True] * (helper and has_block_driver and name != "static")
         for serial, compiled in zip(serial_results, compiled_results):
             assert serial.broadcast_time == compiled.broadcast_time
             assert serial.completed == compiled.completed
