@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.grid.lattice import Grid2D
-from repro.walks.engine import lazy_step
+from repro.mobility.kernels import lazy_step
 
 N_AGENTS = 512
 N_STEPS = 50

@@ -202,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pull and execute work units from a remote-dispatch coordinator",
         description=(
             "Worker half of --dispatch remote: registers with the coordinator, "
-            "then loops claim -> fetch -> execute -> push (heartbeating held "
+            "then loops claim -> execute -> push (heartbeating held "
             "leases) until the coordinator reports the sweep done.  Any number "
             "of workers on any hosts produce results bit-for-bit identical to "
             "a --jobs 1 run."
@@ -240,19 +240,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="work units claimed per v2 batch request; with N > 1 the worker "
-        "also pipelines (prefetches the next batch while executing the "
-        "current one); against a v1-only coordinator the worker falls back "
-        "to one-unit claims (default: 1)",
-    )
-    worker_parser.add_argument(
-        "--push-batch",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="completed records buffered before a batched push; each record "
-        "in a batch is validated and acknowledged independently "
-        "(default: the --claim-batch size)",
+        help="work units claimed per batch request, and records pushed per "
+        "batch; each record is validated and acknowledged independently; "
+        "with N > 1 the worker also pipelines (claims the next batch and "
+        "pushes the last one while executing the current one) (default: 1)",
     )
     worker_parser.add_argument(
         "--idle-cap",
@@ -378,7 +369,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             connect_timeout=args.connect_timeout,
             transport_faults=plan,
             claim_batch=args.claim_batch,
-            push_batch=args.push_batch,
             idle_cap=args.idle_cap,
         )
     print(stats.render(), file=sys.stderr)

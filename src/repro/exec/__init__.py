@@ -3,9 +3,9 @@
 Public surface of the ``repro.exec`` subsystem:
 
 * :class:`SweepExecutor` — decomposes replicated measurements into
-  (sweep-point × replication-chunk) work units, runs them in process, over
-  a process pool, or over HTTP workers (``dispatch="remote"``), and merges
-  the records back;
+  (sweep-point × replication-chunk) work units, runs them in process or
+  over a process pool (one dispatcher for both), or over HTTP workers
+  (``dispatch="remote"``), and merges the records back;
 * :class:`ResultStore` — the on-disk record store that makes interrupted
   sweeps resumable;
 * :func:`execution_override` / :func:`current_executor` — the ambient
@@ -24,16 +24,16 @@ Public surface of the ``repro.exec`` subsystem:
   :class:`TransportFaultPlan` — the deterministic fault-injection harness
   the chaos suite drives (process faults and HTTP transport faults);
 * :class:`Coordinator` / :func:`run_worker` — the multi-host transport:
-  an embedded HTTP coordinator serving the unit lifecycle (v1 one-unit
-  endpoints and v2 batched claim/push), and the worker loop behind
+  an embedded HTTP coordinator serving the unit lifecycle (batched
+  claim/push; a single unit is a batch of one), and the worker loop behind
   ``repro worker --coordinator URL`` (batched, pipelined, keep-alive);
 * :class:`CoordinatorClient` — the persistent JSON-over-HTTP client the
   worker (and tests) speak to a coordinator with
   (:mod:`repro.exec.transport`);
-* :func:`encode_unit` / :func:`decode_unit` / :func:`unit_is_remotable` —
-  the wire codecs, plus the v2 batch message types
-  (:class:`ClaimBatchRequest` … :class:`PushBatchResponse`) and the
-  version constants (:mod:`repro.exec.protocol`).
+* :func:`encode_unit` / :func:`decode_unit` — the wire codecs, plus the
+  batch message types (:class:`ClaimBatchRequest` …
+  :class:`PushBatchResponse`) and :data:`PROTOCOL_VERSION`
+  (:mod:`repro.exec.protocol`).
 
 See ``docs/PARALLEL.md`` for the work-unit model, the determinism contract,
 resume semantics and the fault-tolerance layer, and ``docs/DISTRIBUTED.md``
@@ -58,8 +58,6 @@ from repro.exec.faults import FaultInjectionError, FaultPlan, TransportFaultPlan
 from repro.exec.leases import LeaseTable
 from repro.exec.protocol import (
     PROTOCOL_VERSION,
-    PROTOCOL_VERSION_BATCH,
-    SUPPORTED_PROTOCOL_VERSIONS,
     ClaimBatchRequest,
     ClaimBatchResponse,
     LeaseGrant,
@@ -71,7 +69,6 @@ from repro.exec.protocol import (
     canonical_json,
     decode_unit,
     encode_unit,
-    unit_is_remotable,
 )
 from repro.exec.remote import (
     Coordinator,
@@ -94,8 +91,6 @@ __all__ = [
     "AGGREGATES",
     "DISPATCH_MODES",
     "PROTOCOL_VERSION",
-    "PROTOCOL_VERSION_BATCH",
-    "SUPPORTED_PROTOCOL_VERSIONS",
     "ClaimBatchRequest",
     "ClaimBatchResponse",
     "Coordinator",
@@ -132,6 +127,5 @@ __all__ = [
     "record_matches_unit",
     "run_unit_with_faults",
     "run_worker",
-    "unit_is_remotable",
     "unit_key",
 ]

@@ -339,36 +339,33 @@ def run_unit_with_faults(
     return record
 
 
-def _pool_run_unit(
-    unit: WorkUnit, submission: int, plan: Optional[FaultPlan]
-) -> dict[str, Any]:
-    """What the dispatcher submits to pool workers (module-level picklable)."""
-    return run_unit_with_faults(unit, submission, plan, in_worker=True)
-
-
 def _pool_run_chunk(
     units: Sequence[WorkUnit],
     submissions: Sequence[int],
     plan: Optional[FaultPlan],
+    in_worker: bool,
 ) -> list[dict[str, Any]]:
-    """Chunked pool task: one submitted future carries several units.
+    """The one task shape the dispatcher runs: a chunk of units, one outcome each.
 
-    Amortizes the pickle/IPC/future overhead of ``ProcessPoolExecutor``
-    across ``pool_chunk`` units.  Each unit's outcome is captured
-    independently — ``{"record": ...}`` on success, ``{"error": exc}`` on a
-    raised exception — so one failing unit cannot poison its chunk-mates;
-    the dispatcher applies the retry policy per unit.  Crash and hang
-    faults still take down the whole task, exactly like a crashed worker
-    under single-unit dispatch (its chunk-mates are requeued as innocents).
+    A pool task carries up to ``pool_chunk`` units, amortizing the
+    pickle/IPC/future overhead of ``ProcessPoolExecutor``; an in-process
+    task (``in_worker=False``) carries one.  Each unit's outcome is captured
+    independently — ``{"record": ..., "seconds": ...}`` on success,
+    ``{"error": exc}`` on a raised exception — so one failing unit cannot
+    poison its chunk-mates; the dispatcher applies the retry policy per
+    unit.  In a pool worker, crash and hang faults still take down the
+    whole task, like any crashed worker (its chunk-mates are requeued as
+    innocents); in process a crash fault raises instead.
     """
     outcomes: list[dict[str, Any]] = []
     for unit, submission in zip(units, submissions):
+        began = time.monotonic()
         try:
-            outcomes.append(
-                {"record": run_unit_with_faults(unit, submission, plan, in_worker=True)}
-            )
+            record = run_unit_with_faults(unit, submission, plan, in_worker=in_worker)
         except Exception as exc:
             outcomes.append({"error": exc})
+        else:
+            outcomes.append({"record": record, "seconds": time.monotonic() - began})
     return outcomes
 
 
@@ -918,8 +915,7 @@ class SweepExecutor:
                 try:
                     # submit() encodes the unit before touching any state, so
                     # a non-remotable unit (map payload, non-JSON-able config)
-                    # rejects cleanly here — one encode per unit instead of a
-                    # unit_is_remotable probe followed by a second encode.
+                    # rejects cleanly here, at one encode per unit.
                     self.coordinator.submit(
                         units[index],
                         key,
@@ -934,24 +930,13 @@ class SweepExecutor:
                 remote_keys.append(key)
             pending = local
 
-        parallel: list[int] = []
-        if (
-            self.dispatch == "pool"
-            and self.jobs > 1
-            and len(pending) > 1
-            and not self._degraded
-        ):
-            parallel = [i for i in pending if storable[i]]
-        parallel_set = set(parallel)
-        inline = [i for i in pending if i not in parallel_set]
-
-        if parallel:
-            self._run_pooled(units, parallel, keys, fingerprints, deliver)
-        for index in inline:
-            deliver(
-                index,
-                self._run_inline_unit(units[index], keys[index], fingerprints[index]),
-            )
+        use_pool = self.dispatch == "pool" and self.jobs > 1 and len(pending) > 1
+        pooled = [i for i in pending if use_pool and storable[i]]
+        in_process = [i for i in pending if not (use_pool and storable[i])]
+        if pooled:
+            self._dispatch(units, pooled, keys, fingerprints, deliver, pool=True)
+        if in_process:
+            self._dispatch(units, in_process, keys, fingerprints, deliver, pool=False)
         if remote_keys:
             assert self.coordinator is not None
             self.coordinator.wait(remote_keys)
@@ -959,18 +944,31 @@ class SweepExecutor:
             return []
         return [record for record in records if record is not None]
 
-    # -- the pooled dispatcher (retries, timeouts, crash recovery) ---------- #
-    def _run_pooled(
+    # -- the dispatcher: one unit lifecycle for pool, in-process and degraded - #
+    def _dispatch(
         self,
         units: Sequence[WorkUnit],
         indices: Sequence[int],
         keys: Sequence[Optional[str]],
         fingerprints: Sequence[Optional[dict[str, Any]]],
         deliver: Callable[[int, dict[str, Any]], None],
+        pool: bool,
     ) -> None:
+        """Claim → execute → validate → complete every unit in ``indices``.
+
+        With ``pool``, units go to the worker pool, up to ``pool_chunk`` per
+        task and ``jobs`` tasks in flight.  Otherwise — and for every task
+        once the executor has degraded — a task is one unit, run in process
+        at submit time.  Either way a unit's lease is claimed first, and a won claim
+        re-checks the store (another executor may have finished the unit
+        since the caller's store check); a fresh record must match the
+        unit's trial count before it is group-committed, its lease released
+        and the record delivered.  The :class:`RetryPolicy` applies per
+        unit: retries with backoff, pool timeouts, and crash requeues that
+        consume no attempt.
+        """
         policy = self.retry
         crash_limit = max(3, policy.max_attempts)
-        chunk_cap = max(1, self.pool_chunk)
         tokens = {
             i: keys[i] or f"{units[i].label}[{units[i].start}:{units[i].stop}]"
             for i in indices
@@ -983,10 +981,31 @@ class SweepExecutor:
         blocked: dict[int, float] = {}  # lease-blocked -> next poll time
         in_flight: dict[Future, tuple[int, ...]] = {}
         deadlines: dict[Future, Optional[float]] = {}
-        started: dict[Future, float] = {}
         timed_out: set[int] = set()
         consecutive_rebuilds = 0
         completed_since_rebuild = False
+
+        def store_hit(index: int, record: dict[str, Any]) -> None:
+            self._counters.store_hits.inc()
+            emit_progress("unit_store_hit", label=units[index].label, key=keys[index])
+            deliver(index, record)
+
+        def claim(index: int) -> bool:
+            """Take ``index``'s lease; False if it is blocked or already stored."""
+            key = keys[index]
+            if key is None or self.leases is None:
+                return True
+            if not self.leases.claim(key):
+                blocked[index] = time.monotonic() + self._lease_poll_interval()
+                return False
+            # Claimed (possibly stolen after expiry): the previous owner may
+            # still have finished the unit between our store check and now.
+            stored = self._load_stored(units[index], key, fingerprints[index])
+            if stored is None:
+                return True
+            self.leases.release(key)
+            store_hit(index, stored)
+            return False
 
         def fail(index: int, exc: BaseException) -> None:
             failures[index] += 1
@@ -1001,7 +1020,7 @@ class SweepExecutor:
             """Process one finished future; returns True if the pool broke."""
             nonlocal completed_since_rebuild
             try:
-                result = future.result()
+                outcomes = future.result()
             except BrokenProcessPool:
                 for index in chunk:
                     if index in timed_out:
@@ -1034,16 +1053,7 @@ class SweepExecutor:
                 for index in chunk:
                     fail(index, exc)
                 return False
-            # A single-unit future returns the bare record; a chunk future
-            # returns one outcome dict per unit, in chunk order.
-            outcomes = result if isinstance(result, list) else [{"record": result}]
-            began = started.get(future)
-            per_unit = (
-                (time.monotonic() - began) / max(1, len(chunk))
-                if began is not None
-                else None
-            )
-            completions: list[tuple[int, dict[str, Any]]] = []
+            completions: list[tuple[int, dict[str, Any], float]] = []
             failed: list[tuple[int, BaseException]] = []
             for index, outcome in zip(chunk, outcomes):
                 timed_out.discard(index)
@@ -1063,16 +1073,15 @@ class SweepExecutor:
                         )
                     )
                     continue
-                completions.append((index, record))
+                completions.append((index, record, outcome["seconds"]))
             # Group-commit the chunk's completions first, so an
             # exhausted-attempts raise below cannot lose finished siblings.
             if completions:
                 self._complete_many(
-                    [(keys[i], fingerprints[i], record) for i, record in completions]
+                    [(keys[i], fingerprints[i], record) for i, record, _ in completions]
                 )
-                for index, record in completions:
-                    if per_unit is not None:
-                        self._unit_seconds.observe(per_unit)
+                for index, record, seconds in completions:
+                    self._unit_seconds.observe(seconds)
                     deliver(index, record)
                     emit_progress("unit_completed", unit=tokens[index])
                 completed_since_rebuild = True
@@ -1089,7 +1098,6 @@ class SweepExecutor:
                 settle(future, chunk)
             in_flight.clear()
             deadlines.clear()
-            started.clear()
             timed_out.clear()
             self._discard_pool()
             self._counters.pool_rebuilds.inc()
@@ -1100,31 +1108,17 @@ class SweepExecutor:
                 consecutive_rebuilds += 1
             completed_since_rebuild = False
             if consecutive_rebuilds > POOL_FAILURE_LIMIT:
+                # The pool has failed repeatedly without progress: every
+                # later task runs in process.
                 self._degraded = True
                 self._counters.degraded.set(1)
                 emit_progress("degraded")
 
         while queue or in_flight or delayed or blocked:
-            if self._degraded:
-                # The pool has failed repeatedly without progress: run
-                # everything that is not already in flight in process.
-                leftovers = sorted(
-                    set(queue) | {i for _, i in delayed} | set(blocked)
-                )
-                queue.clear()
-                delayed.clear()
-                blocked.clear()
-                for index in leftovers:
-                    deliver(
-                        index,
-                        self._run_inline_unit(
-                            units[index],
-                            keys[index],
-                            fingerprints[index],
-                            start_submission=submissions[index],
-                        ),
-                    )
-                continue
+            in_pool = pool and not self._degraded
+            submit = self._submit_to_pool if in_pool else self._submit_in_process
+            chunk_cap = self.pool_chunk if in_pool else 1
+            slots = self.jobs if in_pool else 1
 
             now = time.monotonic()
             while delayed and delayed[0][0] <= now:
@@ -1134,47 +1128,21 @@ class SweepExecutor:
                 del blocked[index]
                 stored = self._load_stored(units[index], keys[index], fingerprints[index])
                 if stored is not None:
-                    # The lease holder finished it for us.
-                    self._counters.store_hits.inc()
-                    emit_progress(
-                        "unit_store_hit", label=units[index].label, key=keys[index]
-                    )
-                    deliver(index, stored)
+                    store_hit(index, stored)  # the lease holder finished it for us
                 else:
                     queue.append(index)
 
             submit_broken = False
-            while queue and len(in_flight) < self.jobs:
-                # Assemble up to pool_chunk claimable units into one task.
+            while queue and len(in_flight) < slots:
                 batch: list[int] = []
                 while queue and len(batch) < chunk_cap:
                     index = queue.popleft()
-                    key = keys[index]
-                    if (
-                        key is not None
-                        and self.leases is not None
-                        and not self.leases.claim(key)
-                    ):
-                        blocked[index] = time.monotonic() + self._lease_poll_interval()
-                        continue
-                    batch.append(index)
+                    if claim(index):
+                        batch.append(index)
                 if not batch:
-                    break  # everything claimable went to `blocked`
+                    break  # everything claimable went to `blocked` or the store
                 try:
-                    submitted = time.monotonic()
-                    if chunk_cap == 1:
-                        index = batch[0]
-                        future = self._pool_instance().submit(
-                            _pool_run_unit, units[index], submissions[index], self.fault_plan
-                        )
-                    else:
-                        future = self._pool_instance().submit(
-                            _pool_run_chunk,
-                            [units[i] for i in batch],
-                            [submissions[i] for i in batch],
-                            self.fault_plan,
-                        )
-                    self._dispatch_seconds.observe(time.monotonic() - submitted)
+                    future = submit([units[i] for i in batch], [submissions[i] for i in batch])
                 except BrokenProcessPool:
                     # A worker died between settles and the pool noticed at
                     # submit time.  The units never started (keep their
@@ -1185,9 +1153,8 @@ class SweepExecutor:
                     break
                 for index in batch:
                     submissions[index] += 1
-                    self._counters.submissions.inc()
+                self._counters.submissions.inc(len(batch))
                 in_flight[future] = tuple(batch)
-                started[future] = time.monotonic()
                 deadlines[future] = (
                     time.monotonic() + policy.unit_timeout * len(batch)
                     if policy.unit_timeout is not None
@@ -1209,15 +1176,15 @@ class SweepExecutor:
                 timeout=self._wait_timeout(deadlines, delayed, blocked),
                 return_when=FIRST_COMPLETED,
             )
-            if self.leases is not None:
-                self.leases.heartbeat(
-                    [
-                        keys[i]
-                        for chunk in in_flight.values()
-                        for i in chunk
-                        if keys[i] is not None
-                    ]
-                )
+            running = [
+                keys[i]
+                for future, chunk in in_flight.items()
+                if future not in done
+                for i in chunk
+                if keys[i] is not None
+            ]
+            if running and self.leases is not None:
+                self.leases.heartbeat(running)
 
             now = time.monotonic()
             expired = [
@@ -1238,78 +1205,27 @@ class SweepExecutor:
                 chunk = in_flight.pop(future)
                 deadlines.pop(future, None)
                 pool_broken |= settle(future, chunk)
-                started.pop(future, None)
             if pool_broken:
                 rebuild_pool()
 
-    # -- the in-process path (jobs=1, unpicklable payloads, degraded mode) -- #
-    def _run_inline_unit(
-        self,
-        unit: WorkUnit,
-        key: Optional[str],
-        fingerprint: Optional[dict[str, Any]],
-        start_submission: int = 0,
-    ) -> dict[str, Any]:
-        token = key or f"{unit.label}[{unit.start}:{unit.stop}]"
-        if key is not None and self.leases is not None:
-            stored = self._await_lease(unit, key, fingerprint)
-            if stored is not None:
-                self._counters.store_hits.inc()
-                emit_progress("unit_store_hit", label=unit.label, key=key)
-                return stored
-        policy = self.retry
-        submission = start_submission
-        failures = 0
-        while True:
-            self._counters.submissions.inc()
-            submission += 1
-            began = time.monotonic()
-            try:
-                record = run_unit_with_faults(
-                    unit, submission - 1, self.fault_plan, in_worker=False
-                )
-                if not record_matches_unit(unit, record):
-                    raise RuntimeError(
-                        f"unit {token} returned a corrupt record "
-                        f"(expected {unit.n_trials} trials)"
-                    )
-            except Exception:
-                failures += 1
-                if failures >= policy.max_attempts:
-                    raise
-                self._counters.retries.inc()
-                emit_progress("unit_retry", unit=token, failures=failures)
-                time.sleep(policy.delay(failures, token))
-                continue
-            self._unit_seconds.observe(time.monotonic() - began)
-            emit_progress("unit_completed", unit=token)
-            return self._complete(key, fingerprint, record)
+    def _submit_to_pool(self, units: Sequence[WorkUnit], submissions: Sequence[int]) -> Future:
+        """Hand one chunk to the worker pool; the submission alone is timed."""
+        began = time.monotonic()
+        future = self._pool_instance().submit(
+            _pool_run_chunk, units, submissions, self.fault_plan, in_worker=True
+        )
+        self._dispatch_seconds.observe(time.monotonic() - began)
+        return future
 
-    def _await_lease(
-        self,
-        unit: WorkUnit,
-        key: str,
-        fingerprint: Optional[dict[str, Any]],
-    ) -> Optional[dict[str, Any]]:
-        """Claim ``key``, waiting out (or outliving) a concurrent owner.
+    def _submit_in_process(self, units: Sequence[WorkUnit], submissions: Sequence[int]) -> Future:
+        """Run one chunk here and now; the returned future is already finished.
 
-        Returns the unit's record if the other executor completed it while
-        we waited, else ``None`` with the lease now held by us.
+        An in-process unit cannot be preempted, so no unit timeout applies,
+        and a crash fault raises instead of killing the interpreter.
         """
-        assert self.leases is not None
-        interval = self._lease_poll_interval()
-        while not self.leases.claim(key):
-            time.sleep(interval)
-            stored = self._load_stored(unit, key, fingerprint)
-            if stored is not None:
-                return stored
-        # Claimed (possibly stolen after expiry): the previous owner may
-        # still have finished the unit between our store check and now.
-        stored = self._load_stored(unit, key, fingerprint)
-        if stored is not None:
-            self.leases.release(key)
-            return stored
-        return None
+        future: Future = Future()
+        future.set_result(_pool_run_chunk(units, submissions, self.fault_plan, in_worker=False))
+        return future
 
     # -- shared completion / recovery helpers ------------------------------- #
     def _run_streaming(self, units: Sequence[WorkUnit]) -> tuple[Any, list[Any]]:
@@ -1353,27 +1269,13 @@ class SweepExecutor:
             return None
         return record
 
-    def _complete(
-        self,
-        key: Optional[str],
-        fingerprint: Optional[dict[str, Any]],
-        record: dict[str, Any],
-    ) -> dict[str, Any]:
-        if self.store is not None and key is not None:
-            self.store.put(key, record, fingerprint=fingerprint)
-            if self.leases is not None:
-                self.leases.release(key)
-        self._counters.executed.inc()
-        return record
-
     def _complete_many(
         self, items: Sequence[tuple[Optional[str], Optional[dict[str, Any]], dict[str, Any]]]
     ) -> None:
         """Persist a chunk's records through one store group commit.
 
-        Same durability point as per-unit :meth:`_complete` calls (every
-        record file is individually fsynced) at one directory fsync per
-        chunk; leases release only after their records are durable.
+        Every record file is individually fsynced, with one directory fsync
+        per chunk; leases release only after their records are durable.
         """
         if self.store is not None:
             stored = [

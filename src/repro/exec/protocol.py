@@ -31,27 +31,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from repro.core.config import BroadcastConfig, GossipConfig
 from repro.exec.seeds import SeedStreamSpec
 from repro.exec.units import UNIT_KINDS, WorkUnit
 from repro.util.serialization import to_jsonable
 
-#: Version stamped on every encoded unit document.  The unit wire format has
-#: never changed, so v1 and v2 peers exchange identical unit documents; only
-#: the coordinator API grew (see :data:`PROTOCOL_VERSION_BATCH`).
-PROTOCOL_VERSION = 1
-
-#: Highest coordinator-API capability version this side implements.  v2 adds
-#: the batched endpoints (``/api/v2/claim`` with inlined unit payloads,
-#: ``/api/v2/push`` with per-unit acks); unit documents stay v1.  The
-#: register handshake negotiates ``min(worker, coordinator)``.
-PROTOCOL_VERSION_BATCH = 2
-
-#: Handshake versions a coordinator accepts (a v1 worker keeps working
-#: against a v2 coordinator over the single-unit endpoints).
-SUPPORTED_PROTOCOL_VERSIONS = (1, 2)
+#: The one protocol version: stamped on every encoded unit document and
+#: announced in the register handshake.  Version 2 is the batched API
+#: (``/api/v2/claim`` with unit payloads inlined, ``/api/v2/push`` with
+#: per-unit acks); a coordinator refuses any other version at registration.
+PROTOCOL_VERSION = 2
 
 #: Unit kinds whose payloads survive JSON encoding (see module docstring).
 REMOTE_KINDS = ("broadcast", "gossip", "process")
@@ -227,15 +218,6 @@ def decode_unit(document: Any) -> WorkUnit:
         raise ProtocolError(f"invalid unit document: {exc}") from exc
 
 
-def unit_is_remotable(unit: WorkUnit) -> bool:
-    """Whether ``unit`` survives the wire (kind and payload both encode)."""
-    try:
-        encode_unit(unit)
-        return True
-    except ProtocolError:
-        return False
-
-
 # --------------------------------------------------------------------------- #
 # Coordinator API messages
 # --------------------------------------------------------------------------- #
@@ -267,100 +249,27 @@ class RegisterRequest:
 
 @dataclass(frozen=True)
 class RegisterResponse:
-    """``POST /api/register`` response: the coordinator's operating terms.
-
-    ``protocol`` is the negotiated coordinator-API capability version
-    (``min(worker, coordinator)``): ``>= 2`` means the batched
-    ``/api/v2/claim`` / ``/api/v2/push`` endpoints are available.  A pre-v2
-    coordinator omits the field, which decodes as ``1``.
-    """
+    """``POST /api/register`` response: the coordinator's operating terms."""
 
     worker: str
     lease_ttl: float
     poll_interval: float
-    protocol: int = 1
 
     def as_json(self) -> dict[str, Any]:
         return {
             "worker": self.worker,
             "lease_ttl": self.lease_ttl,
             "poll_interval": self.poll_interval,
-            "protocol": self.protocol,
         }
 
     @classmethod
     def from_json(cls, document: Any) -> "RegisterResponse":
         document = _expect_mapping(document, "register response")
-        protocol = document.get("protocol", 1)
-        if isinstance(protocol, bool) or not isinstance(protocol, int):
-            raise ProtocolError(
-                f"register response.protocol must be an integer, got {protocol!r}"
-            )
         return cls(
             worker=_str_field(document, "worker", "register response"),
             lease_ttl=float(_field(document, "lease_ttl", "register response")),
             poll_interval=float(_field(document, "poll_interval", "register response")),
-            protocol=protocol,
         )
-
-
-@dataclass(frozen=True)
-class ClaimRequest:
-    """``POST /api/claim`` body: a registered worker asking for a unit."""
-
-    worker: str
-
-    def as_json(self) -> dict[str, Any]:
-        return {"worker": self.worker}
-
-    @classmethod
-    def from_json(cls, document: Any) -> "ClaimRequest":
-        document = _expect_mapping(document, "claim request")
-        return cls(worker=_str_field(document, "worker", "claim request"))
-
-
-@dataclass(frozen=True)
-class ClaimResponse:
-    """``POST /api/claim`` response.
-
-    ``status`` is ``"unit"`` (a lease on ``key`` is now held by the worker,
-    whose record push must echo ``fingerprint``), ``"idle"`` (everything
-    pending is leased elsewhere — poll again after ``retry_after``) or
-    ``"done"`` (the coordinator is finished; the worker should exit).
-    """
-
-    status: str
-    key: Optional[str] = None
-    fingerprint: Optional[dict[str, Any]] = None
-    retry_after: float = 0.5
-
-    STATUSES = ("unit", "idle", "done")
-
-    def as_json(self) -> dict[str, Any]:
-        return {
-            "status": self.status,
-            "key": self.key,
-            "fingerprint": self.fingerprint,
-            "retry_after": self.retry_after,
-        }
-
-    @classmethod
-    def from_json(cls, document: Any) -> "ClaimResponse":
-        document = _expect_mapping(document, "claim response")
-        status = _str_field(document, "status", "claim response")
-        if status not in cls.STATUSES:
-            raise ProtocolError(f"claim status must be one of {cls.STATUSES}, got {status!r}")
-        key = document.get("key")
-        if status == "unit":
-            if not isinstance(key, str) or not key:
-                raise ProtocolError(f"claim response.key must be a non-empty string, got {key!r}")
-            fingerprint = _dict_field(document, "fingerprint", "claim response")
-        else:
-            key, fingerprint = None, None
-        retry_after = document.get("retry_after", 0.5)
-        if not isinstance(retry_after, (int, float)) or isinstance(retry_after, bool):
-            raise ProtocolError(f"claim response.retry_after must be a number, got {retry_after!r}")
-        return cls(status=status, key=key, fingerprint=fingerprint, retry_after=float(retry_after))
 
 
 @dataclass(frozen=True)
@@ -415,67 +324,6 @@ class FailureReport:
 
 
 @dataclass(frozen=True)
-class PushRequest:
-    """``POST /api/push`` body: a completed unit's canonical record.
-
-    ``fingerprint`` must echo the fingerprint the claim handed out; the
-    coordinator verifies it against the unit's own fingerprint before the
-    record may touch the store.
-    """
-
-    worker: str
-    key: str
-    fingerprint: dict[str, Any]
-    record: dict[str, Any]
-
-    def as_json(self) -> dict[str, Any]:
-        return {
-            "worker": self.worker,
-            "key": self.key,
-            "fingerprint": self.fingerprint,
-            "record": self.record,
-        }
-
-    @classmethod
-    def from_json(cls, document: Any) -> "PushRequest":
-        document = _expect_mapping(document, "push request")
-        return cls(
-            worker=_str_field(document, "worker", "push request"),
-            key=_str_field(document, "key", "push request"),
-            fingerprint=_dict_field(document, "fingerprint", "push request"),
-            record=_dict_field(document, "record", "push request"),
-        )
-
-
-@dataclass(frozen=True)
-class PushResponse:
-    """``POST /api/push`` response: ``"stored"`` or ``"duplicate"``.
-
-    ``"duplicate"`` acknowledges a byte-equal re-push of an already-stored
-    record — the normal outcome of a retried push whose first response was
-    lost, and of a double-run after a lease steal.
-    """
-
-    status: str
-
-    STATUSES = ("stored", "duplicate")
-
-    def as_json(self) -> dict[str, Any]:
-        return {"status": self.status}
-
-    @classmethod
-    def from_json(cls, document: Any) -> "PushResponse":
-        document = _expect_mapping(document, "push response")
-        status = _str_field(document, "status", "push response")
-        if status not in cls.STATUSES:
-            raise ProtocolError(f"push status must be one of {cls.STATUSES}, got {status!r}")
-        return cls(status=status)
-
-
-# --------------------------------------------------------------------------- #
-# Coordinator API v2: batched claim and push
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
 class ClaimBatchRequest:
     """``POST /api/v2/claim`` body: ask for up to ``max_units`` leases at once."""
 
@@ -503,8 +351,8 @@ class ClaimBatchRequest:
 class LeaseGrant:
     """One lease inside a :class:`ClaimBatchResponse`.
 
-    The encoded unit document rides along (``unit``), so a v2 worker never
-    needs the separate ``GET /api/unit/<key>`` round-trip.
+    The encoded unit document rides along (``unit``), so a claim is the
+    only round trip a worker makes before executing the unit.
     """
 
     key: str

@@ -10,12 +10,12 @@ so the transport only has to carry the existing unit lifecycle over HTTP:
 
 * the **coordinator** (one per sweep, embedded in the executor under
   ``dispatch="remote"``) owns the store directory and serves worker
-  registration, lease claims over the pending units, unit payload fetches,
-  record pushes and heartbeats, plus a Prometheus ``/metrics`` scrape of
-  the run's registries;
+  registration, batched lease claims over the pending units (unit payloads
+  inlined), batched record pushes and heartbeats, plus a Prometheus
+  ``/metrics`` scrape of the run's registries;
 * a **worker** (``repro worker --coordinator URL``, or :func:`run_worker`
-  in-process) loops claim → fetch → :func:`~repro.exec.executor.execute_unit`
-  → push until the coordinator says the sweep is done.
+  in-process) loops claim → :func:`~repro.exec.executor.execute_unit` →
+  push until the coordinator says the sweep is done.
 
 Determinism is inherited, not re-implemented: a worker rebuilds exactly the
 unit the coordinator decomposed (:mod:`repro.exec.protocol` round-trip),
@@ -27,14 +27,13 @@ dead worker's leases expire and are *stolen* through the ordinary claim
 path, and a double-run after a steal pushes a byte-equal record the
 coordinator accepts idempotently.
 
-Throughput (PR 10): the coordinator also serves the **batched v2 API** —
-``POST /api/v2/claim`` hands out up to ``max_units`` leases with unit
-payloads inlined (no separate fetch round-trip) and ``POST /api/v2/push``
-accepts a batch of records validated independently per unit (per-unit
+One protocol (:data:`~repro.exec.protocol.PROTOCOL_VERSION`) carries
+every unit: ``POST /api/v2/claim`` hands out up to ``max_units`` leases
+with unit payloads inlined, and ``POST /api/v2/push`` accepts a batch of
+records validated independently per unit (per-unit
 stored/duplicate/rejected acks, stored entries group-committed through
-:meth:`~repro.exec.store.ResultStore.put_many`).  The v1 single-unit
-endpoints stay served unchanged, and the register handshake negotiates
-``min(worker, coordinator)`` so old and new peers interoperate either way.
+:meth:`~repro.exec.store.ResultStore.put_many`).  A single unit travels as
+a batch of one.  The register handshake refuses any other version.
 Workers ride a persistent keep-alive connection
 (:class:`~repro.exec.transport.CoordinatorClient`) and back off
 exponentially while idle.
@@ -68,12 +67,8 @@ from repro.exec.faults import TransportFaultPlan
 from repro.exec.leases import DEFAULT_LEASE_TTL, LeaseTable
 from repro.exec.protocol import (
     PROTOCOL_VERSION,
-    PROTOCOL_VERSION_BATCH,
-    SUPPORTED_PROTOCOL_VERSIONS,
     ClaimBatchRequest,
     ClaimBatchResponse,
-    ClaimRequest,
-    ClaimResponse,
     FailureReport,
     HeartbeatRequest,
     LeaseGrant,
@@ -82,8 +77,6 @@ from repro.exec.protocol import (
     PushBatchRequest,
     PushBatchResponse,
     PushEntry,
-    PushRequest,
-    PushResponse,
     RegisterRequest,
     RegisterResponse,
     canonical_json,
@@ -232,9 +225,6 @@ class Coordinator:
         self._idle_polls_total = reg.counter(
             "repro_remote_idle_polls_total", help="Claim polls answered with no claimable unit."
         )
-        self._unit_fetches_total = reg.counter(
-            "repro_remote_unit_fetches_total", help="Unit payload documents served."
-        )
         self._heartbeats_total = reg.counter(
             "repro_remote_heartbeats_total", help="Worker heartbeat requests processed."
         )
@@ -265,21 +255,16 @@ class Coordinator:
         batch_buckets = (1, 2, 4, 8, 16, 32, 64, 128)
         self._claim_batch_size = reg.histogram(
             "repro_remote_batch_size",
-            help="Units per batched v2 request, by operation.",
+            help="Units per batched request, by operation.",
             labels={"op": "claim"},
             buckets=batch_buckets,
         )
         self._push_batch_size = reg.histogram(
             "repro_remote_batch_size",
-            help="Units per batched v2 request, by operation.",
+            help="Units per batched request, by operation.",
             labels={"op": "push"},
             buckets=batch_buckets,
         )
-
-        #: Handshake versions this coordinator accepts.  Tests shrink this to
-        #: ``(1,)`` to emulate a pre-batch coordinator and exercise the
-        #: worker's version-fallback path.
-        self.supported_versions: tuple[int, ...] = SUPPORTED_PROTOCOL_VERSIONS
 
         host, port = _parse_listen(listen)
         self._server = _CoordinatorServer((host, port), _CoordinatorHandler)
@@ -307,8 +292,8 @@ class Coordinator:
     ) -> None:
         """Queue ``unit`` for workers; ``on_record`` fires once it completes.
 
-        Raises :class:`ProtocolError` if the unit cannot cross the wire
-        (check with :func:`~repro.exec.protocol.unit_is_remotable` first).
+        Raises :class:`ProtocolError` if the unit cannot cross the wire (a
+        map payload, a config with no JSON form), before touching any state.
         """
         document = encode_unit(unit)
         with self._condition:
@@ -397,11 +382,10 @@ class Coordinator:
 
     # -- worker-facing operations (called from handler threads) -------------- #
     def register(self, request: RegisterRequest) -> RegisterResponse:
-        if request.version not in self.supported_versions:
-            supported = ", ".join(f"v{v}" for v in self.supported_versions)
+        if request.version != PROTOCOL_VERSION:
             raise ProtocolError(
                 f"protocol version mismatch: worker speaks v{request.version}, "
-                f"coordinator supports {supported}"
+                f"coordinator speaks v{PROTOCOL_VERSION}"
             )
         with self._condition:
             if request.worker not in self._tables:
@@ -422,7 +406,6 @@ class Coordinator:
             worker=request.worker,
             lease_ttl=self.lease_ttl,
             poll_interval=self.poll_interval,
-            protocol=min(request.version, PROTOCOL_VERSION_BATCH),
         )
 
     def _grant_is_fresh(self, key: str, worker: str, now: float) -> bool:
@@ -448,40 +431,14 @@ class Coordinator:
             raise ProtocolError(f"unknown worker {worker!r} (register first)")
         return table
 
-    def claim(self, request: ClaimRequest) -> ClaimResponse:
-        with self._condition:
-            table = self._table_for(request.worker)
-            now = time.monotonic()
-            for key, entry in list(self._pending.items()):
-                if self._grant_is_fresh(key, request.worker, now):
-                    continue
-                steals_before = table.stats.steals
-                if not table.claim(key):
-                    continue
-                if table.stats.steals > steals_before:
-                    self._lease_steals_total.inc()
-                    emit_progress("remote_lease_stolen", key=key, worker=request.worker)
-                self._claims_total.inc()
-                self._granted[key] = (request.worker, now)
-                return ClaimResponse(
-                    status="unit",
-                    key=key,
-                    fingerprint=entry.fingerprint,
-                    retry_after=self.poll_interval,
-                )
-            if self._finished and not self._pending:
-                self._active_workers.discard(request.worker)
-                self._condition.notify_all()
-                return ClaimResponse(status="done")
-            self._idle_polls_total.inc()
-            return ClaimResponse(status="idle", retry_after=self.poll_interval)
-
     def claim_batch(self, request: ClaimBatchRequest) -> ClaimBatchResponse:
         """Lease up to ``max_units`` pending units, unit payloads inlined.
 
-        One request replaces up to ``max_units`` claim + unit-fetch
-        round-trip pairs of the v1 API; lease, steal and idle/done
-        semantics are identical to :meth:`claim` applied repeatedly.
+        Units are offered in submission order.  A unit is skipped while it
+        has a fresh grant (:meth:`_grant_is_fresh`) or another live owner's
+        lease; an expired lease is stolen.  The answer is ``"units"`` with at
+        least one lease, ``"done"`` once the coordinator is finished and
+        nothing is pending, else ``"idle"``.
         """
         with self._condition:
             table = self._table_for(request.worker)
@@ -509,7 +466,6 @@ class Coordinator:
                 if key not in won:
                     continue
                 self._claims_total.inc()
-                self._unit_fetches_total.inc()
                 self._granted[key] = (request.worker, now)
                 leases.append(
                     LeaseGrant(key=key, fingerprint=entry.fingerprint, unit=entry.document)
@@ -525,14 +481,6 @@ class Coordinator:
                 return ClaimBatchResponse(status="done")
             self._idle_polls_total.inc()
             return ClaimBatchResponse(status="idle", retry_after=self.poll_interval)
-
-    def unit_document(self, key: str) -> Optional[dict[str, Any]]:
-        with self._condition:
-            entry = self._pending.get(key)
-            if entry is None:
-                return None
-            self._unit_fetches_total.inc()
-            return entry.document
 
     def heartbeat(self, request: HeartbeatRequest) -> None:
         with self._condition:
@@ -564,27 +512,6 @@ class Coordinator:
                 self._pending.pop(request.key, None)
                 self._units_pending.set(len(self._pending))
                 self._condition.notify_all()
-
-    def push(self, request: PushRequest) -> tuple[int, dict[str, Any]]:
-        """Verify and store a pushed record; returns ``(status, body)``."""
-        with self._condition:
-            table = self._table_for(request.worker)
-            verdict, error = self._evaluate_push(
-                request.worker, request.key, request.fingerprint, request.record
-            )
-            if verdict == "duplicate":
-                return 200, PushResponse(status="duplicate").as_json()
-            if verdict == "unknown":
-                return 404, {"error": error}
-            if verdict == "rejected":
-                return 409, {"error": error}
-            entry = self._pending.pop(request.key)
-            self.store.put(request.key, request.record, fingerprint=entry.fingerprint)
-            self._finalize_stored(
-                request.worker, table, request.key, request.record, entry
-            )
-            self._condition.notify_all()
-            return 200, PushResponse(status="stored").as_json()
 
     def push_batch(self, request: PushBatchRequest) -> tuple[int, dict[str, Any]]:
         """Validate a batch of pushed records independently; group-commit the good ones.
@@ -780,7 +707,10 @@ class Coordinator:
         """
         self._rejected_pushes_total.inc()
         emit_progress("remote_push_rejected", key=key, worker=worker)
-        body = PushRequest(worker=worker, key=key, fingerprint=fingerprint, record=record)
+        body = PushBatchRequest(
+            worker=worker,
+            entries=(PushEntry(key=key, fingerprint=fingerprint, record=record),),
+        )
         target = self.store.directory / f"{key}.pushrejected-{time.time_ns()}"
         try:
             target.write_text(canonical_json(body.as_json()) + "\n", encoding="utf-8")
@@ -849,13 +779,6 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
                 self._send_text(200, coordinator.render_metrics(), METRICS_CONTENT_TYPE)
             elif self.path == "/api/status":
                 self._send_json(200, coordinator.status_document())
-            elif self.path.startswith("/api/unit/"):
-                key = self.path[len("/api/unit/"):]
-                document = coordinator.unit_document(key)
-                if document is None:
-                    self._send_json(404, {"error": f"unknown unit {key}"})
-                else:
-                    self._send_json(200, {"key": key, "unit": document})
             else:
                 self._send_json(404, {"error": f"unknown path {self.path}"})
         except BrokenPipeError:
@@ -870,15 +793,9 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
             if self.path == "/api/register":
                 response = coordinator.register(RegisterRequest.from_json(body))
                 self._send_json(200, response.as_json())
-            elif self.path == "/api/claim":
-                response = coordinator.claim(ClaimRequest.from_json(body))
-                self._send_json(200, response.as_json())
             elif self.path == "/api/heartbeat":
                 coordinator.heartbeat(HeartbeatRequest.from_json(body))
                 self._send_json(200, {"ok": True})
-            elif self.path == "/api/push":
-                status, document = coordinator.push(PushRequest.from_json(body))
-                self._send_json(status, document)
             elif self.path == "/api/v2/claim":
                 response = coordinator.claim_batch(ClaimBatchRequest.from_json(body))
                 self._send_json(200, response.as_json())
@@ -958,7 +875,7 @@ def idle_backoff_delay(streak: int, base: float, cap: float = 2.0) -> float:
 
 
 class _Prefetch:
-    """One pipelined v2 claim in flight on its own connection.
+    """One pipelined claim in flight on its own connection.
 
     Started right after a batch is received, so the next batch travels the
     wire while the current one executes; :meth:`take` joins and yields the
@@ -1001,23 +918,20 @@ def run_worker(
     request_timeout: float = 30.0,
     transport_faults: Optional[TransportFaultPlan] = None,
     claim_batch: int = 1,
-    push_batch: Optional[int] = None,
-    protocol: Optional[int] = None,
     idle_cap: float = 2.0,
 ) -> WorkerStats:
     """Pull-execute-push units from ``coordinator`` until it says "done".
 
     The complete worker half of remote dispatch: register (retrying until
-    ``connect_timeout`` if the coordinator is not up yet, and falling back
-    to protocol v1 against a pre-batch coordinator), then loop
+    ``connect_timeout`` if the coordinator is not up yet), then loop
     claim → :func:`~repro.exec.executor.execute_unit` → push over one
     keep-alive connection, with a daemon heartbeat thread (its own
-    connection) keeping every held lease alive.  Under the negotiated v2
-    protocol the worker claims up to ``claim_batch`` units per request
-    (unit payloads inlined), pushes records in batches of ``push_batch``
-    (default: ``claim_batch``), and *pipelines* both directions — the next
-    batch is claimed, and the previous batch's records pushed, on their own
-    connections while the current batch executes.  Idle polls back
+    connection) keeping every held lease alive.  The worker claims up to
+    ``claim_batch`` units per request (unit payloads inlined), pushes
+    records in batches of the same size, and with ``claim_batch > 1``
+    *pipelines* both directions — the next batch is claimed, and the
+    previous batch's records pushed, on their own connections while the
+    current batch executes.  Idle polls back
     off exponentially up to ``idle_cap`` seconds (see
     :func:`idle_backoff_delay`); an explicit ``poll`` beats the
     coordinator's idle ``retry_after`` hint, so a low-latency worker can be
@@ -1027,17 +941,13 @@ def run_worker(
     the lease for an immediate retry elsewhere) and its batch-mates
     continue.  ``max_units`` bounds the work taken (for tests);
     ``transport_faults`` injects deterministic push-path faults (for the
-    chaos suite); ``protocol`` forces a handshake version (for compat
-    tests).
+    chaos suite).
     """
     if claim_batch < 1:
         raise ValueError(f"claim_batch must be >= 1, got {claim_batch}")
-    if push_batch is not None and push_batch < 1:
-        raise ValueError(f"push_batch must be >= 1, got {push_batch}")
     worker = worker_id or f"worker-{os.getpid()}-{uuid.uuid4().hex[:8]}"
     client = CoordinatorClient(coordinator, timeout=request_timeout)
-    requested = PROTOCOL_VERSION_BATCH if protocol is None else int(protocol)
-    terms = _register_with_retry(client, worker, connect_timeout, requested)
+    terms = _register_with_retry(client, worker, connect_timeout)
     interval = poll if poll is not None else max(terms.poll_interval, 0.01)
     stats = WorkerStats(worker=worker)
 
@@ -1070,34 +980,19 @@ def run_worker(
     # 20 ms polling must not be slept for the server's (1 s) default.
     honor_retry_hint = poll is None
     try:
-        if terms.protocol >= PROTOCOL_VERSION_BATCH:
-            _worker_loop_v2(
-                client,
-                worker,
-                stats,
-                interval,
-                max_units,
-                claim_batch,
-                push_batch,
-                transport_faults,
-                held,
-                held_lock,
-                honor_retry_hint,
-                idle_cap,
-            )
-        else:
-            _worker_loop_v1(
-                client,
-                worker,
-                stats,
-                interval,
-                max_units,
-                transport_faults,
-                held,
-                held_lock,
-                honor_retry_hint,
-                idle_cap,
-            )
+        _worker_loop(
+            client,
+            worker,
+            stats,
+            interval,
+            max_units,
+            claim_batch,
+            transport_faults,
+            held,
+            held_lock,
+            honor_retry_hint,
+            idle_cap,
+        )
     finally:
         stop.set()
         heartbeat_thread.join(timeout=2.0)
@@ -1106,116 +1001,21 @@ def run_worker(
     return stats
 
 
-def _worker_loop_v1(
-    client: CoordinatorClient,
-    worker: str,
-    stats: WorkerStats,
-    interval: float,
-    max_units: Optional[int],
-    transport_faults: Optional[TransportFaultPlan],
-    held: set[str],
-    held_lock: threading.Lock,
-    honor_retry_hint: bool = True,
-    idle_cap: float = 2.0,
-) -> None:
-    """The single-unit claim → fetch → execute → push loop (protocol v1)."""
-    push_attempts: dict[str, int] = {}
-    consecutive_failures = 0
-    idle_streak = 0
-    while True:
-        if max_units is not None and stats.executed >= max_units:
-            return
-        try:
-            status, body = client.request(
-                "/api/claim", ClaimRequest(worker=worker).as_json()
-            )
-        except OSError:
-            consecutive_failures += 1
-            if consecutive_failures > _CONNECTION_FAILURE_LIMIT:
-                if stats.executed or stats.idle_polls:
-                    return  # the coordinator went away after we served it
-                raise
-            time.sleep(interval)
-            continue
-        consecutive_failures = 0
-        if status != 200:
-            raise RuntimeError(f"claim rejected ({status}): {body.get('error', body)}")
-        claim = ClaimResponse.from_json(body)
-        if claim.status == "done":
-            return
-        if claim.status == "idle":
-            stats.idle_polls += 1
-            idle_streak += 1
-            base = (
-                claim.retry_after
-                if honor_retry_hint and claim.retry_after > 0
-                else interval
-            )
-            time.sleep(idle_backoff_delay(idle_streak, base, cap=idle_cap))
-            continue
-        idle_streak = 0
-        assert claim.key is not None and claim.fingerprint is not None
-        status, body = client.request(f"/api/unit/{claim.key}")
-        if status != 200:
-            continue  # completed or stolen between claim and fetch
-        unit = decode_unit(body.get("unit"))
-        with held_lock:
-            held.add(claim.key)
-        try:
-            record = execute_unit(unit)
-        except Exception as exc:
-            stats.failures += 1
-            with held_lock:
-                held.discard(claim.key)
-            try:
-                client.request(
-                    "/api/fail",
-                    FailureReport(
-                        worker=worker,
-                        key=claim.key,
-                        error=f"{type(exc).__name__}: {exc}",
-                    ).as_json(),
-                )
-            except OSError:
-                pass
-            continue
-        stats.executed += 1
-        try:
-            _push_with_faults(
-                client,
-                PushRequest(
-                    worker=worker,
-                    key=claim.key,
-                    fingerprint=claim.fingerprint,
-                    record=record,
-                ),
-                transport_faults,
-                push_attempts,
-                stats,
-            )
-        finally:
-            with held_lock:
-                held.discard(claim.key)
-
-
-def _worker_loop_v2(
+def _worker_loop(
     client: CoordinatorClient,
     worker: str,
     stats: WorkerStats,
     interval: float,
     max_units: Optional[int],
     claim_batch: int,
-    push_batch: Optional[int],
     transport_faults: Optional[TransportFaultPlan],
     held: set[str],
     held_lock: threading.Lock,
     honor_retry_hint: bool = True,
     idle_cap: float = 2.0,
 ) -> None:
-    """The batched, pipelined claim → execute → push loop (protocol v2)."""
+    """The batched, pipelined claim → execute → push loop."""
     push_attempts: dict[str, int] = {}
-    buffer: list[PushEntry] = []
-    flush_at = push_batch if push_batch is not None else claim_batch
     consecutive_failures = 0
     idle_streak = 0
     prefetch: Optional[_Prefetch] = None
@@ -1230,7 +1030,7 @@ def _worker_loop_v2(
     # connection means pushes can never reorder; the queue is bounded so a
     # slow coordinator backpressures execution instead of buffering results
     # without limit.  A push failure parks in ``push_failures`` and re-raises
-    # on the worker thread at the next flush (or the final drain).
+    # on the worker thread at the next push (or the final drain).
     # Fault-injection runs stay synchronous — the chaos suite asserts on
     # strict request ordering.
     push_client = (
@@ -1253,7 +1053,7 @@ def _worker_loop_v2(
                 return
             try:
                 # After a failure the loop only drains (releasing held keys);
-                # the worker thread re-raises at its next flush.
+                # the worker thread re-raises at its next push.
                 if not push_failures:
                     _push_batch_with_faults(
                         push_client, worker, entries, transport_faults, push_attempts, stats
@@ -1273,12 +1073,11 @@ def _worker_loop_v2(
         if push_failures:
             raise push_failures.pop()
 
-    def flush() -> None:
+    def push(entries: tuple[PushEntry, ...]) -> None:
+        """Push one claimed batch's records (queued to the pusher if pipelined)."""
         nonlocal pusher
-        if not buffer:
+        if not entries:
             return
-        entries = tuple(buffer)
-        buffer.clear()
         if push_queue is None:
             try:
                 _push_batch_with_faults(
@@ -1302,7 +1101,6 @@ def _worker_loop_v2(
         while True:
             remaining = None if max_units is None else max_units - stats.executed
             if remaining is not None and remaining <= 0:
-                flush()
                 drain()
                 return
             want = claim_batch if remaining is None else min(claim_batch, remaining)
@@ -1329,11 +1127,9 @@ def _worker_loop_v2(
                 raise RuntimeError(f"claim rejected ({status}): {body.get('error', body)}")
             claim = ClaimBatchResponse.from_json(body)
             if claim.status == "done":
-                flush()
                 drain()
                 return
             if claim.status == "idle":
-                flush()  # push held results before sleeping on them
                 stats.idle_polls += 1
                 idle_streak += 1
                 base = (
@@ -1348,6 +1144,7 @@ def _worker_loop_v2(
                 held.update(lease.key for lease in claim.leases)
             if prefetch_client is not None:
                 prefetch = _Prefetch(prefetch_client, worker, claim_batch)
+            entries: list[PushEntry] = []
             for lease in claim.leases:
                 try:
                     record = execute_unit(decode_unit(lease.unit))
@@ -1368,12 +1165,10 @@ def _worker_loop_v2(
                         pass
                     continue
                 stats.executed += 1
-                buffer.append(
+                entries.append(
                     PushEntry(key=lease.key, fingerprint=lease.fingerprint, record=record)
                 )
-                if len(buffer) >= flush_at:
-                    flush()
-            flush()
+            push(tuple(entries))
     finally:
         if pusher is not None and push_queue is not None:
             # Sentinel after any queued batches: never abandon a pending push.
@@ -1388,35 +1183,18 @@ def _worker_loop_v2(
 
 
 def _register_with_retry(
-    client: CoordinatorClient,
-    worker: str,
-    connect_timeout: float,
-    version: int = PROTOCOL_VERSION_BATCH,
+    client: CoordinatorClient, worker: str, connect_timeout: float
 ) -> RegisterResponse:
-    """Register, retrying connection failures until the deadline passes.
-
-    A 400 "version mismatch" answer from a pre-batch coordinator downgrades
-    the handshake to v1 and retries, so a new worker keeps serving an old
-    coordinator over the single-unit endpoints.
-    """
+    """Register, retrying connection failures until the deadline passes."""
     deadline = time.monotonic() + connect_timeout
+    request = RegisterRequest(worker=worker, pid=os.getpid(), host=socket.gethostname())
     while True:
-        request = RegisterRequest(
-            worker=worker, pid=os.getpid(), host=socket.gethostname(), version=version
-        )
         try:
             status, body = client.request("/api/register", request.as_json())
         except OSError:
             if time.monotonic() >= deadline:
                 raise
             time.sleep(0.2)
-            continue
-        if (
-            status == 400
-            and version != PROTOCOL_VERSION
-            and "version mismatch" in str(body.get("error", ""))
-        ):
-            version = PROTOCOL_VERSION
             continue
         if status != 200:
             raise RuntimeError(
@@ -1435,11 +1213,12 @@ def _push_batch_with_faults(
 ) -> None:
     """Push a batch of records, applying scheduled transport faults, until acked.
 
-    Fault semantics mirror :func:`_push_with_faults`, aggregated per batch:
-    an entry scheduled ``"slow"`` sleeps once before the push, a
-    ``"dup_push"`` sends one extra batch push first, and a ``"drop"``
-    discards the response and re-pushes the whole batch (the coordinator
-    answers the repeats ``"duplicate"``).  A ``"rejected"`` ack raises
+    Each entry's push attempt draws its fault from ``plan``, aggregated per
+    batch: an entry scheduled ``"slow"`` sleeps once before the push (long
+    enough, under a short TTL, for a lease to be stolen unless heartbeats
+    keep it), a ``"dup_push"`` sends one extra batch push first, and a
+    ``"drop"`` discards the response and re-pushes the whole batch (the
+    coordinator answers the repeats ``"duplicate"``).  A ``"rejected"`` ack raises
     *after* the sibling acks are counted — one bad record never un-stores
     its batch-mates.
     """
@@ -1485,53 +1264,6 @@ def _push_batch_with_faults(
                 f"{len(rejected)} record(s) rejected in batch push ({details})"
             )
         return
-
-
-def _push_with_faults(
-    client: CoordinatorClient,
-    push: PushRequest,
-    plan: Optional[TransportFaultPlan],
-    attempts: dict[str, int],
-    stats: WorkerStats,
-) -> None:
-    """Push a record, applying any scheduled transport faults, until acked.
-
-    ``"slow"`` sleeps before the push (long enough, under a short TTL, for
-    the lease to be stolen); ``"drop"`` performs the push but discards the
-    response and retries (the coordinator answers the retry "duplicate");
-    ``"dup_push"`` sends an extra push first.  Every path ends with an
-    acknowledged ``stored`` or ``duplicate``.
-    """
-    document = push.as_json()
-    connection_failures = 0
-    while True:
-        submission = attempts.get(push.key, 0)
-        attempts[push.key] = submission + 1
-        fault = plan.fault_for(push.key, submission) if plan is not None else None
-        if fault == "slow" and plan is not None:
-            time.sleep(plan.slow_seconds)
-        if fault == "dup_push":
-            try:
-                client.request("/api/push", document)
-            except OSError:
-                pass  # the authoritative push below carries the retry logic
-        try:
-            status, body = client.request("/api/push", document)
-        except OSError:
-            connection_failures += 1
-            if connection_failures > _CONNECTION_FAILURE_LIMIT:
-                raise
-            time.sleep(0.2)
-            continue
-        if fault == "drop":
-            continue  # response "lost": push again, expect a duplicate ack
-        if status == 200:
-            response = PushResponse.from_json(body)
-            stats.pushed += 1
-            if response.status == "duplicate":
-                stats.duplicates += 1
-            return
-        raise RuntimeError(f"push rejected ({status}): {body.get('error', body)}")
 
 
 def cleanup_store_directory(path: Union[str, os.PathLike]) -> None:

@@ -239,10 +239,11 @@ class ResultStore:
         return sorted(self.directory.glob("*.corrupt-*"))
 
     def put(self, key: str, record: dict[str, Any], fingerprint: Optional[dict] = None) -> Path:
-        """Atomically and durably write ``record`` (plus fingerprint) under ``key``."""
-        path = self._write_record(key, record, fingerprint)
-        _fsync_directory(self.directory)
-        return path
+        """Atomically and durably write ``record`` (plus fingerprint) under ``key``.
+
+        A group commit of one record (:meth:`put_many`).
+        """
+        return self.put_many([(key, record, fingerprint)])[0]
 
     def put_many(
         self, items: Sequence[tuple[str, dict[str, Any], Optional[dict]]]
@@ -250,10 +251,10 @@ class ResultStore:
         """Write a batch of ``(key, record, fingerprint)`` items with one group commit.
 
         Every record file is individually written, fsynced and atomically
-        replaced into place — exactly as :meth:`put` does — but the
-        directory fsync that makes the *names* durable is issued once for
-        the whole batch.  The durability point is therefore identical to N
-        sequential ``put`` calls at 1/N the directory fsyncs.
+        replaced into place, but the directory fsync that makes the *names*
+        durable is issued once for the whole batch.  The durability point is
+        therefore identical to N sequential ``put`` calls at 1/N the
+        directory fsyncs.
 
         The batch is committed in phases: every temp file is written, then
         all of them are fsynced, and only then are they replaced into place
@@ -289,6 +290,8 @@ class ResultStore:
             for key, path, tmp, text, handle in staged:
                 handle.close()
                 os.replace(tmp, path)
+                # The cached entry is the round-tripped document, so a cache
+                # hit is byte for byte what a disk read would parse.
                 self._cache_put(key, json.loads(text))
                 paths.append(path)
         finally:
@@ -329,26 +332,6 @@ class ResultStore:
                     max_workers=8, thread_name_prefix="store-fsync"
                 )
             return self._fsync_pool
-
-    def _write_record(
-        self, key: str, record: dict[str, Any], fingerprint: Optional[dict]
-    ) -> Path:
-        """Write + fsync + replace one record file (no directory fsync)."""
-        path = self.path_for(key)
-        document = {"fingerprint": fingerprint or {}, "record": record}
-        # One serialization serves both the disk write and the read cache:
-        # the cached entry is the round-tripped document, so cache hits are
-        # byte-for-byte what a disk read would parse.
-        text = json.dumps(document, default=_jsonable_fallback)
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        self._cache_put(key, json.loads(text))
-        return path
 
     def keys(self) -> list[str]:
         """Keys of all stored records."""

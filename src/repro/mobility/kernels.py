@@ -1,9 +1,10 @@
 """Batch-aware stepping machinery shared by all mobility models.
 
 This module is the *kernel layer* of the mobility package: it owns the
-primitive step rules of the paper's random walks (previously duplicated in
-``repro.walks.engine``) and the machinery that lets one mobility model drive
-both execution backends:
+primitive step rules of the paper's random walks (:func:`lazy_step`,
+:func:`simple_step` and their batched variants, which :mod:`repro.walks`
+re-exports) and the machinery that lets one mobility model drive both
+execution backends:
 
 * **serial** — ``model.step(positions, rng, state)`` advances one trial;
 * **batched** — ``model.step_batch(positions, rngs, states)`` advances an
@@ -50,9 +51,6 @@ PROPOSALS = np.array(
     [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]],
     dtype=np.int64,
 )
-
-# Backwards-compatible alias (the table was private in repro.walks.engine).
-_PROPOSALS = PROPOSALS
 
 #: Most steps in one trial's draw block.
 BLOCK_STEPS = 128

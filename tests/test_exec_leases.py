@@ -219,6 +219,31 @@ class TestExecutorLeases:
         assert report.store_hits == 6
         assert report.lease_conflicts >= 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unit_finished_before_the_claim_is_not_rerun(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        # Regression: the pool path used to execute a unit whose record
+        # another executor stored between run_units' store check and the
+        # lease claim.  A won claim re-checks the store, on every plane.
+        reference = _reference()
+        done = tmp_path / "done"
+        shared = tmp_path / "shared"
+        _sweep(SweepExecutor(jobs=1, chunk_size=CHUNK, store=str(done)))
+        real_claim = LeaseTable.claim
+
+        def claim_after_another_executor_finished(table, key):
+            shutil.copy(done / f"{key}.json", shared / f"{key}.json")
+            return real_claim(table, key)
+
+        monkeypatch.setattr(LeaseTable, "claim", claim_after_another_executor_finished)
+        executor = SweepExecutor(jobs=jobs, chunk_size=CHUNK, store=str(shared))
+        values = _sweep(executor)
+        report = executor.execution_report()
+        assert values == reference
+        assert report.executed == 0
+        assert report.store_hits == 6
+
     def test_expired_foreign_lease_is_stolen_and_unit_requeued(self, tmp_path):
         reference = _reference()
         executor = SweepExecutor(jobs=1, chunk_size=CHUNK, store=str(tmp_path))

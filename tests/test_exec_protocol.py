@@ -21,13 +21,16 @@ from hypothesis import given, settings, strategies as st
 from repro.exec.protocol import (
     PROTOCOL_VERSION,
     REMOTE_KINDS,
-    ClaimRequest,
-    ClaimResponse,
+    ClaimBatchRequest,
+    ClaimBatchResponse,
     FailureReport,
     HeartbeatRequest,
+    LeaseGrant,
     ProtocolError,
-    PushRequest,
-    PushResponse,
+    PushAck,
+    PushBatchRequest,
+    PushBatchResponse,
+    PushEntry,
     RegisterRequest,
     RegisterResponse,
     canonical_json,
@@ -35,7 +38,6 @@ from repro.exec.protocol import (
     decode_unit,
     encode_config,
     encode_unit,
-    unit_is_remotable,
 )
 from repro.exec.seeds import SeedStreamSpec
 from repro.exec.units import WorkUnit, unit_key
@@ -117,11 +119,6 @@ class TestUnitRoundTrip:
         assert encode_unit(decode_unit(wire_trip(document))) == document
 
     @settings(max_examples=max_examples(50), deadline=None)
-    @given(remote_units())
-    def test_remote_kinds_are_remotable(self, unit):
-        assert unit_is_remotable(unit)
-
-    @settings(max_examples=max_examples(50), deadline=None)
     @given(broadcast_configs() | gossip_configs())
     def test_config_codec_round_trips(self, config):
         assert decode_config(wire_trip(encode_config(config))) == config
@@ -172,7 +169,6 @@ class TestStrictDecoding:
         unit = _example_unit(kind="map")
         with pytest.raises(ProtocolError, match="does not cross the wire"):
             encode_unit(unit)
-        assert not unit_is_remotable(unit)
 
     def test_version_mismatch_is_rejected(self):
         document = encode_unit(_example_unit())
@@ -234,6 +230,14 @@ class TestStrictDecoding:
             decode_unit(document)
 
 
+KEYS = st.text(min_size=1, max_size=32)
+SMALL_DOCUMENTS = st.dictionaries(st.text(max_size=6), st.integers(), max_size=3)
+LEASE_GRANTS = st.builds(LeaseGrant, key=KEYS, fingerprint=SMALL_DOCUMENTS, unit=SMALL_DOCUMENTS)
+PUSH_ENTRIES = st.builds(PushEntry, key=KEYS, fingerprint=SMALL_DOCUMENTS, record=SMALL_DOCUMENTS)
+PUSH_ACKS = st.builds(
+    PushAck, key=KEYS, status=st.sampled_from(PushAck.STATUSES), error=st.text(max_size=40)
+)
+
 MESSAGES = st.one_of(
     st.builds(
         RegisterRequest,
@@ -247,34 +251,38 @@ MESSAGES = st.one_of(
         lease_ttl=st.floats(0.1, 600, allow_nan=False),
         poll_interval=st.floats(0.01, 10, allow_nan=False),
     ),
-    st.builds(ClaimRequest, worker=st.text(min_size=1, max_size=12)),
     st.builds(
-        ClaimResponse,
-        status=st.just("unit"),
-        key=st.text(min_size=1, max_size=32),
-        fingerprint=st.dictionaries(st.text(max_size=6), st.integers(), max_size=3),
+        ClaimBatchRequest,
+        worker=st.text(min_size=1, max_size=12),
+        max_units=st.integers(1, 64),
+    ),
+    st.builds(
+        ClaimBatchResponse,
+        status=st.just("units"),
+        leases=st.lists(LEASE_GRANTS, min_size=1, max_size=3).map(tuple),
         retry_after=st.floats(0, 10, allow_nan=False),
     ),
-    st.builds(ClaimResponse, status=st.sampled_from(["idle", "done"])),
+    st.builds(ClaimBatchResponse, status=st.sampled_from(["idle", "done"])),
+    LEASE_GRANTS,
     st.builds(
         HeartbeatRequest,
         worker=st.text(min_size=1, max_size=12),
-        keys=st.lists(st.text(min_size=1, max_size=32), max_size=4).map(tuple),
+        keys=st.lists(KEYS, max_size=4).map(tuple),
     ),
     st.builds(
         FailureReport,
         worker=st.text(min_size=1, max_size=12),
-        key=st.text(min_size=1, max_size=32),
+        key=KEYS,
         error=st.text(max_size=40),
     ),
+    PUSH_ENTRIES,
     st.builds(
-        PushRequest,
+        PushBatchRequest,
         worker=st.text(min_size=1, max_size=12),
-        key=st.text(min_size=1, max_size=32),
-        fingerprint=st.dictionaries(st.text(max_size=6), st.integers(), max_size=3),
-        record=st.dictionaries(st.text(max_size=6), st.integers(), max_size=3),
+        entries=st.lists(PUSH_ENTRIES, min_size=1, max_size=3).map(tuple),
     ),
-    st.builds(PushResponse, status=st.sampled_from(PushResponse.STATUSES)),
+    PUSH_ACKS,
+    st.builds(PushBatchResponse, acks=st.lists(PUSH_ACKS, max_size=3).map(tuple)),
 )
 
 
@@ -286,15 +294,31 @@ class TestMessageRoundTrip:
 
     def test_claim_unit_requires_a_key(self):
         with pytest.raises(ProtocolError):
-            ClaimResponse.from_json({"status": "unit", "key": "", "fingerprint": {}})
+            LeaseGrant.from_json({"key": "", "fingerprint": {}, "unit": {}})
+        # A "units" answer must carry at least one lease.
+        with pytest.raises(ProtocolError):
+            ClaimBatchResponse.from_json({"status": "units", "leases": []})
 
     def test_claim_status_is_validated(self):
         with pytest.raises(ProtocolError):
-            ClaimResponse.from_json({"status": "maybe"})
+            ClaimBatchResponse.from_json({"status": "maybe"})
+        lease = {"key": "k", "fingerprint": {}, "unit": {}}
+        for status in ("idle", "done"):
+            with pytest.raises(ProtocolError):
+                ClaimBatchResponse.from_json({"status": status, "leases": [lease]})
+
+    def test_claim_max_units_must_be_positive(self):
+        for max_units in (0, -1):
+            with pytest.raises(ProtocolError):
+                ClaimBatchRequest.from_json({"worker": "w", "max_units": max_units})
+
+    def test_push_entries_must_not_be_empty(self):
+        with pytest.raises(ProtocolError):
+            PushBatchRequest.from_json({"worker": "w", "entries": []})
 
     def test_push_status_is_validated(self):
         with pytest.raises(ProtocolError):
-            PushResponse.from_json({"status": "rejected"})
+            PushAck.from_json({"key": "k", "status": "maybe"})
 
     def test_heartbeat_keys_must_be_strings(self):
         with pytest.raises(ProtocolError):

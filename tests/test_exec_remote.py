@@ -37,9 +37,12 @@ from repro.exec import (
     unit_key,
 )
 from repro.exec.protocol import (
-    ClaimRequest,
-    ClaimResponse,
-    PushRequest,
+    PROTOCOL_VERSION,
+    ClaimBatchRequest,
+    ClaimBatchResponse,
+    PushBatchRequest,
+    PushBatchResponse,
+    PushEntry,
     RegisterRequest,
 )
 from repro.exec.remote import METRICS_CONTENT_TYPE
@@ -190,10 +193,14 @@ class TestMetricsEndpoint:
                 document = json.loads(response.read().decode("utf-8"))
             assert document["pending"] == 0 and document["finished"] is False
             client = CoordinatorClient(address)
-            status, _ = client.request("/api/unit/no-such-key")
-            assert status == 404
             status, _ = client.request("/definitely-not-an-endpoint")
             assert status == 404
+            # The single-unit endpoints of the pre-batch protocol are gone.
+            status, _ = client.request("/api/unit/no-such-key")
+            assert status == 404
+            for path in ("/api/claim", "/api/push"):
+                status, _ = client.request(path, {"worker": "w"})
+                assert status == 404, path
         finally:
             executor.close()
 
@@ -269,8 +276,8 @@ class TestWorkerDeath:
         try:
             driver.start()
             deadline = time.monotonic() + 60
-            while counter_value(executor, "repro_remote_unit_fetches_total") < 1:
-                assert time.monotonic() < deadline, "victim never fetched a unit"
+            while counter_value(executor, "repro_remote_claims_total") < 1:
+                assert time.monotonic() < deadline, "victim never claimed a unit"
                 assert victim.poll() is None, "victim exited prematurely"
                 time.sleep(0.05)
             time.sleep(1.0)  # let the victim finish executing and enter the sleep
@@ -316,34 +323,37 @@ class TestPushValidation:
                 "/api/register", RegisterRequest(worker="w").as_json()
             )
             assert status == 200
-            status, body = client.request("/api/claim", ClaimRequest(worker="w").as_json())
-            claim = ClaimResponse.from_json(body)
-            assert (status, claim.status, claim.key) == (200, "unit", key)
+            status, body = client.request(
+                "/api/v2/claim", ClaimBatchRequest(worker="w", max_units=1).as_json()
+            )
+            claim = ClaimBatchResponse.from_json(body)
+            assert status == 200 and claim.status == "units"
+            assert [lease.key for lease in claim.leases] == [key]
 
             record = execute_unit(unit)
 
+            def push(push_key, push_fingerprint, push_record):
+                """One entry through /api/v2/push; returns (http status, its ack)."""
+                entry = PushEntry(key=push_key, fingerprint=push_fingerprint, record=push_record)
+                status, body = client.request(
+                    "/api/v2/push", PushBatchRequest(worker="w", entries=(entry,)).as_json()
+                )
+                (ack,) = PushBatchResponse.from_json(body).acks
+                return status, ack
+
             # Fingerprint mismatch: rejected, quarantined, store untouched.
-            status, body = client.request(
-                "/api/push",
-                PushRequest(
-                    worker="w", key=key, fingerprint={"forged": True}, record=record
-                ).as_json(),
-            )
-            assert status == 409 and "fingerprint" in body["error"]
+            status, ack = push(key, {"forged": True}, record)
+            assert (status, ack.status) == (200, "rejected") and "fingerprint" in ack.error
 
             # Right fingerprint, truncated record: rejected too.
             truncated = dict(record, values=record["values"][:1])
-            status, body = client.request(
-                "/api/push",
-                PushRequest(
-                    worker="w", key=key, fingerprint=fingerprint, record=truncated
-                ).as_json(),
-            )
-            assert status == 409 and "corrupt record" in body["error"]
+            status, ack = push(key, fingerprint, truncated)
+            assert (status, ack.status) == (200, "rejected")
+            assert "corrupt record" in ack.error
 
             # Garbage body: a protocol error, not a server error.
             request = urllib.request.Request(
-                f"{coordinator.address}/api/push",
+                f"{coordinator.address}/api/v2/push",
                 data=b"not json at all",
                 method="POST",
             )
@@ -351,14 +361,9 @@ class TestPushValidation:
                 urllib.request.urlopen(request, timeout=10)
             assert excinfo.value.code == 400
 
-            # Unknown key: 404.
-            status, _ = client.request(
-                "/api/push",
-                PushRequest(
-                    worker="w", key="f" * 32, fingerprint=fingerprint, record=record
-                ).as_json(),
-            )
-            assert status == 404
+            # Unknown key: rejected, but nothing to quarantine.
+            status, ack = push("f" * 32, fingerprint, record)
+            assert (status, ack.status) == (200, "rejected") and "unknown unit" in ack.error
 
             store = coordinator.store
             assert key not in store
@@ -367,33 +372,18 @@ class TestPushValidation:
             assert coordinator.registry.get("repro_remote_rejected_pushes_total").value == 2
 
             # The honest push still lands, and the store resumes from it.
-            status, body = client.request(
-                "/api/push",
-                PushRequest(
-                    worker="w", key=key, fingerprint=fingerprint, record=record
-                ).as_json(),
-            )
-            assert (status, body["status"]) == (200, "stored")
+            status, ack = push(key, fingerprint, record)
+            assert (status, ack.status) == (200, "stored")
             coordinator.wait([key], timeout=10)
             assert store.get(key, fingerprint) == json.loads(json.dumps(record))
 
             # Byte-equal re-push is idempotent; a conflicting one is not.
-            status, body = client.request(
-                "/api/push",
-                PushRequest(
-                    worker="w", key=key, fingerprint=fingerprint, record=record
-                ).as_json(),
-            )
-            assert (status, body["status"]) == (200, "duplicate")
+            status, ack = push(key, fingerprint, record)
+            assert (status, ack.status) == (200, "duplicate")
             conflicting = json.loads(json.dumps(record))
             conflicting["values"] = [v + 1 for v in conflicting["values"]]
-            status, body = client.request(
-                "/api/push",
-                PushRequest(
-                    worker="w", key=key, fingerprint=fingerprint, record=conflicting
-                ).as_json(),
-            )
-            assert status == 409
+            status, ack = push(key, fingerprint, conflicting)
+            assert (status, ack.status) == (200, "rejected")
         finally:
             coordinator.close(linger=0.0)
 
@@ -401,10 +391,16 @@ class TestPushValidation:
         coordinator = Coordinator(tmp_path / "store", lease_ttl=5.0)
         try:
             client = CoordinatorClient(coordinator.address)
-            status, body = client.request(
-                "/api/register", RegisterRequest(worker="w", version=99).as_json()
+            # Version 1 is a worker from before the single batched protocol.
+            for version in (1, PROTOCOL_VERSION + 1, 99):
+                status, body = client.request(
+                    "/api/register", RegisterRequest(worker="w", version=version).as_json()
+                )
+                assert status == 400 and "version mismatch" in body["error"], version
+            status, _ = client.request(
+                "/api/register", RegisterRequest(worker="w").as_json()
             )
-            assert status == 400 and "version mismatch" in body["error"]
+            assert status == 200
         finally:
             coordinator.close(linger=0.0)
 

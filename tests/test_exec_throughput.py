@@ -3,9 +3,9 @@
 Three contracts pinned here:
 
 * **Topology invariance** — a sweep executed through any combination of
-  claim batch, push batch and worker count (including under transport
-  faults on the batch endpoints) merges bit-for-bit identical to the plain
-  ``--jobs 1`` run.  The batching is a throughput optimisation, never an
+  claim batch and worker count (including under transport faults on the
+  batch endpoints), or any pool chunk and job count, merges bit-for-bit
+  identical to the plain ``--jobs 1`` run.  The batching is a throughput optimisation, never an
   observable behaviour change.
 * **Batch isolation** — one corrupt record in a pushed batch is rejected
   and quarantined on its own; its batch-mates are stored.  A crash in the
@@ -81,9 +81,7 @@ def _assert_same_run(actual, expected):
         assert np.array_equal(result.informed_curve, ref.informed_curve)
 
 
-def _run_topology(
-    tmp_path, workers, claim_batch, push_batch, transport_faults=None, lease_ttl=5.0
-):
+def _run_topology(tmp_path, workers, claim_batch, transport_faults=None, lease_ttl=5.0):
     executor = SweepExecutor(
         dispatch="remote", store=tmp_path / "store", lease_ttl=lease_ttl
     )
@@ -96,7 +94,6 @@ def _run_topology(
                 worker_id=f"topo-{index}",
                 poll=0.02,
                 claim_batch=claim_batch,
-                push_batch=push_batch,
                 idle_cap=0.1,
                 transport_faults=transport_faults,
             )
@@ -119,21 +116,16 @@ def _run_topology(
 
 
 class TestTopologyEquivalence:
-    """Any (claim batch x push batch x workers) topology == the jobs=1 run."""
+    """Any (claim batch x workers) or (pool chunk x jobs) topology == the jobs=1 run."""
 
     @settings(max_examples=6, deadline=None)
     @given(
         workers=st.sampled_from([1, 2]),
         claim_batch=st.sampled_from([1, 2, 5]),
-        push_batch=st.sampled_from([None, 1, 3]),
     )
-    def test_remote_topologies_match_inline(
-        self, tmp_path_factory, workers, claim_batch, push_batch
-    ):
+    def test_remote_topologies_match_inline(self, tmp_path_factory, workers, claim_batch):
         tmp_path = tmp_path_factory.mktemp("topo")
-        executor, outcome, stats = _run_topology(
-            tmp_path, workers, claim_batch, push_batch
-        )
+        executor, outcome, stats = _run_topology(tmp_path, workers, claim_batch)
         _assert_same_run(outcome, _reference())
         units = len(executor.store.keys())
         assert sum(s.executed for s in stats) == units
@@ -160,7 +152,7 @@ class TestTopologyEquivalence:
         # "duplicate" at least once (a mixed drop+dup batch can repeat).
         plan = TransportFaultPlan(drop_rate=0.5, dup_push_rate=0.5)
         executor, outcome, stats = _run_topology(
-            tmp_path, workers=2, claim_batch=3, push_batch=2, transport_faults=plan
+            tmp_path, workers=2, claim_batch=3, transport_faults=plan
         )
         _assert_same_run(outcome, _reference())
         units = len(executor.store.keys())
@@ -178,7 +170,6 @@ class TestTopologyEquivalence:
             tmp_path,
             workers=1,
             claim_batch=4,
-            push_batch=4,
             transport_faults=plan,
             lease_ttl=0.3,
         )

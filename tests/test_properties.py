@@ -12,7 +12,7 @@ from repro.core.protocol import flood_informed, flood_rumors
 from repro.grid.geometry import chebyshev_distance, euclidean_distance, manhattan_distance, pairwise_manhattan
 from repro.grid.lattice import Grid2D
 from repro.grid.tessellation import Tessellation
-from repro.walks.engine import lazy_step, simple_step
+from repro.mobility.kernels import lazy_step, simple_step
 
 from strategies import point_sets as point_sets_strategy, points
 

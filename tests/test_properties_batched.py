@@ -156,7 +156,12 @@ class TestBatchedStepping:
     ):
         from repro.grid.lattice import Grid2D
         from repro.util.rng import spawn_rngs
-        from repro.walks.engine import lazy_step, lazy_step_batch, simple_step, simple_step_batch
+        from repro.mobility.kernels import (
+            lazy_step,
+            lazy_step_batch,
+            simple_step,
+            simple_step_batch,
+        )
 
         grid = Grid2D(side)
         init = np.random.default_rng(seed).integers(0, side, size=(n_trials, k, 2))

@@ -1,44 +1,13 @@
-"""Tests for the walk engine (repro.walks.walkers + the primitive rules).
-
-Imports deliberately go through the deprecated ``repro.walks.engine`` shim so
-its re-exports stay covered; a regression test below asserts that no module
-under ``src/`` imports the shim itself.
-"""
+"""Tests for the walk engine (repro.walks.walkers + the primitive rules)."""
 
 from __future__ import annotations
-
-import re
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.grid.lattice import Grid2D
-from repro.walks.engine import WalkEngine, lazy_step, simple_step
-
-
-class TestEngineShim:
-    def test_shim_reexports_kernel_layer(self):
-        import repro.mobility.kernels as kernels
-        import repro.walks.engine as engine
-        import repro.walks.walkers as walkers
-
-        assert engine.lazy_step is kernels.lazy_step
-        assert engine.simple_step is kernels.simple_step
-        assert engine.apply_lazy_choices is kernels.apply_lazy_choices
-        assert engine.WalkEngine is walkers.WalkEngine
-
-    def test_no_src_module_imports_the_shim(self):
-        """The shim exists for external callers only: ``src/`` must not use it."""
-        src = Path(__file__).resolve().parent.parent / "src"
-        pattern = re.compile(r"^\s*(from\s+repro\.walks\.engine\s+import|import\s+repro\.walks\.engine)", re.M)
-        offenders = [
-            str(path.relative_to(src))
-            for path in sorted(src.rglob("*.py"))
-            if not (path.parent.name == "walks" and path.name == "engine.py")
-            and pattern.search(path.read_text(encoding="utf-8"))
-        ]
-        assert offenders == []
+from repro.mobility.kernels import lazy_step, simple_step
+from repro.walks.walkers import WalkEngine
 
 
 class TestLazyStep:
