@@ -229,8 +229,13 @@ def replicate(
     from repro.exec.executor import map_replications
 
     n_replications = check_positive_int(n_replications, "n_replications")
-    values = [float(v) for v in map_replications(factory, n_replications, seed)]
-    return summarise_values(values)
+    values = map_replications(_factory_values, n_replications, seed, kwargs={"factory": factory})
+    return summarise_values([float(v) for v in values])
+
+
+def _factory_values(rngs, factory: Callable[[np.random.Generator], float]) -> list[float]:
+    """``factory(rng)`` per generator (the map function behind :func:`replicate`)."""
+    return [factory(rng) for rng in rngs]
 
 
 #: Process-wide backend override installed by :func:`backend_override`.

@@ -11,8 +11,9 @@ Public surface of the ``repro.exec`` subsystem:
 * :func:`execution_override` / :func:`current_executor` — the ambient
   override through which ``--jobs`` / ``--resume`` reach every experiment's
   replication loops;
-* :func:`map_replications` — the executor-aware per-trial map experiments
-  use for custom (non broadcast/gossip) replication loops;
+* :func:`map_replications` — the executor-aware batch map experiments use
+  for custom (non broadcast/gossip) replication loops: one call of
+  ``fn(rngs, **kwargs)`` per unit, one payload per trial;
 * :class:`WorkUnit` / :func:`unit_key` / :class:`SeedStreamSpec` — the
   work-unit model, for building custom sweeps on the executor directly;
 * :class:`RetryPolicy` / :class:`ExecutionReport` — the fault-tolerance

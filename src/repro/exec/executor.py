@@ -79,7 +79,7 @@ from repro.exec.units import (
     record_matches_unit,
     unit_key,
 )
-from repro.util.rng import SeedLike, spawn_rngs
+from repro.util.rng import RandomState, SeedLike, spawn_rngs
 from repro.util.serialization import to_jsonable
 
 #: Environment variable selecting the multiprocessing start method
@@ -408,12 +408,25 @@ def _execute_process_unit(unit: WorkUnit) -> dict[str, Any]:
 
 
 def _execute_map_unit(unit: WorkUnit) -> dict[str, Any]:
-    fn: Callable[..., Any] = unit.payload["fn"]
-    kwargs = dict(unit.payload.get("kwargs") or {})
-    trials = []
-    for rng in unit.seed.trial_rngs(unit.start, unit.stop):
-        trials.append(to_jsonable(fn(rng, **kwargs)))
-    return {"trials": trials}
+    payloads = _call_map(
+        unit.payload["fn"],
+        unit.seed.trial_rngs(unit.start, unit.stop),
+        unit.payload.get("kwargs") or {},
+    )
+    return {"trials": [to_jsonable(payload) for payload in payloads]}
+
+
+def _call_map(
+    fn: Callable[..., Any], rngs: list[RandomState], kwargs: Mapping[str, Any]
+) -> list[Any]:
+    """The one call of a map function: ``fn(rngs, **kwargs)``, one payload per generator."""
+    payloads = list(fn(rngs, **kwargs))
+    if len(payloads) != len(rngs):
+        raise ValueError(
+            f"map function {getattr(fn, '__qualname__', fn)!r} returned "
+            f"{len(payloads)} payloads for {len(rngs)} generators"
+        )
+    return payloads
 
 
 #: Result-dataclass integer-array fields carried through records; for
@@ -1457,10 +1470,12 @@ class SweepExecutor:
         kwargs: Optional[Mapping[str, Any]] = None,
         label: Optional[str] = None,
     ) -> list[Any]:
-        """Sharded per-trial map: ``fn(rng, **kwargs)`` for every trial.
+        """Sharded map: ``fn(rngs, **kwargs)`` once per unit, on its trials' streams.
 
-        ``fn`` must be module-level (picklable) and return a JSON-able
-        payload; trial payloads come back in trial order.  Unpicklable
+        ``fn`` must be module-level (picklable) and return one JSON-able
+        payload per generator, in order; trial payloads come back in trial
+        order.  The generators are discarded afterwards, so ``fn`` may draw
+        past a trial's last use of its stream.  Unpicklable
         payloads (e.g. closures) degrade gracefully to chunked in-process
         execution, but are excluded from the result store — captured state
         is invisible to the content fingerprint, so caching them could
@@ -1540,19 +1555,21 @@ def map_replications(
     kwargs: Optional[Mapping[str, Any]] = None,
     label: Optional[str] = None,
 ) -> list[Any]:
-    """Run ``fn(rng, **kwargs)`` for ``n_replications`` independent streams.
+    """Payloads of ``n_replications`` independent streams, from batch calls of ``fn``.
 
-    The executor-aware replication map: with no active
-    :func:`execution_override`, trials run inline on streams from
-    :func:`repro.util.rng.spawn_rngs` — bit-for-bit the classic experiment
-    loop.  Under an active executor the same streams are re-derived per
-    chunk and trials are sharded (and, with a store, resumable).  Trial
-    return values must be JSON-able for the two paths to be interchangeable.
+    The executor-aware replication map.  ``fn(rngs, **kwargs)`` takes a list
+    of per-trial generators and returns one payload per generator, in
+    order, each a function of its own generator's stream alone; the
+    generators are discarded afterwards, so ``fn`` may draw past a trial's
+    last use of its stream.  With no active :func:`execution_override`, one
+    call receives every stream, from :func:`repro.util.rng.spawn_rngs`.
+    Under an active executor each unit's call receives the same streams of
+    its chunk, and units are sharded (and, with a store, resumable).
+    Payloads must be JSON-able for the two paths to be interchangeable.
     """
     executor = current_executor()
     if executor is None:
-        rngs = spawn_rngs(seed, n_replications)
-        return [fn(rng, **dict(kwargs or {})) for rng in rngs]
+        return _call_map(fn, spawn_rngs(seed, n_replications), kwargs or {})
     return executor.map_replications(
         fn, n_replications, seed, kwargs=kwargs, label=label
     )

@@ -18,8 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Mapping, Optional
 
 from repro.exec.seeds import SeedStreamSpec
 
@@ -39,13 +39,15 @@ class WorkUnit:
     kind:
         ``"broadcast"`` / ``"gossip"`` (a simulation config payload),
         ``"process"`` (a registered dissemination process-kernel spec) or
-        ``"map"`` (a module-level trial function payload).
+        ``"map"`` (a module-level batch map function payload).
     payload:
         Kind-specific work description.  For simulation kinds:
         ``{"config": BroadcastConfig | GossipConfig}``.  For process kind:
         ``{"process": {"name": ..., "kwargs": {...}}}`` (a
         :attr:`repro.dissemination.kernels.ProcessKernel.spec`).  For map
-        kind: ``{"fn": <module-level callable>, "kwargs": {...}}``.
+        kind: ``{"fn": <module-level callable>, "kwargs": {...}}``, where
+        ``fn(rngs, **kwargs)`` returns one payload per generator of the
+        chunk's trials.
     n_replications:
         Total number of trials at this sweep point (the chunk is a slice of
         this range; the total is part of the identity so chunk layouts of

@@ -24,9 +24,11 @@ EXPERIMENT_ID = "E4"
 TITLE = "Maximum island size below the percolation point (Lemma 6)"
 
 
-def _island_trial(rng: RandomState, n_nodes: int, k: int, gamma: float) -> dict:
-    """One uniform placement (executor work unit): island-size statistics."""
-    return sample_island_sizes(Grid2D.from_nodes(n_nodes), k, gamma, rng)
+def _island_trials(rngs: list[RandomState], n_nodes: int, k: int, gamma: float) -> list[dict]:
+    """Uniform placements, one per generator (executor map function):
+    island-size statistics."""
+    grid = Grid2D.from_nodes(n_nodes)
+    return [sample_island_sizes(grid, k, gamma, rng) for rng in rngs]
 
 
 def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:
@@ -46,7 +48,7 @@ def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:
         # Placements are independent samples, so the point-internal sampling
         # shards through the executor like any replication range.
         records = map_replications(
-            _island_trial,
+            _island_trials,
             samples,
             seed=rng,
             kwargs={"n_nodes": grid.n_nodes, "k": n_agents, "gamma": gamma},

@@ -23,11 +23,11 @@ EXPERIMENT_ID = "E5"
 TITLE = "Pairwise meeting probability within d^2 steps (Lemma 3)"
 
 
-def _meeting_trial(rng: RandomState, side: int, d: int, rule: str) -> dict:
-    """One pair of walks (executor work unit): did they meet, and in the lens?"""
+def _meeting_trials(rngs: list[RandomState], side: int, d: int, rule: str) -> list[dict]:
+    """Pairs of walks, one per generator (executor map function): did each
+    pair meet, and in the lens?"""
     experiment = MeetingExperiment(Grid2D(side), d, rule=rule)
-    met, in_lens = experiment.run_trial(rng)
-    return {"met": bool(met), "in_lens": bool(in_lens)}
+    return [{"met": met, "in_lens": in_lens} for met, in_lens in experiment.run_trials(rngs)]
 
 
 def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:
@@ -48,7 +48,7 @@ def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:
         # through the executor like any replication range.
         experiment = MeetingExperiment(grid, d, rule="simple")
         records = map_replications(
-            _meeting_trial,
+            _meeting_trials,
             trials,
             seed=rng,
             kwargs={"side": side, "d": d, "rule": "simple"},

@@ -33,10 +33,18 @@ def _max_advance(history, window: int) -> int:
     return int(max(history[i + window] - history[i] for i in range(len(history) - window)))
 
 
+def _frontier_trials(
+    rngs: list[RandomState], n_nodes: int, n_agents: int, radius: float, window: int
+) -> list[dict]:
+    """Frontier-tracked broadcast replications, one per generator (executor
+    map function)."""
+    return [_frontier_trial(rng, n_nodes, n_agents, radius, window) for rng in rngs]
+
+
 def _frontier_trial(
     rng: RandomState, n_nodes: int, n_agents: int, radius: float, window: int
 ) -> dict:
-    """One frontier-tracked broadcast replication (executor work unit)."""
+    """One frontier-tracked broadcast replication."""
     config = BroadcastConfig(
         n_nodes=n_nodes,
         n_agents=n_agents,
@@ -67,7 +75,7 @@ def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:
     advance_bound = lemma7_frontier_advance_bound(n_nodes, n_agents)
 
     trials = map_replications(
-        _frontier_trial,
+        _frontier_trials,
         replications,
         seed=seed,
         kwargs={

@@ -24,11 +24,12 @@ EXPERIMENT_ID = "E13"
 TITLE = "Giant component fraction vs transmission radius (percolation)"
 
 
-def _giant_trial(rng: RandomState, n_nodes: int, k: int, radius: float) -> float:
-    """One uniform placement (executor work unit): giant-component fraction."""
+def _giant_trials(rngs: list[RandomState], n_nodes: int, k: int, radius: float) -> list[float]:
+    """Uniform placements, one per generator (executor map function):
+    giant-component fractions."""
     grid = Grid2D.from_nodes(n_nodes)
-    positions = grid.random_positions(k, rng)
-    return float(largest_component_fraction(visibility_components(positions, radius)))
+    labels = [visibility_components(grid.random_positions(k, rng), radius) for rng in rngs]
+    return [float(largest_component_fraction(trial)) for trial in labels]
 
 
 def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:
@@ -48,7 +49,7 @@ def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:
     fractions = np.empty(radii.shape[0], dtype=np.float64)
     for idx, (rng, radius) in enumerate(zip(rngs, radii)):
         records = map_replications(
-            _giant_trial,
+            _giant_trials,
             samples,
             seed=rng,
             kwargs={"n_nodes": grid.n_nodes, "k": n_agents, "radius": float(radius)},

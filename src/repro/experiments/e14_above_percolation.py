@@ -28,8 +28,16 @@ BELOW_FACTOR = 0.25
 ABOVE_FACTOR = 2.0
 
 
+def _regime_trials(
+    rngs: list[RandomState], n_nodes: int, n_agents: int, radius_below: float
+) -> list[dict]:
+    """Paired below/above-percolation replications, one per generator
+    (executor map function)."""
+    return [_regime_trial(rng, n_nodes, n_agents, radius_below) for rng in rngs]
+
+
 def _regime_trial(rng: RandomState, n_nodes: int, n_agents: int, radius_below: float) -> dict:
-    """One paired below/above-percolation replication (executor work unit).
+    """One paired below/above-percolation replication.
 
     The below/above runs draw from the trial stream's two spawned children,
     exactly like the pre-executor loop.
@@ -54,7 +62,7 @@ def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:
     radius_below = BELOW_FACTOR * r_c
 
     trials = map_replications(
-        _regime_trial,
+        _regime_trials,
         replications,
         seed=seed,
         kwargs={"n_nodes": n_nodes, "n_agents": n_agents, "radius_below": radius_below},

@@ -21,21 +21,21 @@ from repro.grid.lattice import Grid2D
 from repro.theory.lemmas import lemma2_range_lower
 from repro.util.rng import RandomState, SeedLike, spawn_rngs
 from repro.walks.range_stats import RangeStatistics
-from repro.walks.single import distinct_nodes_visited, max_displacement, walk_trajectory
+from repro.walks.single import walk_ranges
 from repro.workloads.configs import get_workload
 
 EXPERIMENT_ID = "E15"
 TITLE = "Walk range R_l and displacement vs walk length (Lemma 2)"
 
 
-def _range_trial(rng: RandomState, side: int, steps: int) -> dict:
-    """One walk (executor work unit): range and maximum displacement."""
+def _range_trials(rngs: list[RandomState], side: int, steps: int) -> list[dict]:
+    """Walks from the centre, one per generator (executor map function):
+    range and maximum displacement."""
     grid = Grid2D(side)
-    traj = walk_trajectory(grid, grid.center(), steps, rng=rng)
-    return {
-        "range": int(distinct_nodes_visited(traj, grid)),
-        "displacement": int(max_displacement(traj)),
-    }
+    ranges, displacements = walk_ranges(grid, grid.center(), steps, rngs)
+    return [
+        {"range": int(r), "displacement": int(d)} for r, d in zip(ranges, displacements)
+    ]
 
 
 def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:
@@ -53,7 +53,7 @@ def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:
         # Walks are independent samples, so the point-internal sampling
         # shards through the executor like any replication range.
         records = map_replications(
-            _range_trial,
+            _range_trials,
             trials,
             seed=rng,
             kwargs={"side": side, "steps": length},

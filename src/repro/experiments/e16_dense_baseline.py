@@ -23,21 +23,22 @@ EXPERIMENT_ID = "E16"
 TITLE = "Dense-model baseline: broadcast time vs exchange radius R"
 
 
-def _dense_trial(
-    rng: RandomState, n_nodes: int, n_agents: int, exchange_radius: int, jump_radius: int
-) -> dict:
-    """One replication of the dense-model broadcast (executor work unit)."""
+def _dense_trials(
+    rngs: list[RandomState], n_nodes: int, n_agents: int, exchange_radius: int, jump_radius: int
+) -> list[dict]:
+    """Replications of the dense-model broadcast, one per generator (executor
+    map function)."""
     sim = DenseModelSimulation(
         n_nodes=n_nodes,
         n_agents=n_agents,
         exchange_radius=exchange_radius,
         jump_radius=jump_radius,
     )
-    result = sim.run(rng=rng)
-    return {
-        "broadcast_time": int(result.broadcast_time),
-        "completed": bool(result.completed),
-    }
+    results = [sim.run(rng=rng) for rng in rngs]
+    return [
+        {"broadcast_time": int(result.broadcast_time), "completed": bool(result.completed)}
+        for result in results
+    ]
 
 
 def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:
@@ -54,7 +55,7 @@ def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:
     means: list[float] = []
     for rng, radius in zip(rngs, exchange_radii):
         trials = map_replications(
-            _dense_trial,
+            _dense_trials,
             replications,
             seed=rng,
             kwargs={

@@ -230,7 +230,7 @@ def run_barrier_broadcast_replications(
     from repro.exec.executor import map_replications
 
     raw = map_replications(
-        _line_of_sight_trial,
+        _line_of_sight_trials,
         n_replications,
         seed,
         kwargs={
@@ -247,23 +247,27 @@ def run_barrier_broadcast_replications(
     return summary, results
 
 
-def _line_of_sight_trial(
-    rng,
+def _line_of_sight_trials(
+    rngs,
     domain: ObstacleGrid,
     n_agents: int,
     radius: float,
     block_communication: bool,
     max_steps: int,
-) -> BarrierBroadcastResult:
-    """One serial line-of-sight replication (executor map-unit trial)."""
-    return BarrierBroadcastSimulation(
-        domain,
-        n_agents,
-        radius=radius,
-        block_communication=block_communication,
-        max_steps=max_steps,
-        rng=rng,
-    ).run()
+) -> list[BarrierBroadcastResult]:
+    """Serial line-of-sight replications, one per generator (executor map
+    function)."""
+    return [
+        BarrierBroadcastSimulation(
+            domain,
+            n_agents,
+            radius=radius,
+            block_communication=block_communication,
+            max_steps=max_steps,
+            rng=rng,
+        ).run()
+        for rng in rngs
+    ]
 
 
 def _barrier_result(item) -> BarrierBroadcastResult:

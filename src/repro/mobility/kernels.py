@@ -26,7 +26,9 @@ after the draw are unchanged, and the block is half the size.  The serial
 :func:`lazy_step` keeps int64.  A trial's block holds at most
 :data:`BLOCK_STEPS` steps and, down to a single step, at most
 :data:`BLOCK_BYTES` bytes; this bounds both the block buffer and the spare
-that :meth:`BlockDrawStepper.prefetch` fills.
+that :meth:`BlockDrawStepper.prefetch` fills.  :class:`TapeStepper` gives
+each trial its own cursor into such a block, for walks whose draws per step
+differ between trials.
 
 Per-trial auxiliary state (e.g. waypoints) lives in explicit
 :class:`MobilityState` objects created by ``model.init_state`` rather than on
@@ -262,6 +264,96 @@ class PerTrialStepper(BatchStepper):
                 positions[row], self._rngs[trial], self._states[trial]
             )
         return out
+
+
+class TapeStepper(BatchStepper):
+    """Step the paper's walks with each trial reading its own draw tape.
+
+    Row ``i`` of the tape buffers the next proposals of ``rngs[i]`` as
+    int32: ``integers(0, 5)`` for the lazy walk, ``integers(1, 5)`` for the
+    simple walk.  numpy's bounded integer draws are chunk-invariant — draws
+    of sizes ``a`` and then ``b`` equal one draw of size ``a + b``, in values
+    and in the generator state after them — so a trial that reads its tape
+    value by value sees exactly the values :func:`lazy_step` or
+    :func:`simple_step` would draw call by call.  Unlike
+    :class:`BlockDrawStepper`'s one cursor for the whole batch, every trial
+    keeps its own cursor, so the simple walk's rejection redraws (a
+    data-dependent number of draws per step) batch bit for bit as well.
+
+    A tape holds :data:`BLOCK_STEPS` steps of ``n_walkers`` proposals, and at
+    most :data:`BLOCK_BYTES` bytes, per trial; a refill keeps a trial's
+    unread values and draws as many as it read.  So a trial may draw past
+    its last step: the generators must not be used after the stepper.
+    """
+
+    def __init__(
+        self, grid: Grid2D, rngs: Sequence[RandomState], rule: StepRule, n_walkers: int
+    ) -> None:
+        if rule not in ("lazy", "simple"):
+            raise ValueError(f"rule must be 'lazy' or 'simple', got {rule!r}")
+        self._side = grid.side
+        self._rngs = list(rngs)
+        self._rule = rule
+        self._low = 0 if rule == "lazy" else 1
+        self._walkers = np.arange(n_walkers)
+        block = max(1, min(BLOCK_STEPS, BLOCK_BYTES // (4 * n_walkers)))
+        self._tape = np.empty((len(self._rngs), block * n_walkers), dtype=np.int32)
+        self._cursor = np.full(len(self._rngs), self._tape.shape[1], dtype=np.int64)
+
+    def _read(self, trials: np.ndarray, wanted: Optional[np.ndarray] = None) -> np.ndarray:
+        """The next proposals of ``trials``: one per walker, or per True of ``wanted``.
+
+        ``wanted`` is an ``(A, n_walkers)`` mask; the True entries of row
+        ``j`` receive trial ``trials[j]``'s next values in walker order, and
+        the False entries are left unspecified.
+        """
+        width = self._tape.shape[1]
+        cursor = self._cursor[trials]
+        short = cursor > width - self._walkers.size
+        if short.any():
+            self._refill(trials[short])
+            cursor = self._cursor[trials]
+        if wanted is None:
+            offsets = cursor[:, None] + self._walkers
+            self._cursor[trials] = cursor + self._walkers.size
+        else:
+            taken = np.cumsum(wanted, axis=1)
+            offsets = cursor[:, None] + taken - wanted
+            self._cursor[trials] = cursor + taken[:, -1]
+        return self._tape.take(offsets + (trials * width)[:, None])
+
+    def _refill(self, trials: np.ndarray) -> None:
+        width = self._tape.shape[1]
+        for trial in trials.tolist():
+            read = int(self._cursor[trial])
+            row = self._tape[trial]
+            row[: width - read] = row[read:]
+            row[width - read :] = self._rngs[trial].integers(
+                self._low, 5, size=read, dtype=np.int32
+            )
+            self._cursor[trial] = 0
+
+    def _off_grid(self, proposed: np.ndarray) -> np.ndarray:
+        outside = (proposed < 0) | (proposed >= self._side)
+        return outside[..., 0] | outside[..., 1]
+
+    def step(self, positions: np.ndarray, active: np.ndarray) -> np.ndarray:
+        moved = positions + PROPOSALS.take(self._read(active), axis=0)
+        if self._rule == "lazy":
+            # A proposal moves one coordinate by one, so clipping an off-grid
+            # proposal back into the grid rejects it: the walker stays.
+            return np.minimum(np.maximum(moved, 0, out=moved), self._side - 1, out=moved)
+        # The simple walk redraws each off-grid proposal, walkers in order.
+        pending = self._off_grid(moved)
+        while pending.any():
+            rows = np.flatnonzero(pending.any(axis=1))
+            wanted = pending[rows]
+            proposed = positions[rows] + PROPOSALS.take(
+                self._read(active[rows], wanted), axis=0
+            )
+            moved[rows] = np.where(wanted[..., None], proposed, moved[rows])
+            pending[rows] = wanted & self._off_grid(proposed)
+        return moved
 
 
 class NoDrawStepper(BatchStepper):

@@ -20,12 +20,13 @@ constraint and obeys the same asymptotic bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.grid.lattice import Grid2D
 from repro.grid.geometry import manhattan_distance
-from repro.mobility.kernels import StepRule
+from repro.mobility.kernels import StepRule, TapeStepper
 from repro.walks.walkers import WalkEngine
 from repro.util.rng import RandomState, default_rng
 from repro.util.validation import check_positive_int
@@ -99,23 +100,28 @@ class MeetingExperiment:
 
     # ------------------------------------------------------------------ #
     def _starting_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two points at distance ``d`` placed symmetrically around the centre."""
+        """Two nodes at distance ``d``.
+
+        They sit on the centre row, ``d // 2`` left and ``d - d // 2`` right
+        of the centre column, wherever that fits.  Otherwise the pair spans
+        ``min(d, side - 1)`` columns and takes the rest of the distance on
+        the rows, both spans centred.
+        """
         side = self._grid.side
-        mid_y = side // 2
-        left = self._d // 2
-        right = self._d - left
-        cx = side // 2
-        a = np.array([max(cx - left, 0), mid_y], dtype=np.int64)
-        b = np.array([min(cx + right, side - 1), mid_y], dtype=np.int64)
-        # If clipping reduced the distance (tiny grids), push b right/left.
-        actual = int(manhattan_distance(a, b))
-        if actual != self._d:
-            b = np.array([min(int(a[0]) + self._d, side - 1), mid_y], dtype=np.int64)
-            if int(manhattan_distance(a, b)) != self._d:
-                raise ValueError(
-                    f"cannot place two nodes at distance {self._d} on a grid of side {side}"
-                )
-        return a, b
+        mid = side // 2
+        d = self._d
+        if mid + d - d // 2 <= side - 1:
+            return (
+                np.array([mid - d // 2, mid], dtype=np.int64),
+                np.array([mid + d - d // 2, mid], dtype=np.int64),
+            )
+        across = min(d, side - 1)
+        up = d - across
+        x, y = (side - 1 - across) // 2, (side - 1 - up) // 2
+        return (
+            np.array([x, y], dtype=np.int64),
+            np.array([x + across, y + up], dtype=np.int64),
+        )
 
     def run_trial(self, rng: RandomState) -> tuple[bool, bool]:
         """Simulate one pair of walks; returns ``(met, met_inside_lens)``."""
@@ -132,6 +138,39 @@ class MeetingExperiment:
                 )
                 return True, in_lens
         return False, False
+
+    def run_trials(self, rngs: Sequence[RandomState]) -> list[tuple[bool, bool]]:
+        """:meth:`run_trial` for one pair of walks per generator, all at once.
+
+        Every pair advances one vectorised step at a time and leaves the
+        batch when it meets.  Each trial reads its own generator through a
+        :class:`~repro.mobility.kernels.TapeStepper` tape, so trial ``i``
+        equals ``run_trial(rngs[i])`` bit for bit, whatever else is in the
+        batch.  The tapes may draw past a trial's last step, so the
+        generators must not be used afterwards.
+        """
+        a0, b0 = self._starting_points()
+        positions = np.empty((len(rngs), 2, 2), dtype=np.int64)
+        positions[:, 0], positions[:, 1] = a0, b0
+        active = np.arange(len(rngs))
+        met = np.zeros(len(rngs), dtype=bool)
+        in_lens = np.zeros(len(rngs), dtype=bool)
+        stepper = TapeStepper(self._grid, rngs, self._rule, n_walkers=2)
+        for _ in range(self._horizon):
+            if not active.size:
+                break
+            positions = stepper.step(positions, active)
+            hit = (positions[:, 0, 0] == positions[:, 1, 0]) & (
+                positions[:, 0, 1] == positions[:, 1, 1]
+            )
+            if hit.any():
+                spot = positions[hit, 0]
+                met[active[hit]] = True
+                in_lens[active[hit]] = (np.abs(spot - a0).sum(axis=1) <= self._d) & (
+                    np.abs(spot - b0).sum(axis=1) <= self._d
+                )
+                positions, active = positions[~hit], active[~hit]
+        return list(zip(met.tolist(), in_lens.tolist()))
 
     def estimate(self, trials: int, rng: RandomState | int | None = None) -> MeetingResult:
         """Estimate the meeting probability from ``trials`` independent pairs."""

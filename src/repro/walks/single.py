@@ -7,10 +7,12 @@ and number of distinct nodes visited).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.grid.lattice import Grid2D
-from repro.mobility.kernels import StepRule
+from repro.mobility.kernels import BLOCK_STEPS, StepRule, TapeStepper
 from repro.walks.walkers import WalkEngine
 from repro.util.rng import RandomState, default_rng
 
@@ -26,6 +28,58 @@ def walk_trajectory(
     start = np.asarray(start, dtype=np.int64).reshape(1, 2)
     engine = WalkEngine(grid, start, rule=rule, rng=rng)
     return engine.trajectory(steps)[:, 0, :]
+
+
+#: Most bytes of visited-node marks :func:`walk_ranges` holds at once
+#: (one byte per trial and node; larger batches run in groups).
+_MARK_BYTES = 1 << 24
+
+
+def walk_ranges(
+    grid: Grid2D,
+    start: np.ndarray,
+    steps: int,
+    rngs: Sequence[RandomState],
+    rule: StepRule = "lazy",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Range and maximum displacement of one walk per generator, all at once.
+
+    Entry ``i`` of the two returned arrays equals
+    ``distinct_nodes_visited(traj, grid)`` and ``max_displacement(traj)`` for
+    ``traj = walk_trajectory(grid, start, steps, rngs[i], rule)``, bit for
+    bit: the walks advance one vectorised step at a time, each reading its
+    own generator through a :class:`~repro.mobility.kernels.TapeStepper`
+    tape, and no trajectory is kept.  The tapes may draw past a walk's last
+    step, so the generators must not be used afterwards.
+    """
+    start = np.asarray(start, dtype=np.int64).reshape(2)
+    if not grid.contains(start):
+        raise ValueError("the start lies outside the grid")
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    rngs = list(rngs)
+    ranges = np.empty(len(rngs), dtype=np.int64)
+    displacements = np.empty(len(rngs), dtype=np.int64)
+    group = max(1, _MARK_BYTES // grid.n_nodes)
+    for lo in range(0, len(rngs), group):
+        part = rngs[lo : lo + group]
+        stepper = TapeStepper(grid, part, rule, n_walkers=1)
+        active = np.arange(len(part))
+        positions = np.tile(start, (len(part), 1, 1))
+        visited = np.zeros((len(part), grid.n_nodes), dtype=bool)
+        visited[:, grid.node_id(start)] = True
+        farthest = np.zeros(len(part), dtype=np.int64)
+        path = np.empty((len(part), BLOCK_STEPS, 2), dtype=np.int64)
+        for done in range(0, steps, BLOCK_STEPS):
+            block = path[:, : min(BLOCK_STEPS, steps - done)]
+            for t in range(block.shape[1]):
+                positions = stepper.step(positions, active)
+                block[:, t] = positions[:, 0]
+            visited[active[:, None], block[..., 0] * grid.side + block[..., 1]] = True
+            np.maximum(farthest, np.abs(block - start).sum(axis=2).max(axis=1), out=farthest)
+        ranges[lo : lo + group] = visited.sum(axis=1)
+        displacements[lo : lo + group] = farthest
+    return ranges, displacements
 
 
 def hitting_time(

@@ -28,9 +28,9 @@ from repro.exec.faults import FAULT_KINDS, TRANSPORT_FAULT_KINDS, corrupt_record
 from tests.strategies import max_examples
 
 
-def _trial(rng, scale: float = 1.0) -> dict:
+def _trials(rngs, scale: float = 1.0) -> list[dict]:
     """Module-level so units are picklable (pool + spawn) and storable."""
-    return {"value": float(rng.integers(0, 10_000)) * scale}
+    return [{"value": float(rng.integers(0, 10_000)) * scale} for rng in rngs]
 
 
 N_TRIALS = 12
@@ -39,7 +39,7 @@ CHUNK = 2  # -> 6 work units
 
 def _reference() -> list:
     with execution_override(SweepExecutor(jobs=1, chunk_size=CHUNK)):
-        return map_replications(_trial, N_TRIALS, seed=99, kwargs={"scale": 2.0})
+        return map_replications(_trials, N_TRIALS, seed=99, kwargs={"scale": 2.0})
 
 
 def _run_with(plan, jobs=2, retries=3, unit_timeout=None, store=None, chunk=CHUNK):
@@ -53,7 +53,7 @@ def _run_with(plan, jobs=2, retries=3, unit_timeout=None, store=None, chunk=CHUN
         ),
     )
     with execution_override(executor):
-        values = map_replications(_trial, N_TRIALS, seed=99, kwargs={"scale": 2.0})
+        values = map_replications(_trials, N_TRIALS, seed=99, kwargs={"scale": 2.0})
     return values, executor.execution_report()
 
 

@@ -26,12 +26,12 @@ from repro.exec import (
     map_replications,
 )
 
-from tests.test_exec_faults import CHUNK, N_TRIALS, _reference, _trial
+from tests.test_exec_faults import CHUNK, N_TRIALS, _reference, _trials
 
 
 def _sweep(executor) -> list:
     with execution_override(executor):
-        return map_replications(_trial, N_TRIALS, seed=99, kwargs={"scale": 2.0})
+        return map_replications(_trials, N_TRIALS, seed=99, kwargs={"scale": 2.0})
 
 
 # --------------------------------------------------------------------------- #

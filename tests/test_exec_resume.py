@@ -121,14 +121,17 @@ class TestResultStore:
 _TRIAL_STATE = {"calls": 0, "fail_after": None}
 
 
-def _fragile_trial(rng, scale: float = 1.0) -> dict:
-    if (
-        _TRIAL_STATE["fail_after"] is not None
-        and _TRIAL_STATE["calls"] >= _TRIAL_STATE["fail_after"]
-    ):
-        raise RuntimeError("simulated kill")
-    _TRIAL_STATE["calls"] += 1
-    return {"value": float(rng.integers(0, 10_000)) * scale}
+def _fragile_trials(rngs, scale: float = 1.0) -> list[dict]:
+    payloads = []
+    for rng in rngs:
+        if (
+            _TRIAL_STATE["fail_after"] is not None
+            and _TRIAL_STATE["calls"] >= _TRIAL_STATE["fail_after"]
+        ):
+            raise RuntimeError("simulated kill")
+        _TRIAL_STATE["calls"] += 1
+        payloads.append({"value": float(rng.integers(0, 10_000)) * scale})
+    return payloads
 
 
 @pytest.fixture(autouse=True)
@@ -146,7 +149,7 @@ CHUNK = 3  # -> 4 work units of 3 trials each
 
 def _run_sweep(store_dir) -> list:
     with execution_override(SweepExecutor(jobs=1, chunk_size=CHUNK, store=store_dir)):
-        return map_replications(_fragile_trial, N_TRIALS, seed=99, kwargs={"scale": 2.0})
+        return map_replications(_fragile_trials, N_TRIALS, seed=99, kwargs={"scale": 2.0})
 
 
 class TestKillAndResume:
@@ -226,13 +229,13 @@ class TestKillAndResume:
         # payloads entirely (regression: a resume used to serve the first
         # closure's records to the second).
         def sweep_with(offset):
-            def closure_trial(rng):
-                return int(rng.integers(0, 100)) + offset
+            def closure_trials(rngs):
+                return [int(rng.integers(0, 100)) + offset for rng in rngs]
 
             with execution_override(
                 SweepExecutor(jobs=1, chunk_size=CHUNK, store=tmp_path)
             ):
-                return map_replications(closure_trial, N_TRIALS, seed=42)
+                return map_replications(closure_trials, N_TRIALS, seed=42)
 
         first = sweep_with(0)
         second = sweep_with(1000)

@@ -11,6 +11,7 @@ are interchangeable.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import BroadcastConfig
@@ -130,7 +131,7 @@ class TestUnitKeys:
         make = lambda start, stop: WorkUnit(
             label="sweep[x=1]",
             kind="map",
-            payload={"fn": _double_trial, "kwargs": {"scale": 2.0}},
+            payload={"fn": _double_trials, "kwargs": {"scale": 2.0}},
             n_replications=n,
             start=start,
             stop=stop,
@@ -272,15 +273,15 @@ class TestRunSweep:
 # --------------------------------------------------------------------------- #
 # map_replications: the generic per-trial path experiments use
 # --------------------------------------------------------------------------- #
-def _double_trial(rng, scale: float = 1.0) -> dict:
-    """Module-level trial fn (must be picklable for pool dispatch)."""
-    draw = int(rng.integers(0, 10_000))
-    return {"value": float(draw) * scale, "draw": draw}
+def _double_trials(rngs, scale: float = 1.0) -> list[dict]:
+    """Module-level map fn (must be picklable for pool dispatch)."""
+    draws = [int(rng.integers(0, 10_000)) for rng in rngs]
+    return [{"value": float(draw) * scale, "draw": draw} for draw in draws]
 
 
-def _hooked_trial(rng, hook) -> int:
-    """Trial whose kwargs carry an arbitrary callable."""
-    return hook(int(rng.integers(0, 100)))
+def _hooked_trials(rngs, hook) -> list[int]:
+    """Map fn whose kwargs carry an arbitrary callable."""
+    return [hook(int(rng.integers(0, 100))) for rng in rngs]
 
 
 class TestMapReplications:
@@ -292,19 +293,19 @@ class TestMapReplications:
         scale=st.sampled_from([1.0, 2.5]),
     )
     def test_sharded_matches_inline(self, n_replications, seed, chunk_size, scale):
-        inline = map_replications(_double_trial, n_replications, seed, kwargs={"scale": scale})
+        inline = map_replications(_double_trials, n_replications, seed, kwargs={"scale": scale})
         with execution_override(SweepExecutor(jobs=1, chunk_size=chunk_size)):
             sharded = map_replications(
-                _double_trial, n_replications, seed, kwargs={"scale": scale}
+                _double_trials, n_replications, seed, kwargs={"scale": scale}
             )
         assert inline == sharded
 
     @settings(max_examples=max_examples(3), deadline=None)
     @given(n_replications=st.integers(2, 10), seed=seeds)
     def test_process_pool_matches_inline(self, n_replications, seed):
-        inline = map_replications(_double_trial, n_replications, seed, kwargs={"scale": 2.0})
+        inline = map_replications(_double_trials, n_replications, seed, kwargs={"scale": 2.0})
         with execution_override(SweepExecutor(jobs=2, chunk_size=2)):
-            pooled = map_replications(_double_trial, n_replications, seed, kwargs={"scale": 2.0})
+            pooled = map_replications(_double_trials, n_replications, seed, kwargs={"scale": 2.0})
         assert inline == pooled
 
     @settings(max_examples=max_examples(6), deadline=None)
@@ -312,21 +313,31 @@ class TestMapReplications:
     def test_unpicklable_payload_degrades_to_in_process(self, n_replications, seed):
         offset = 3
 
-        def closure_trial(rng):  # closures cannot cross the process boundary
-            return int(rng.integers(0, 100)) + offset
+        def closure_trials(rngs):  # closures cannot cross the process boundary
+            return [int(rng.integers(0, 100)) + offset for rng in rngs]
 
-        inline = map_replications(closure_trial, n_replications, seed)
+        inline = map_replications(closure_trials, n_replications, seed)
         with execution_override(SweepExecutor(jobs=2, chunk_size=2)):
-            sharded = map_replications(closure_trial, n_replications, seed)
+            sharded = map_replications(closure_trials, n_replications, seed)
         assert inline == sharded
+
+    def test_a_payload_count_unlike_the_generator_count_raises(self):
+        def one_short(rngs):
+            return [int(rng.integers(0, 100)) for rng in rngs[1:]]
+
+        with pytest.raises(ValueError, match="returned 4 payloads for 5 generators"):
+            map_replications(one_short, 5, 11)
+        with execution_override(SweepExecutor(jobs=1, chunk_size=2)):
+            with pytest.raises(ValueError, match="returned 1 payloads for 2 generators"):
+                map_replications(one_short, 5, 11)
 
     def test_unpicklable_kwargs_do_not_crash(self, tmp_path):
         # Regression: a lambda buried in kwargs used to raise PicklingError
         # from the fingerprint fallback before the picklability gate ran.
         kwargs = {"hook": lambda v: v + 7}
-        inline = map_replications(_hooked_trial, 5, 123, kwargs=kwargs)
+        inline = map_replications(_hooked_trials, 5, 123, kwargs=kwargs)
         with execution_override(SweepExecutor(jobs=2, chunk_size=2, store=tmp_path)):
-            sharded = map_replications(_hooked_trial, 5, 123, kwargs=kwargs)
+            sharded = map_replications(_hooked_trials, 5, 123, kwargs=kwargs)
         assert inline == sharded
         from repro.exec import ResultStore
 
@@ -344,6 +355,16 @@ class TestReportEquivalence:
         sharded = run_experiment("E1", scale="tiny", seed=7, jobs=1, chunk_size=1)
         pooled = run_experiment("E1", scale="tiny", seed=7, jobs=2)
         assert plain.render() == sharded.render() == pooled.render()
+
+    @pytest.mark.parametrize("experiment_id", ["E5", "E15"])
+    def test_batched_walk_reports_identical_in_uneven_units(self, experiment_id):
+        # E5's 60 and E15's 10 trials a point split into units of 7 and a
+        # remainder: each unit's batch of walks must equal the whole point's.
+        from repro.experiments import run_experiment
+
+        plain = run_experiment(experiment_id, scale="tiny", seed=5)
+        sharded = run_experiment(experiment_id, scale="tiny", seed=5, chunk_size=7)
+        assert plain.render() == sharded.render()
 
     def test_map_experiment_report_identical_across_jobs(self):
         from repro.experiments import run_experiment

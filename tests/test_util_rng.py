@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.util.rng import default_rng, replication_seeds, spawn_rngs
+
+from strategies import max_examples, seeds
 
 
 class TestDefaultRng:
@@ -85,6 +88,30 @@ class TestSpawnRngs:
             assert narrow.bit_generator.state == wide.bit_generator.state
             assert narrow.integers(0, 10**12) == wide.integers(0, 10**12)
             assert narrow.bit_generator.state == wide.bit_generator.state
+
+    @settings(max_examples=max_examples(100), deadline=None)
+    @given(
+        seed=seeds,
+        sizes=st.lists(st.integers(0, 300), min_size=1, max_size=12),
+        low=st.sampled_from([0, 1]),
+        dtype=st.sampled_from([np.int32, np.int64]),
+    )
+    def test_concatenated_bounded_draws_equal_one_draw(self, seed, sizes, low, dtype):
+        """Draws of sizes ``a`` then ``b`` are one draw of ``a + b``.
+
+        The walk tapes (``TapeStepper``) refill each trial with one draw of
+        whatever it read, so a trial sees the values its serial walk draws
+        call by call only if bounded draws are chunk-invariant, in values
+        and in the generator state after them.
+        """
+        sizes = np.array(sizes, dtype=np.int64)
+        pieces, whole = (spawn_rngs(seed, 2)[1] for _ in range(2))
+        parts = [pieces.integers(low, 5, size=int(size), dtype=dtype) for size in sizes]
+        assert np.array_equal(
+            np.concatenate(parts), whole.integers(low, 5, size=int(sizes.sum()), dtype=dtype)
+        )
+        assert pieces.bit_generator.state == whole.bit_generator.state
+
 
 class TestReplicationSeeds:
     def test_count_and_determinism(self):

@@ -2,10 +2,29 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.grid.lattice import Grid2D
+from repro.util.rng import spawn_rngs
 from repro.walks.meeting import MeetingExperiment, MeetingResult, estimate_meeting_probability
+
+from strategies import max_examples, seeds
+
+
+def _placement_before_the_fix(side: int, d: int):
+    """The pair placement of earlier releases, or None where it raised."""
+    mid_y = side // 2
+    left = d // 2
+    cx = side // 2
+    a = np.array([max(cx - left, 0), mid_y])
+    b = np.array([min(cx + d - left, side - 1), mid_y])
+    if int(np.abs(a - b).sum()) != d:
+        b = np.array([min(int(a[0]) + d, side - 1), mid_y])
+        if int(np.abs(a - b).sum()) != d:
+            return None
+    return a, b
 
 
 class TestMeetingExperiment:
@@ -30,6 +49,41 @@ class TestMeetingExperiment:
             exp = MeetingExperiment(Grid2D(32), initial_distance=d)
             a, b = exp._starting_points()
             assert abs(int(a[0]) - int(b[0])) + abs(int(a[1]) - int(b[1])) == d
+
+    def test_every_distance_up_to_the_diameter_places(self):
+        # Regression: d from side - 1 up placed the second node off its row
+        # end and raised ValueError at the first trial (e.g. side 8, d = 7).
+        for side in range(2, 10):
+            grid = Grid2D(side)
+            for d in range(1, grid.diameter + 1):
+                a, b = MeetingExperiment(grid, d)._starting_points()
+                assert grid.contains(a) and grid.contains(b)
+                assert int(np.abs(a - b).sum()) == d
+                before = _placement_before_the_fix(side, d)
+                if before is not None:
+                    assert a.tolist() == before[0].tolist()
+                    assert b.tolist() == before[1].tolist()
+
+    @settings(max_examples=max_examples(40), deadline=None)
+    @given(
+        side=st.integers(2, 12),
+        data=st.data(),
+        rule=st.sampled_from(["simple", "lazy"]),
+        horizon=st.none() | st.integers(1, 900),
+        trials=st.integers(1, 12),
+        seed=seeds,
+    )
+    def test_batched_trials_equal_serial_trials(self, side, data, rule, horizon, trials, seed):
+        # Small sides keep the pairs at the corners and walls, where the
+        # simple walk redraws; horizons up to 900 refill the 128-step tapes
+        # several times.
+        d = data.draw(st.integers(1, Grid2D(side).diameter))
+        experiment = MeetingExperiment(Grid2D(side), d, horizon=horizon, rule=rule)
+        serial = [experiment.run_trial(rng) for rng in spawn_rngs(seed, trials)]
+        assert experiment.run_trials(spawn_rngs(seed, trials)) == serial
+
+    def test_batched_trials_of_no_generators(self):
+        assert MeetingExperiment(Grid2D(8), 2).run_trials([]) == []
 
     def test_estimate_counts_are_consistent(self, rng):
         exp = MeetingExperiment(Grid2D(32), initial_distance=2)

@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.grid.lattice import Grid2D
+from repro.util.rng import spawn_rngs
 from repro.walks.single import (
     displacement_tail_probability,
     distinct_nodes_visited,
     hitting_time,
     max_displacement,
     visit_within,
+    walk_ranges,
     walk_trajectory,
 )
+
+from strategies import max_examples, seeds
 
 
 class TestWalkTrajectory:
@@ -34,6 +39,42 @@ class TestWalkTrajectory:
         traj = walk_trajectory(small_grid, np.array([5, 5]), 50, rng=1, rule="simple")
         deltas = np.abs(np.diff(traj, axis=0)).sum(axis=1)
         assert np.all(deltas == 1)
+
+
+class TestWalkRanges:
+    @settings(max_examples=max_examples(40), deadline=None)
+    @given(
+        side=st.integers(2, 12),
+        data=st.data(),
+        steps=st.integers(0, 600),
+        rule=st.sampled_from(["lazy", "simple"]),
+        trials=st.integers(1, 8),
+        seed=seeds,
+    )
+    def test_batched_ranges_equal_serial_trajectories(
+        self, side, data, steps, rule, trials, seed
+    ):
+        grid = Grid2D(side)
+        start = np.array([data.draw(st.integers(0, side - 1)) for _ in range(2)])
+        expected = []
+        for rng in spawn_rngs(seed, trials):
+            traj = walk_trajectory(grid, start, steps, rng=rng, rule=rule)
+            expected.append((distinct_nodes_visited(traj, grid), max_displacement(traj)))
+        ranges, displacements = walk_ranges(grid, start, steps, spawn_rngs(seed, trials), rule)
+        assert list(zip(ranges.tolist(), displacements.tolist())) == expected
+
+    def test_trials_in_groups_equal_one_batch(self, monkeypatch):
+        import repro.walks.single
+
+        grid = Grid2D(6)
+        whole = walk_ranges(grid, grid.center(), 200, spawn_rngs(4, 7))
+        monkeypatch.setattr(repro.walks.single, "_MARK_BYTES", 3 * grid.n_nodes)
+        grouped = walk_ranges(grid, grid.center(), 200, spawn_rngs(4, 7))
+        assert all(np.array_equal(w, g) for w, g in zip(whole, grouped))
+
+    def test_rejects_a_start_outside_the_grid(self, small_grid):
+        with pytest.raises(ValueError):
+            walk_ranges(small_grid, np.array([16, 0]), 5, spawn_rngs(0, 2))
 
 
 class TestHittingTime:
