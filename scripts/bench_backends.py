@@ -91,9 +91,9 @@ import numpy as np
 from repro.connectivity.batched import batched_visibility_labels
 from repro.connectivity.incremental import DeltaConnectivityEngine, labels_equivalent
 from repro.connectivity.visibility import visibility_components
-from repro.core.batched import _build_mobility, _initial_state
 from repro.core.config import BroadcastConfig
 from repro.core.runner import run_broadcast_replications
+from repro.dissemination.kernels import BroadcastProcess
 from repro.exec import SweepExecutor, execution_override
 from repro.grid.obstacles import ObstacleGrid
 from repro.util.rng import spawn_rngs
@@ -415,7 +415,8 @@ def _best_of(fn, repeats: int) -> float:
 
 def _serial_trajectory(config: BroadcastConfig, n_steps: int, seed: int) -> tuple[list, int]:
     """A serial lazy-walk position trajectory and the grid side."""
-    grid, mobility = _build_mobility(config)
+    process = BroadcastProcess(config)
+    grid, mobility = process.grid, process.mobility
     rng = np.random.default_rng(seed)
     state = mobility.init_state(config.n_agents, rng)
     positions = mobility.initial_positions(config.n_agents, rng)
@@ -430,16 +431,15 @@ def _batched_trajectory(
     config: BroadcastConfig, n_trials: int, n_steps: int, seed: int
 ) -> tuple[list, np.ndarray, int]:
     """A batched lazy-walk trajectory, its active-trial index and grid side."""
-    grid, mobility = _build_mobility(config)
-    rngs = spawn_rngs(seed, n_trials)
-    states, positions, _ = _initial_state(mobility, config, rngs, with_source=True)
-    stepper = mobility.batch_stepper(config.n_agents, rngs, states)
+    process = BroadcastProcess(config)
+    batch = process.init_batch(spawn_rngs(seed, n_trials))
+    positions, stepper = batch.positions, batch.stepper
     active = np.arange(n_trials)
     trajectory = []
     for _ in range(n_steps):
         trajectory.append(positions.copy())
         positions = stepper.step(positions, active)
-    return trajectory, active, grid.side
+    return trajectory, active, process.grid.side
 
 
 def run_connectivity(quick: bool = False, seed: int = 2024) -> dict:

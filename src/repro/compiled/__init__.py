@@ -1,9 +1,9 @@
 """Compiled step-loop backend: beyond-numpy hot kernels, bit-for-bit.
 
-``backend="compiled"`` runs the batched replication loops with the per-step
-hot kernels — mobility apply, component labelling and the ``r = 0``
-flood/label scatter — executed by a *compiled provider* instead of
-interpreted numpy, while consuming the identical per-trial RNG streams (all
+``backend="compiled"`` runs the batched replication loop with the per-step
+hot kernels — mobility apply and component labelling, or, for ``r = 0``
+broadcasts, whole fused blocks of steps — executed by a *compiled provider*
+instead of interpreted numpy, while consuming the identical per-trial RNG streams (all
 draws stay on the numpy generators; only the apply/labelling passes move).
 Results are therefore bit-for-bit identical to the serial and batched
 backends, which the property suites verify trial for trial.

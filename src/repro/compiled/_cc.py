@@ -36,7 +36,11 @@ _F64P = ctypes.POINTER(ctypes.c_double)
 #: Compiler candidates tried in order (first one present wins).
 _COMPILERS = ("cc", "gcc", "clang")
 
-_CFLAGS = ["-O3", "-fPIC", "-shared", "-std=c99"]
+#: ``-falign-loops=32`` starts every loop on a 32-byte boundary, so the fused
+#: kernel's speed does not depend on where the linker places it: at default
+#: alignment, moving it within the shared object changed the speed of its
+#: inner loops by 5-10% (docs/PERFORMANCE.md).
+_CFLAGS = ["-O3", "-fPIC", "-shared", "-std=c99", "-falign-loops=32"]
 
 
 class CcBuildError(RuntimeError):
@@ -132,7 +136,6 @@ class CcOps:
             "repro_apply_lazy",
             "repro_apply_masked",
             "repro_apply_brownian",
-            "repro_flood_r0",
             "repro_broadcast_r0_block",
             "repro_labels_batch",
         ):
@@ -174,27 +177,7 @@ class CcOps:
         )
         return out
 
-    # -- flooding / labelling --------------------------------------------- #
-    def flood_r0(
-        self,
-        positions: np.ndarray,
-        informed: np.ndarray,
-        table: np.ndarray,
-        side: int,
-        n_nodes: int,
-        epoch: int,
-    ) -> np.ndarray:
-        """Mutate ``informed`` in place; return per-trial informed counts."""
-        positions = _contig_i64(positions)
-        n_trials, k = informed.shape
-        counts = np.empty(n_trials, dtype=np.int64)
-        self._lib.repro_flood_r0(
-            ctypes.c_int64(n_trials), ctypes.c_int64(k), ctypes.c_int64(side),
-            ctypes.c_int64(n_nodes), _i64(positions), _u8(informed),
-            _i64(table), ctypes.c_int64(epoch), _i64(counts),
-        )
-        return counts
-
+    # -- labelling --------------------------------------------------------- #
     def labels_batch(self, positions: np.ndarray, radius: float) -> np.ndarray:
         positions = _contig_i64(positions)
         n_trials, k = positions.shape[:2]

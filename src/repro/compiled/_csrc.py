@@ -78,24 +78,8 @@ void repro_apply_brownian(i64 n, i64 side, const i64 *pos, const double *disp, i
 }
 
 /* ------------------------------------------------------------------ */
-/* fused r = 0 flooding                                               */
+/* fused r = 0 broadcast driver                                       */
 /* ------------------------------------------------------------------ */
-
-void repro_flood_r0(i64 n_trials, i64 k, i64 side, i64 n_nodes,
-                    const i64 *pos, u8 *informed, i64 *table, i64 epoch, i64 *counts)
-{
-    for (i64 r = 0; r < n_trials; r++) {
-        const i64 *p = pos + r * k * 2;
-        u8 *inf = informed + r * k;
-        i64 *tab = table + r * n_nodes;
-        for (i64 i = 0; i < k; i++)
-            if (inf[i]) tab[p[2 * i] * side + p[2 * i + 1]] = epoch;
-        i64 cnt = 0;
-        for (i64 i = 0; i < k; i++)
-            if (tab[p[2 * i] * side + p[2 * i + 1]] == epoch) { inf[i] = 1; cnt++; }
-        counts[r] = cnt;
-    }
-}
 
 static void clear_marks(i64 k, i64 side, const i64 *p, u8 *marks)
 {

@@ -49,5 +49,4 @@ def _rebind(fn):
 apply_lazy = _rebind(kernels_py.apply_lazy)
 apply_masked = _rebind(kernels_py.apply_masked)
 apply_brownian = _rebind(kernels_py.apply_brownian)
-flood_r0 = _rebind(kernels_py.flood_r0)
 labels_batch = _rebind(kernels_py.labels_batch)

@@ -1,9 +1,9 @@
 """Provider-independent wrapper layer of the compiled backend.
 
 A *provider* is an object exposing the compiled kernel set at numpy level
-(``apply_lazy`` / ``apply_masked`` / ``apply_brownian`` / ``flood_r0`` /
-``labels_batch``, plus the cc-only ``broadcast_r0_block`` extension
-flagged by ``has_block_driver``).
+(``apply_lazy`` / ``apply_masked`` / ``apply_brownian`` / ``labels_batch``,
+plus the cc-only ``broadcast_r0_block`` extension flagged by
+``has_block_driver``).
 :class:`LoopOps` adapts any namespace of loop kernels with the
 :mod:`repro.compiled.kernels_py` signatures (the jitted numba module or the
 plain-Python reference module itself) to that protocol; the cc provider
@@ -12,8 +12,7 @@ implements it natively in :class:`repro.compiled._cc.CcOps`.
 On top of the raw protocol this module carries the glue the simulation loops
 use: ``apply_kernel`` dispatches a :class:`~repro.mobility.kernels.BlockDrawStepper`
 kernel spec, ``accelerate_stepper`` swaps a stepper's numpy apply for the
-compiled one, and :class:`EpochFloodR0` packages the epoch-table ``r = 0``
-flood behind the same ``flood`` method the batched loop already calls.
+compiled one, and ``make_labels_fn`` stands in for the numpy labelling pass.
 """
 
 from __future__ import annotations
@@ -58,22 +57,6 @@ class LoopOps:
             side, positions, np.ascontiguousarray(displacement, dtype=np.float64), out
         )
         return out
-
-    def flood_r0(
-        self,
-        positions: np.ndarray,
-        informed: np.ndarray,
-        table: np.ndarray,
-        side: int,
-        n_nodes: int,
-        epoch: int,
-    ) -> np.ndarray:
-        counts = np.empty(informed.shape[0], dtype=np.int64)
-        self._kernels.flood_r0(
-            np.ascontiguousarray(positions, dtype=np.int64),
-            informed, table, side, n_nodes, epoch, counts,
-        )
-        return counts
 
     def labels_batch(self, positions: np.ndarray, radius: float) -> np.ndarray:
         positions = np.ascontiguousarray(positions, dtype=np.int64)
@@ -127,32 +110,8 @@ def accelerate_stepper(ops: Any, stepper: Any) -> Any:
 
 
 # --------------------------------------------------------------------------- #
-# r = 0 flooding
+# Labelling
 # --------------------------------------------------------------------------- #
-class EpochFloodR0:
-    """Compiled fused ``r = 0`` flood behind the batched loop's interface.
-
-    The compiled counterpart of
-    :class:`repro.core.batched._EpochColocatedFlood`: one persistent
-    epoch-stamped ``R * n_nodes`` table, one provider call per step.  Rows
-    are keyed by compact trial index, so mid-run compaction needs no state
-    surgery (stale rows are invalidated by the monotonically increasing
-    epoch).
-    """
-
-    def __init__(self, ops: Any, n_trials: int, n_nodes: int) -> None:
-        self._ops = ops
-        self._table = np.zeros(n_trials * n_nodes, dtype=np.int64)
-        self._epoch = 0
-
-    def flood(self, grid: Any, positions: np.ndarray, informed: np.ndarray) -> np.ndarray:
-        self._epoch += 1
-        self._ops.flood_r0(
-            positions, informed, self._table, grid.side, grid.n_nodes, self._epoch
-        )
-        return informed
-
-
 def make_labels_fn(ops: Any):
     """A drop-in for :func:`repro.connectivity.batched.batched_visibility_labels`.
 

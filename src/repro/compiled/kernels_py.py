@@ -19,9 +19,6 @@ Semantics contracts (each mirrors an existing numpy kernel):
 * ``apply_masked`` == :func:`repro.mobility.kernels.apply_masked_choices`;
 * ``apply_brownian`` == ``BrownianMobility._apply`` (round-half-to-even via
   ``np.rint``, billiard reflection into ``[0, side - 1]``);
-* ``flood_r0`` == one :func:`repro.core.batched._flood_colocated` round over
-  an epoch-stamped node table (mutates ``informed`` in place, returns
-  per-trial informed counts);
 * ``labels_batch`` induces exactly the partition of
   :func:`repro.connectivity.batched.batched_visibility_labels` (Manhattan
   metric), with the *min flat agent index + trial offset* as representative
@@ -99,31 +96,6 @@ def apply_brownian(side, positions, displacement, out):
                 # np.rint rounds half to even; so does round-half-even here.
                 step = np.int64(np.rint(displacement[r, i, d]))
                 out[r, i, d] = _reflect(positions[r, i, d] + step, side)
-
-
-def flood_r0(positions, informed, table, side, n_nodes, epoch, counts):
-    """One fused ``r = 0`` labelling + flooding round over an epoch table.
-
-    ``table`` holds ``R * n_nodes`` epoch stamps keyed by compact trial row;
-    passing a strictly increasing ``epoch`` per call makes stale marks (from
-    earlier steps or earlier row layouts) read as unset without any
-    re-zeroing.  ``informed`` is updated in place; ``counts[r]`` receives the
-    trial's post-flood informed count.
-    """
-    n_trials, k = positions.shape[0], positions.shape[1]
-    for r in range(n_trials):
-        base = r * n_nodes
-        for i in range(k):
-            if informed[r, i]:
-                node = positions[r, i, 0] * side + positions[r, i, 1]
-                table[base + node] = epoch
-        cnt = 0
-        for i in range(k):
-            node = positions[r, i, 0] * side + positions[r, i, 1]
-            if table[base + node] == epoch:
-                informed[r, i] = True
-                cnt += 1
-        counts[r] = cnt
 
 
 def _uf_find(parent, i):

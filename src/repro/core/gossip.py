@@ -14,11 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.connectivity.visibility import visibility_components
 from repro.core.config import GossipConfig
-from repro.core.protocol import flood_rumors
 from repro.grid.lattice import Grid2D
-from repro.mobility import make_mobility
 from repro.mobility.base import MobilityModel
 from repro.util.rng import RandomState, default_rng
 
@@ -46,7 +43,10 @@ class GossipSimulation:
 
     The knowledge state is a ``(k, k)`` boolean matrix whose entry ``(a, j)``
     says whether agent ``a`` knows rumor ``j`` (rumor ``j`` originates at
-    agent ``j``).
+    agent ``j``).  A single-trial facade over the serial face of
+    :class:`~repro.dissemination.kernels.GossipProcess`, as
+    :class:`~repro.core.simulation.BroadcastSimulation` is over the
+    broadcast kernel.
     """
 
     def __init__(
@@ -56,100 +56,64 @@ class GossipSimulation:
         mobility: MobilityModel | None = None,
         connectivity: str | None = None,
     ) -> None:
-        from repro.connectivity.incremental import DeltaConnectivityEngine
         from repro.core.runner import resolve_pair
+        from repro.dissemination.kernels import GossipProcess, serial_engine
 
-        self._config = config
+        self._process = GossipProcess(config)
+        if mobility is not None:
+            self._process.mobility = mobility
         self._rng = default_rng(rng)
-        self._grid = Grid2D.from_nodes(config.n_nodes)
-        if mobility is None:
-            mobility = make_mobility(config.mobility, self._grid, **dict(config.mobility_kwargs))
-        self._mobility = mobility
-        self._mobility_state = mobility.init_state(config.n_agents, self._rng)
-        self._engine = (
-            DeltaConnectivityEngine(config.n_agents, config.radius, self._grid.side)
-            if resolve_pair(config, "serial", connectivity)[1] == "incremental"
-            else None
-        )
-
-        self._positions = self._mobility.initial_positions(config.n_agents, self._rng)
-        self._rumors = np.eye(config.n_agents, dtype=bool)
-        self._time = 0
-        self._gossip_time = -1
-        self._first_rumor_broadcast_time = -1
-        self._knowledge_curve: list[int] = []
+        self._engine = serial_engine(self._process, resolve_pair(config, "serial", connectivity)[1])
+        self._state = self._process.init_state(self._rng)
 
     # ------------------------------------------------------------------ #
     @property
     def config(self) -> GossipConfig:
         """The simulation configuration."""
-        return self._config
+        return self._process.config
 
     @property
     def grid(self) -> Grid2D:
         """The underlying lattice."""
-        return self._grid
+        return self._process.grid
 
     @property
     def positions(self) -> np.ndarray:
         """Current agent positions (copy)."""
-        return self._positions.copy()
+        return self._state.positions.copy()
 
     @property
     def rumors(self) -> np.ndarray:
         """Current ``(k, k)`` knowledge matrix (copy)."""
-        return self._rumors.copy()
+        return self._state.rumors.copy()
 
     @property
     def time(self) -> int:
         """Number of completed time steps."""
-        return self._time
+        return self._state.n_steps
 
     @property
     def gossip_time(self) -> int:
         """The gossip time ``T_G`` (``-1`` while gossip is incomplete)."""
-        return self._gossip_time
+        return self._state.gossip_time
 
     @property
     def all_know_all(self) -> bool:
         """Whether every agent knows every rumor."""
-        return bool(self._rumors.all())
+        return bool(self._state.rumors.all())
 
     # ------------------------------------------------------------------ #
     def step(self) -> None:
         """One full time step: rumor exchange, recording, then motion."""
-        if self._engine is not None:
-            labels = self._engine.step(self._positions)
-        else:
-            labels = visibility_components(self._positions, self._config.radius)
-        self._rumors = flood_rumors(self._rumors, labels)
-        self._knowledge_curve.append(int(self._rumors.sum()))
-        if self._first_rumor_broadcast_time < 0 and bool(self._rumors[:, 0].all()):
-            self._first_rumor_broadcast_time = self._time
-        if self._gossip_time < 0 and self._rumors.all():
-            self._gossip_time = self._time
-        self._positions = self._mobility.step(
-            self._positions, self._rng, self._mobility_state
-        )
-        self._time += 1
+        from repro.dissemination.kernels import serial_connectivity
+
+        conn = serial_connectivity(self._process, self._state.positions, self._engine)
+        self._process.step(self._state, conn, self._rng)
 
     def run(self, max_steps: Optional[int] = None) -> GossipResult:
         """Run until every agent knows every rumor or the horizon is exhausted."""
-        from repro.obs.metrics import step_loop_instruments
+        from repro.dissemination.kernels import run_process_serial
 
-        steps_metric, active_metric = step_loop_instruments("serial_gossip")
-        active_metric.set(1)
-        horizon = int(max_steps) if max_steps is not None else self._config.horizon
-        while self._time < horizon and self._gossip_time < 0:
-            steps_metric.inc()
-            self.step()
-        active_metric.set(0)
-        return GossipResult(
-            config=self._config,
-            gossip_time=self._gossip_time,
-            completed=self._gossip_time >= 0,
-            n_steps=self._time,
-            min_rumors_known=int(self._rumors.sum(axis=1).min()),
-            first_rumor_broadcast_time=self._first_rumor_broadcast_time,
-            knowledge_curve=np.asarray(self._knowledge_curve, dtype=np.int64),
+        return run_process_serial(
+            self._process, self._rng, state=self._state, engine=self._engine, horizon=max_steps
         )

@@ -7,8 +7,8 @@ harness reports means, medians and bootstrap confidence intervals.
 Replications can be executed by two interchangeable backends selected via
 the ``backend`` argument (or the config's ``backend`` field):
 
-* ``"serial"`` — one :class:`~repro.core.simulation.BroadcastSimulation` /
-  :class:`~repro.core.gossip.GossipSimulation` per trial;
+* ``"serial"`` — one trial at a time, on the serial face of the run's
+  process kernel (:func:`repro.dissemination.kernels.run_process_serial`);
 * ``"batched"`` — all trials advance together as one vectorised system
   (:mod:`repro.core.batched`), typically an order of magnitude faster on
   replication-heavy workloads;
@@ -54,9 +54,9 @@ from repro.core.config import (
     check_backend,
     check_connectivity,
 )
-from repro.core.gossip import GossipResult, GossipSimulation
-from repro.core.simulation import BroadcastResult, BroadcastSimulation
-from repro.util.rng import SeedLike, spawn_rngs
+from repro.core.gossip import GossipResult
+from repro.core.simulation import BroadcastResult
+from repro.util.rng import SeedLike
 from repro.util.validation import check_positive_int
 
 
@@ -340,14 +340,15 @@ def auto_pair(
     =============================  =========================  =========================
 
     Under compiled, ``r_eff = 0`` runs the fused block driver where it
-    applies, else the compiled epoch flood or labels kernel, and from
+    applies, else the compiled labels kernel, and from
     ``r_eff = 1`` up the compiled engine
     (:class:`~repro.compiled.engine.CompiledDeltaEngine`): one compiled
     ``labels_batch`` call per step, which beats every numpy engine.
-    Process kernels (``process=True``) keep their own mobility draws and
-    applies, so at ``r_eff = 0`` compiled would only swap the numpy
-    same-cell engine for the compiled labels kernel, which measured slower
-    — unless recompute is requested, which compiled runs faster.
+    The Section-4 process kernels (``process=True``) keep their own
+    mobility draws and applies, so at ``r_eff = 0`` compiled would only
+    swap the numpy same-cell engine for the compiled labels kernel, which
+    measured slower — unless recompute is requested, which compiled runs
+    faster.
     An unbatchable configuration (``batchable=False``) resolves ``auto`` to
     serial; serial and batched, explicit or resolved, follow the numpy
     column.  Runs that consume no component labels (``labels=False``) have
@@ -476,34 +477,15 @@ def run_broadcast_replications(
     full run would use.  When it is absent and a
     :func:`repro.exec.execution_override` is active, the run is sharded
     through the active :class:`~repro.exec.SweepExecutor`.
+
+    The trials are :class:`~repro.dissemination.kernels.BroadcastProcess`
+    runs on the replication path every process kernel shares.
     """
-    n_replications = check_positive_int(n_replications, "n_replications")
-    check_rng_streams(rng_streams, n_replications)
-    resolved, engine = resolve_pair(config, backend, connectivity)
-    if rng_streams is None:
-        from repro.exec.executor import current_executor
+    from repro.dissemination.kernels import BroadcastProcess
 
-        executor = current_executor()
-        if executor is not None:
-            return executor.run_replications(
-                "broadcast", config, n_replications, seed,
-                backend=resolved,
-                connectivity=engine,
-            )
-    if resolved in ("batched", "compiled"):
-        from repro.core.batched import run_broadcast_replications_batched
-
-        return run_broadcast_replications_batched(
-            config, n_replications, seed,
-            rng_streams=rng_streams, connectivity=engine,
-            compiled=resolved == "compiled",
-        )
-    rngs = rng_streams if rng_streams is not None else spawn_rngs(seed, n_replications)
-    results = [
-        BroadcastSimulation(config, rng=rng, connectivity=engine).run() for rng in rngs
-    ]
-    summary = summarise_values([res.broadcast_time for res in results])
-    return summary, results
+    return _run_config_kernel(
+        BroadcastProcess, config, n_replications, seed, backend, connectivity, rng_streams
+    )
 
 
 def run_gossip_replications(
@@ -522,32 +504,29 @@ def run_gossip_replications(
     backends produce bit-for-bit identical results for identical seeds.
     ``connectivity``,
     ``rng_streams`` and the executor interception behave as in
-    :func:`run_broadcast_replications`.
+    :func:`run_broadcast_replications`.  The trials are
+    :class:`~repro.dissemination.kernels.GossipProcess` runs.
     """
-    n_replications = check_positive_int(n_replications, "n_replications")
-    check_rng_streams(rng_streams, n_replications)
-    resolved, engine = resolve_pair(config, backend, connectivity)
-    if rng_streams is None:
-        from repro.exec.executor import current_executor
+    from repro.dissemination.kernels import GossipProcess
 
-        executor = current_executor()
-        if executor is not None:
-            return executor.run_replications(
-                "gossip", config, n_replications, seed,
-                backend=resolved,
-                connectivity=engine,
-            )
-    if resolved in ("batched", "compiled"):
-        from repro.core.batched import run_gossip_replications_batched
+    return _run_config_kernel(
+        GossipProcess, config, n_replications, seed, backend, connectivity, rng_streams
+    )
 
-        return run_gossip_replications_batched(
-            config, n_replications, seed,
-            rng_streams=rng_streams, connectivity=engine,
-            compiled=resolved == "compiled",
-        )
-    rngs = rng_streams if rng_streams is not None else spawn_rngs(seed, n_replications)
-    results = [
-        GossipSimulation(config, rng=rng, connectivity=engine).run() for rng in rngs
-    ]
-    summary = summarise_values([res.gossip_time for res in results])
-    return summary, results
+
+def _run_config_kernel(
+    kernel_class: type,
+    config: BroadcastConfig | GossipConfig,
+    n_replications: int,
+    seed: SeedLike,
+    backend: Optional[str],
+    connectivity: Optional[str],
+    rng_streams: Optional[Sequence[np.random.Generator]],
+) -> tuple[ReplicationSummary, list]:
+    """Resolve ``config``'s run and replicate its kernel on the shared path."""
+    from repro.dissemination.kernels import _replicate
+
+    backend, connectivity = resolve_pair(config, backend, connectivity)
+    return _replicate(
+        kernel_class(config), n_replications, seed, backend, connectivity, rng_streams
+    )

@@ -16,22 +16,14 @@ informed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.connectivity.visibility import visibility_components
 from repro.core.config import BroadcastConfig
-from repro.core.metrics import (
-    CoverageTracker,
-    FrontierTracker,
-    InformedCurve,
-    threshold_count,
-)
-from repro.core.protocol import flood_informed
+from repro.core.metrics import threshold_count
 from repro.grid.lattice import Grid2D
-from repro.mobility import make_mobility
 from repro.mobility.base import MobilityModel
 from repro.util.rng import RandomState, default_rng
 
@@ -70,6 +62,11 @@ class BroadcastResult:
 class BroadcastSimulation:
     """Simulator of a single-rumor broadcast among mobile agents.
 
+    A single-trial facade over the serial face of
+    :class:`~repro.dissemination.kernels.BroadcastProcess`: :meth:`step`
+    is one kernel step and :meth:`run` continues the trial on the one serial
+    loop, :func:`~repro.dissemination.kernels.run_process_serial`.
+
     Parameters
     ----------
     config:
@@ -95,39 +92,15 @@ class BroadcastSimulation:
         mobility: MobilityModel | None = None,
         connectivity: str | None = None,
     ) -> None:
-        from repro.connectivity.incremental import DeltaConnectivityEngine
         from repro.core.runner import resolve_pair
+        from repro.dissemination.kernels import BroadcastProcess, serial_engine
 
-        self._config = config
+        self._process = BroadcastProcess(config)
+        if mobility is not None:
+            self._process.mobility = mobility
         self._rng = default_rng(rng)
-        self._grid = Grid2D.from_nodes(config.n_nodes)
-        if mobility is None:
-            mobility = make_mobility(config.mobility, self._grid, **dict(config.mobility_kwargs))
-        self._mobility = mobility
-        self._mobility_state = mobility.init_state(config.n_agents, self._rng)
-        self._engine = (
-            DeltaConnectivityEngine(config.n_agents, config.radius, self._grid.side)
-            if resolve_pair(config, "serial", connectivity)[1] == "incremental"
-            else None
-        )
-
-        self._positions = self._mobility.initial_positions(config.n_agents, self._rng)
-        self._informed = np.zeros(config.n_agents, dtype=bool)
-        source = config.source
-        if source is None:
-            source = int(self._rng.integers(0, config.n_agents))
-        self._source = int(source)
-        self._informed[self._source] = True
-
-        self._time = 0
-        self._broadcast_time = -1
-        self._informed_curve = InformedCurve()
-        self._frontier: Optional[FrontierTracker] = (
-            FrontierTracker() if config.record_frontier else None
-        )
-        self._coverage: Optional[CoverageTracker] = (
-            CoverageTracker(self._grid) if config.record_coverage else None
-        )
+        self._engine = serial_engine(self._process, resolve_pair(config, "serial", connectivity)[1])
+        self._state = self._process.init_state(self._rng)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -135,76 +108,57 @@ class BroadcastSimulation:
     @property
     def config(self) -> BroadcastConfig:
         """The simulation configuration."""
-        return self._config
+        return self._process.config
 
     @property
     def grid(self) -> Grid2D:
         """The underlying lattice."""
-        return self._grid
+        return self._process.grid
 
     @property
     def positions(self) -> np.ndarray:
         """Current agent positions (copy)."""
-        return self._positions.copy()
+        return self._state.positions.copy()
 
     @property
     def informed(self) -> np.ndarray:
         """Boolean mask of currently informed agents (copy)."""
-        return self._informed.copy()
+        return self._state.informed.copy()
 
     @property
     def source(self) -> int:
         """Index of the source agent."""
-        return self._source
+        return self._state.source
 
     @property
     def time(self) -> int:
         """Number of completed time steps."""
-        return self._time
+        return self._state.n_steps
 
     @property
     def n_informed(self) -> int:
         """Number of currently informed agents."""
-        return int(np.count_nonzero(self._informed))
+        return int(np.count_nonzero(self._state.informed))
 
     @property
     def all_informed(self) -> bool:
         """Whether every agent is informed."""
-        return bool(self._informed.all())
+        return bool(self._state.informed.all())
 
     @property
     def broadcast_time(self) -> int:
         """The broadcast time ``T_B`` (``-1`` while broadcast is incomplete)."""
-        return self._broadcast_time
+        return self._state.broadcast_time
 
     # ------------------------------------------------------------------ #
     # Dynamics
     # ------------------------------------------------------------------ #
-    def _exchange(self) -> None:
-        """Flood the rumor within components of the current visibility graph."""
-        if self._engine is not None:
-            labels = self._engine.step(self._positions)
-        else:
-            labels = visibility_components(self._positions, self._config.radius)
-        self._informed = flood_informed(self._informed, labels)
-
-    def _record(self) -> None:
-        self._informed_curve.record(self._informed)
-        if self._frontier is not None:
-            self._frontier.record(self._positions, self._informed)
-        if self._coverage is not None:
-            self._coverage.record(self._positions, self._informed, self._time)
-        if self._broadcast_time < 0 and self._informed.all():
-            self._broadcast_time = self._time
-
     def step(self) -> None:
         """Perform one full time step: rumor exchange, recording, then motion."""
-        self._exchange()
-        self._record()
-        self._positions = self._mobility.step(
-            self._positions, self._rng, self._mobility_state
-        )
-        self._time += 1
+        from repro.dissemination.kernels import serial_connectivity
+
+        conn = serial_connectivity(self._process, self._state.positions, self._engine)
+        self._process.step(self._state, conn, self._rng)
 
     def run(self, max_steps: Optional[int] = None) -> BroadcastResult:
         """Run until every agent is informed or the horizon is exhausted.
@@ -213,31 +167,8 @@ class BroadcastSimulation:
         until coverage also completes, so that both ``T_B`` and ``T_C`` are
         measured from a single trajectory.
         """
-        from repro.obs.metrics import step_loop_instruments
+        from repro.dissemination.kernels import run_process_serial
 
-        steps_metric, active_metric = step_loop_instruments("serial_broadcast")
-        active_metric.set(1)
-        horizon = int(max_steps) if max_steps is not None else self._config.horizon
-        while self._time < horizon:
-            steps_metric.inc()
-            self.step()
-            if self._broadcast_time >= 0:
-                if self._coverage is None or self._coverage.complete:
-                    break
-        active_metric.set(0)
-        return self._result()
-
-    def _result(self) -> BroadcastResult:
-        return BroadcastResult(
-            config=self._config,
-            broadcast_time=self._broadcast_time,
-            completed=self._broadcast_time >= 0,
-            n_steps=self._time,
-            n_informed=self.n_informed,
-            informed_curve=self._informed_curve.as_array(),
-            frontier_history=self._frontier.history if self._frontier is not None else None,
-            coverage_time=self._coverage.coverage_time if self._coverage is not None else -1,
-            coverage_fraction=(
-                self._coverage.fraction_visited if self._coverage is not None else 0.0
-            ),
+        return run_process_serial(
+            self._process, self._rng, state=self._state, engine=self._engine, horizon=max_steps
         )

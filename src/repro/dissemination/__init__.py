@@ -1,11 +1,15 @@
-"""Derived dissemination processes studied in Section 4 of the paper.
+"""Dissemination processes as kernels: the paper's broadcast and gossip and
+the derived processes studied in its Section 4.
 
 Every process is defined once as a batch-aware *process kernel*
 (:mod:`repro.dissemination.kernels`) — ``init_state → step(state, conn, rng)
 → stopped?`` with serial and batched faces — and driven by the shared
 replication machinery (``backend="serial"|"batched"|"auto"``,
-``connectivity="recompute"|"incremental"|"auto"``, sharded executor).  The
-classic single-trial entry points remain as thin facades:
+``connectivity="recompute"|"incremental"|"auto"``, sharded executor).
+:class:`BroadcastProcess` and :class:`GossipProcess` run behind
+:class:`repro.core.BroadcastSimulation`, :class:`repro.core.GossipSimulation`
+and the ``run_*_replications`` runners.  The classic single-trial entry
+points of the Section-4 processes remain as thin facades:
 
 * :class:`FrogModelSimulation` — only informed agents move; uninformed agents
   stay at their initial positions until activated.
@@ -23,8 +27,10 @@ from repro.dissemination.predator_prey import PredatorPreySimulation, PredatorPr
 from repro.dissemination.coverage import multi_walk_cover_time, CoverTimeResult
 from repro.dissemination.infection import infection_time, InfectionResult
 from repro.dissemination.kernels import (
+    BroadcastProcess,
     CoverProcess,
     FrogProcess,
+    GossipProcess,
     InfectionProcess,
     InformedCoverageProcess,
     InformedCoverageResult,
@@ -46,6 +52,8 @@ __all__ = [
     "infection_time",
     "InfectionResult",
     "ProcessKernel",
+    "BroadcastProcess",
+    "GossipProcess",
     "FrogProcess",
     "PredatorPreyProcess",
     "CoverProcess",

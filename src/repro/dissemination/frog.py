@@ -18,10 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.connectivity.visibility import visibility_components
 from repro.dissemination.kernels import (  # noqa: F401  (re-exported result type)
     FrogModelResult,
     FrogProcess,
+    run_process_serial,
+    serial_connectivity,
 )
 from repro.grid.lattice import Grid2D
 from repro.util.rng import RandomState, default_rng
@@ -92,12 +93,9 @@ class FrogModelSimulation:
     # ------------------------------------------------------------------ #
     def step(self) -> None:
         """One time step: activation exchange, then motion of active agents only."""
-        labels = visibility_components(self._state.positions, self._process.radius)
-        self._process.step(self._state, labels, self._rng)
+        conn = serial_connectivity(self._process, self._state.positions, None)
+        self._process.step(self._state, conn, self._rng)
 
     def run(self, max_steps: Optional[int] = None) -> FrogModelResult:
         """Run until every agent is active or the horizon is exhausted."""
-        horizon = int(max_steps) if max_steps is not None else self._process.horizon
-        while self._state.n_steps < horizon and not self._process.stopped(self._state):
-            self.step()
-        return self._process.result(self._state)
+        return run_process_serial(self._process, self._rng, state=self._state, horizon=max_steps)

@@ -1,4 +1,4 @@
-"""Batch-aware process kernels for the Section-4 dissemination dynamics.
+"""Batch-aware process kernels: broadcast, gossip and the Section-4 dynamics.
 
 This module is to the dissemination package what :mod:`repro.mobility.kernels`
 is to mobility: the *kernel layer* that lets one process definition drive both
@@ -13,9 +13,12 @@ replication backends.  A dissemination process is
 
 Every kernel also implements the batched face of the same contract
 (``init_batch`` / ``step_batch`` / ``compact`` / ``build_results``), advancing
-``R`` independent trials as one ``(R, k, 2)`` position tensor; the generic
-replication drivers live in :func:`run_process_serial` (here) and
-:func:`repro.core.batched.run_process_replications_batched`.
+``R`` independent trials as one ``(R, k, 2)`` position tensor.  One serial
+loop (:func:`run_process_serial`, here) and one batched loop
+(:func:`repro.core.batched.run_process_replications_batched`) drive every
+kernel: the paper's broadcast (:class:`BroadcastProcess`, Theorems 1-2) and
+gossip (:class:`GossipProcess`, Corollary 2) on any registered mobility
+model, and the Section-4 processes.
 
 The connectivity input is declared per kernel via ``needs``:
 
@@ -50,19 +53,36 @@ import numpy as np
 
 from repro.connectivity.spatial_hash import neighbor_pairs
 from repro.connectivity.visibility import effective_radius, visibility_components
-from repro.core.config import check_backend, check_connectivity, default_max_steps
-from repro.core.protocol import flood_informed, flood_informed_batch
+from repro.core.config import (
+    BroadcastConfig,
+    GossipConfig,
+    check_backend,
+    check_connectivity,
+    default_max_steps,
+)
+from repro.core.gossip import GossipResult
+from repro.core.metrics import CoverageTracker, FrontierTracker, InformedCurve
+from repro.core.protocol import (
+    flood_informed,
+    flood_informed_batch,
+    flood_rumors,
+    flood_rumors_batch,
+)
 from repro.core.runner import (
     ReplicationSummary,
     auto_pair,
     check_rng_streams,
     current_backend_override,
     current_connectivity_override,
+    resolve_pair,
     summarise_values,
 )
+from repro.core.simulation import BroadcastResult
 from repro.grid.lattice import Grid2D
+from repro.mobility import make_mobility
 from repro.mobility.kernels import StepRule, apply_lazy_choices, lazy_step
 from repro.mobility.random_walk import RandomWalkMobility
+from repro.obs.metrics import step_loop_instruments
 from repro.util.rng import RandomState, SeedLike, spawn_rngs
 from repro.util.validation import check_non_negative, check_positive_int
 
@@ -195,11 +215,20 @@ class ProcessKernel(abc.ABC):
     TIME_FIELD:
         Result field summarised by :func:`run_process_replications`
         (``-1`` meaning "did not complete").
+    loop:
+        Step-loop label: the serial loop counts this kernel's steps under
+        ``repro_sim_steps_total{loop="serial_<loop>"}``, the batched loop
+        under ``batched_<loop>``.
+    fused_r0:
+        Whether a compiled run may hand the whole loop to :meth:`run_fused`
+        where the fused ``r = 0`` block driver applies.
     """
 
     name: str = ""
     TIME_FIELD: str = ""
     result_class: type = object
+    loop: str = "process"
+    fused_r0: bool = False
 
     grid: Grid2D
     radius: float
@@ -240,10 +269,19 @@ class ProcessKernel(abc.ABC):
     def result(self, state: Any) -> Any:
         """Build the trial's result dataclass from its final state."""
 
+    def rebuild_result(self, fields: dict[str, Any]) -> Any:
+        """One trial's result from its record fields (the executor's merge)."""
+        return self.result_class(**fields)
+
     # -- batched face ------------------------------------------------------- #
     @abc.abstractmethod
-    def init_batch(self, rngs: Sequence[RandomState]) -> Any:
-        """Per-trial init draws fused into one batch state (``R`` trials)."""
+    def init_batch(self, rngs: Sequence[RandomState], ops: Any = None) -> Any:
+        """Per-trial init draws fused into one batch state (``R`` trials).
+
+        ``ops`` is the compiled provider of a compiled run (``None``
+        otherwise); a kernel may route its mobility applies through it, never
+        its draws.
+        """
 
     def initially_stopped(self, bstate: Any) -> np.ndarray:
         """Trials whose stopping condition already holds at ``t = 0``."""
@@ -279,6 +317,16 @@ class ProcessKernel(abc.ABC):
     ) -> list[Any]:
         """Assemble one result per trial from the batch state and curves."""
 
+    def run_fused(
+        self, ops: Any, bstate: Any
+    ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+        """Run every step on the fused block driver (``fused_r0`` kernels only).
+
+        Returns ``(step_trials, step_counts, n_steps)`` as the batched loop
+        records them, with the result fields written into ``bstate``.
+        """
+        raise NotImplementedError(f"process {self.name!r} has no fused driver")
+
 
 # --------------------------------------------------------------------------- #
 # Serial driver
@@ -296,26 +344,48 @@ def serial_connectivity(
     return None
 
 
-def run_process_serial(
-    process: ProcessKernel, rng: RandomState, connectivity: str = "recompute"
-) -> Any:
-    """Run one serial trial of ``process`` and return its result.
+def serial_engine(process: ProcessKernel, connectivity: str) -> Optional[Any]:
+    """The engine a serial trial keeps across steps, or ``None`` to recompute.
 
-    ``connectivity`` selects the labelling engine for ``needs == "labels"``
-    kernels (``"incremental"`` maintains the components across steps, any
-    other value recomputes them); pair- and connectivity-free kernels ignore
-    it — there is nothing label-shaped to maintain — so every resolved
-    choice is result-identical by construction.
+    Only label-consuming kernels maintain one, under ``"incremental"``;
+    pair- and connectivity-free kernels have nothing label-shaped to
+    maintain, so every resolved choice is result-identical by construction.
     """
-    engine = None
     if process.needs == "labels" and connectivity == "incremental":
         from repro.connectivity.incremental import DeltaConnectivityEngine
 
-        engine = DeltaConnectivityEngine(process.n_points, process.radius, process.grid.side)
-    state = process.init_state(rng)
-    while state.n_steps < process.horizon and not process.stopped(state):
-        conn = serial_connectivity(process, state.positions, engine)
-        process.step(state, conn, rng)
+        return DeltaConnectivityEngine(process.n_points, process.radius, process.grid.side)
+    return None
+
+
+def run_process_serial(
+    process: ProcessKernel,
+    rng: RandomState,
+    connectivity: str = "recompute",
+    *,
+    state: Optional[ProcessState] = None,
+    engine: Optional[Any] = None,
+    horizon: Optional[int] = None,
+) -> Any:
+    """Run one serial trial of ``process`` and return its result.
+
+    The one serial step loop of every kernel.  ``connectivity`` selects the
+    labelling engine (:func:`serial_engine`).  A facade continues a trial
+    already under way: ``state`` is its state and ``engine`` its engine
+    (``None`` recomputes), and ``connectivity`` is then ignored.  ``horizon``
+    caps the completed steps (default: the kernel's).  Each step advances
+    ``repro_sim_steps_total{loop="serial_<loop>"}``.
+    """
+    if state is None:
+        engine = serial_engine(process, connectivity)
+        state = process.init_state(rng)
+    horizon = process.horizon if horizon is None else int(horizon)
+    steps_metric, active_metric = step_loop_instruments(f"serial_{process.loop}")
+    active_metric.set(1)
+    while state.n_steps < horizon and not process.stopped(state):
+        steps_metric.inc()
+        process.step(state, serial_connectivity(process, state.positions, engine), rng)
+    active_metric.set(0)
     return process.result(state)
 
 
@@ -472,7 +542,7 @@ class FrogProcess(_SourceSeededProcess):
         )
 
     # -- batched ------------------------------------------------------------ #
-    def init_batch(self, rngs: Sequence[RandomState]) -> _FrogBatch:
+    def init_batch(self, rngs: Sequence[RandomState], ops: Any = None) -> _FrogBatch:
         return _FrogBatch(*self._draw_batch(rngs))
 
     def step_batch(
@@ -688,7 +758,7 @@ class PredatorPreyProcess(ProcessKernel):
         )
 
     # -- batched ------------------------------------------------------------ #
-    def init_batch(self, rngs: Sequence[RandomState]) -> _PredatorPreyBatch:
+    def init_batch(self, rngs: Sequence[RandomState], ops: Any = None) -> _PredatorPreyBatch:
         n_trials = len(rngs)
         positions = np.empty((n_trials, self.n_points, 2), dtype=np.int64)
         kp = self.n_predators
@@ -882,7 +952,7 @@ class CoverProcess(ProcessKernel):
         )
 
     # -- batched ------------------------------------------------------------ #
-    def init_batch(self, rngs: Sequence[RandomState]) -> _CoverBatch:
+    def init_batch(self, rngs: Sequence[RandomState], ops: Any = None) -> _CoverBatch:
         n_trials = len(rngs)
         k = self.n_walkers
         positions = np.empty((n_trials, k, 2), dtype=np.int64)
@@ -1088,7 +1158,7 @@ class InformedCoverageProcess(_SourceSeededProcess):
         )
 
     # -- batched ------------------------------------------------------------ #
-    def init_batch(self, rngs: Sequence[RandomState]) -> _InformedCoverageBatch:
+    def init_batch(self, rngs: Sequence[RandomState], ops: Any = None) -> _InformedCoverageBatch:
         positions, informed = self._draw_batch(rngs)
         visited = np.zeros((len(rngs), self.n_nodes), dtype=bool)
         stepper = self._mobility.batch_stepper(self.n_agents, rngs)
@@ -1237,7 +1307,7 @@ class InfectionProcess(_SourceSeededProcess):
         )
 
     # -- batched ------------------------------------------------------------ #
-    def init_batch(self, rngs: Sequence[RandomState]) -> _InfectionBatch:
+    def init_batch(self, rngs: Sequence[RandomState], ops: Any = None) -> _InfectionBatch:
         positions, informed = self._draw_batch(rngs)
         stepper = self._mobility.batch_stepper(self.n_agents, rngs)
         return _InfectionBatch(positions, informed, stepper)
@@ -1278,9 +1348,394 @@ class InfectionProcess(_SourceSeededProcess):
 
 
 # --------------------------------------------------------------------------- #
+# Broadcast and gossip (Theorems 1-2, Corollary 2) on any mobility model
+# --------------------------------------------------------------------------- #
+class _ConfigProcess(ProcessKernel):
+    """Shared set-up of the kernels built from a simulation config.
+
+    The config is the kernel's whole spec: it names the mobility model and
+    its kwargs, and it is what every result carries.  A trial draws its
+    mobility state, then its initial positions (then, for a broadcast, the
+    source): the serial simulators' historical draw order, part of the
+    stream-equivalence contract.
+    """
+
+    config_class: type
+
+    def __init__(self, config: Any) -> None:
+        if not isinstance(config, self.config_class):
+            config = self.config_class(**config)
+        self.config = config
+        self.n_agents = config.n_agents
+        self.radius = config.radius
+        self.n_points = config.n_agents
+        self.horizon = config.horizon
+        self.grid = Grid2D.from_nodes(config.n_nodes)
+        self.mobility = make_mobility(config.mobility, self.grid, **dict(config.mobility_kwargs))
+
+    @property
+    def spec(self) -> dict[str, Any]:
+        return {"name": self.name, "kwargs": {"config": self.config}}
+
+    def rebuild_result(self, fields: dict[str, Any]) -> Any:
+        return self.result_class(config=self.config, **fields)
+
+    def _draw_source(self, rng: RandomState) -> int:
+        """The trial's source agent, drawn after its positions (none for gossip)."""
+        return 0
+
+    def _draw_trial(self, rng: RandomState) -> tuple[Any, np.ndarray]:
+        """One trial's mobility state and initial positions."""
+        mobility_state = self.mobility.init_state(self.n_agents, rng)
+        return mobility_state, self.mobility.initial_positions(self.n_agents, rng)
+
+    def _draw_batch(
+        self, rngs: Sequence[RandomState], ops: Any
+    ) -> tuple[np.ndarray, np.ndarray, Any]:
+        """``(R, k, 2)`` positions, sources and the batch's mobility stepper.
+
+        Under a compiled run the stepper applies its draws through the
+        provider's kernels (:func:`~repro.compiled.api.accelerate_stepper`).
+        """
+        positions = np.empty((len(rngs), self.n_agents, 2), dtype=np.int64)
+        sources = np.zeros(len(rngs), dtype=np.int64)
+        states = []
+        for trial, rng in enumerate(rngs):
+            mobility_state, positions[trial] = self._draw_trial(rng)
+            states.append(mobility_state)
+            sources[trial] = self._draw_source(rng)
+        stepper = self.mobility.batch_stepper(self.n_agents, rngs, states)
+        if ops is not None:
+            from repro.compiled.api import accelerate_stepper
+
+            stepper = accelerate_stepper(ops, stepper)
+        return positions, sources, stepper
+
+
+class BroadcastState(ProcessState):
+    """Serial per-trial state of a broadcast."""
+
+    __slots__ = (
+        "positions",
+        "mobility_state",
+        "informed",
+        "source",
+        "n_steps",
+        "broadcast_time",
+        "curve",
+        "frontier",
+        "coverage",
+    )
+
+    def __init__(
+        self,
+        positions: np.ndarray,
+        mobility_state: Any,
+        source: int,
+        n_agents: int,
+        frontier: Optional[FrontierTracker],
+        coverage: Optional[CoverageTracker],
+    ) -> None:
+        self.positions = positions
+        self.mobility_state = mobility_state
+        self.informed = np.zeros(n_agents, dtype=bool)
+        self.informed[source] = True
+        self.source = source
+        self.n_steps = 0
+        self.broadcast_time = -1
+        self.curve = InformedCurve()
+        self.frontier = frontier
+        self.coverage = coverage
+
+
+class _BroadcastBatch:
+    """Batched state of a broadcast."""
+
+    __slots__ = ("positions", "informed", "stepper", "broadcast_time", "final_informed")
+
+    def __init__(
+        self, positions: np.ndarray, sources: np.ndarray, stepper: Any, n_agents: int
+    ) -> None:
+        n_trials = positions.shape[0]
+        self.positions = positions
+        self.informed = np.zeros((n_trials, n_agents), dtype=bool)
+        self.informed[np.arange(n_trials), sources] = True
+        self.stepper = stepper
+        self.broadcast_time = np.full(n_trials, -1, dtype=np.int64)
+        self.final_informed = np.full(n_trials, n_agents, dtype=np.int64)
+
+
+class BroadcastProcess(_ConfigProcess):
+    """Single-rumor broadcast (Theorems 1-2) as a process kernel.
+
+    Each step floods the rumor through the components of ``G_t(r)``,
+    records, then moves every agent one step of the config's mobility model
+    (also on the step the broadcast completes).  The frontier and coverage
+    observables (``record_frontier``, ``record_coverage``) track per-trial
+    trajectories the batch layout does not carry, so they run on the serial
+    face only.  A compiled batch with a block-draw mobility model at
+    ``⌊r⌋ = 0`` runs on the fused block driver (:meth:`run_fused`).
+    """
+
+    name = "broadcast"
+    TIME_FIELD = "broadcast_time"
+    result_class = BroadcastResult
+    loop = "broadcast"
+    fused_r0 = True
+    config_class = BroadcastConfig
+
+    def _draw_source(self, rng: RandomState) -> int:
+        source = self.config.source
+        return int(rng.integers(0, self.n_agents)) if source is None else int(source)
+
+    # -- serial ------------------------------------------------------------- #
+    def init_state(self, rng: RandomState) -> BroadcastState:
+        mobility_state, positions = self._draw_trial(rng)
+        source = self._draw_source(rng)
+        config = self.config
+        return BroadcastState(
+            positions,
+            mobility_state,
+            source,
+            self.n_agents,
+            FrontierTracker() if config.record_frontier else None,
+            CoverageTracker(self.grid) if config.record_coverage else None,
+        )
+
+    def step(self, state: BroadcastState, conn: Any, rng: RandomState) -> None:
+        state.informed = flood_informed(state.informed, conn)
+        state.curve.record(state.informed)
+        if state.frontier is not None:
+            state.frontier.record(state.positions, state.informed)
+        if state.coverage is not None:
+            state.coverage.record(state.positions, state.informed, state.n_steps)
+        if state.broadcast_time < 0 and state.informed.all():
+            state.broadcast_time = state.n_steps
+        state.positions = self.mobility.step(state.positions, rng, state.mobility_state)
+        state.n_steps += 1
+
+    def stopped(self, state: BroadcastState) -> bool:
+        """Broadcast done, and coverage too when it is recorded (one trajectory)."""
+        return state.broadcast_time >= 0 and (state.coverage is None or state.coverage.complete)
+
+    def result(self, state: BroadcastState) -> BroadcastResult:
+        frontier, coverage = state.frontier, state.coverage
+        return BroadcastResult(
+            config=self.config,
+            broadcast_time=state.broadcast_time,
+            completed=state.broadcast_time >= 0,
+            n_steps=state.n_steps,
+            n_informed=int(np.count_nonzero(state.informed)),
+            informed_curve=state.curve.as_array(),
+            frontier_history=frontier.history if frontier is not None else None,
+            coverage_time=coverage.coverage_time if coverage is not None else -1,
+            coverage_fraction=coverage.fraction_visited if coverage is not None else 0.0,
+        )
+
+    # -- batched ------------------------------------------------------------ #
+    def init_batch(self, rngs: Sequence[RandomState], ops: Any = None) -> _BroadcastBatch:
+        if self.config.record_frontier or self.config.record_coverage:
+            raise ValueError("frontier and coverage recording run on the serial backend only")
+        positions, sources, stepper = self._draw_batch(rngs, ops)
+        return _BroadcastBatch(positions, sources, stepper, self.n_agents)
+
+    def step_batch(
+        self,
+        bstate: _BroadcastBatch,
+        conn: np.ndarray,
+        rngs: Sequence[RandomState],
+        active: np.ndarray,
+        t: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        informed = flood_informed_batch(bstate.informed, conn)
+        bstate.informed = informed
+        counts = informed.sum(axis=1)
+        done = counts == self.n_agents
+        bstate.broadcast_time[active[done]] = t
+        bstate.positions = bstate.stepper.step(bstate.positions, active)
+        return counts, done
+
+    def compact(self, bstate: _BroadcastBatch, keep: np.ndarray) -> None:
+        bstate.positions = bstate.positions[keep]
+        bstate.informed = bstate.informed[keep]
+
+    def finalize(self, bstate: _BroadcastBatch, active: np.ndarray) -> None:
+        bstate.final_informed[active] = bstate.informed.sum(axis=1)
+
+    def run_fused(
+        self, ops: Any, bstate: _BroadcastBatch
+    ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+        from repro.compiled.driver import run_broadcast_r0_fused
+
+        n_trials = bstate.broadcast_time.shape[0]
+        step_trials, step_counts, broadcast_time, n_steps, n_informed = run_broadcast_r0_fused(
+            ops,
+            self.grid,
+            bstate.stepper,
+            bstate.positions,
+            bstate.informed,
+            n_trials,
+            self.horizon,
+        )
+        bstate.broadcast_time = broadcast_time
+        bstate.final_informed = n_informed
+        return step_trials, step_counts, n_steps
+
+    def build_results(
+        self, bstate: _BroadcastBatch, curves: list[np.ndarray], n_steps: np.ndarray
+    ) -> list[BroadcastResult]:
+        return [
+            BroadcastResult(
+                config=self.config,
+                broadcast_time=int(bstate.broadcast_time[trial]),
+                completed=bool(bstate.broadcast_time[trial] >= 0),
+                n_steps=int(n_steps[trial]),
+                n_informed=int(bstate.final_informed[trial]),
+                informed_curve=curves[trial],
+            )
+            for trial in range(bstate.broadcast_time.shape[0])
+        ]
+
+
+class GossipState(ProcessState):
+    """Serial per-trial state of a gossip run."""
+
+    __slots__ = (
+        "positions",
+        "mobility_state",
+        "rumors",
+        "n_steps",
+        "gossip_time",
+        "first_broadcast",
+        "curve",
+    )
+
+    def __init__(self, positions: np.ndarray, mobility_state: Any, n_agents: int) -> None:
+        self.positions = positions
+        self.mobility_state = mobility_state
+        self.rumors = np.eye(n_agents, dtype=bool)
+        self.n_steps = 0
+        self.gossip_time = -1
+        self.first_broadcast = -1
+        self.curve: list[int] = []
+
+
+class _GossipBatch:
+    """Batched state of a gossip run: an ``(R, k, k)`` knowledge tensor."""
+
+    __slots__ = ("positions", "rumors", "stepper", "gossip_time", "first_broadcast", "min_rumors")
+
+    def __init__(self, positions: np.ndarray, stepper: Any, n_agents: int) -> None:
+        n_trials = positions.shape[0]
+        self.positions = positions
+        self.rumors = np.broadcast_to(
+            np.eye(n_agents, dtype=bool), (n_trials, n_agents, n_agents)
+        ).copy()
+        self.stepper = stepper
+        self.gossip_time = np.full(n_trials, -1, dtype=np.int64)
+        self.first_broadcast = np.full(n_trials, -1, dtype=np.int64)
+        self.min_rumors = np.full(n_trials, 1, dtype=np.int64)
+
+
+class GossipProcess(_ConfigProcess):
+    """All-to-all rumor exchange (Corollary 2) as a process kernel.
+
+    Agent ``j`` starts with rumor ``j``; the knowledge state is a ``(k, k)``
+    boolean matrix (``(R, k, k)`` on the batched face) flooded through the
+    components of ``G_t(r)`` each step before every agent moves.  The
+    recorded curve is the total knowledge ``sum(rumors)``.
+    """
+
+    name = "gossip"
+    TIME_FIELD = "gossip_time"
+    result_class = GossipResult
+    loop = "gossip"
+    config_class = GossipConfig
+
+    # -- serial ------------------------------------------------------------- #
+    def init_state(self, rng: RandomState) -> GossipState:
+        mobility_state, positions = self._draw_trial(rng)
+        return GossipState(positions, mobility_state, self.n_agents)
+
+    def step(self, state: GossipState, conn: Any, rng: RandomState) -> None:
+        state.rumors = flood_rumors(state.rumors, conn)
+        state.curve.append(int(state.rumors.sum()))
+        if state.first_broadcast < 0 and bool(state.rumors[:, 0].all()):
+            state.first_broadcast = state.n_steps
+        if state.gossip_time < 0 and state.rumors.all():
+            state.gossip_time = state.n_steps
+        state.positions = self.mobility.step(state.positions, rng, state.mobility_state)
+        state.n_steps += 1
+
+    def stopped(self, state: GossipState) -> bool:
+        return state.gossip_time >= 0
+
+    def result(self, state: GossipState) -> GossipResult:
+        return GossipResult(
+            config=self.config,
+            gossip_time=state.gossip_time,
+            completed=state.gossip_time >= 0,
+            n_steps=state.n_steps,
+            min_rumors_known=int(state.rumors.sum(axis=1).min()),
+            first_rumor_broadcast_time=state.first_broadcast,
+            knowledge_curve=np.asarray(state.curve, dtype=np.int64),
+        )
+
+    # -- batched ------------------------------------------------------------ #
+    def init_batch(self, rngs: Sequence[RandomState], ops: Any = None) -> _GossipBatch:
+        positions, _sources, stepper = self._draw_batch(rngs, ops)
+        return _GossipBatch(positions, stepper, self.n_agents)
+
+    def step_batch(
+        self,
+        bstate: _GossipBatch,
+        conn: np.ndarray,
+        rngs: Sequence[RandomState],
+        active: np.ndarray,
+        t: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        k = self.n_agents
+        rumors = flood_rumors_batch(bstate.rumors, conn)
+        bstate.rumors = rumors
+        totals = rumors.sum(axis=(1, 2))
+        newly_first = rumors[:, :, 0].all(axis=1) & (bstate.first_broadcast[active] < 0)
+        bstate.first_broadcast[active[newly_first]] = t
+        done = totals == k * k
+        bstate.gossip_time[active[done]] = t
+        bstate.min_rumors[active[done]] = k  # gossip completed: every agent knows all k
+        bstate.positions = bstate.stepper.step(bstate.positions, active)
+        return totals, done
+
+    def compact(self, bstate: _GossipBatch, keep: np.ndarray) -> None:
+        bstate.positions = bstate.positions[keep]
+        bstate.rumors = bstate.rumors[keep]
+
+    def finalize(self, bstate: _GossipBatch, active: np.ndarray) -> None:
+        bstate.min_rumors[active] = bstate.rumors.sum(axis=2).min(axis=1)
+
+    def build_results(
+        self, bstate: _GossipBatch, curves: list[np.ndarray], n_steps: np.ndarray
+    ) -> list[GossipResult]:
+        return [
+            GossipResult(
+                config=self.config,
+                gossip_time=int(bstate.gossip_time[trial]),
+                completed=bool(bstate.gossip_time[trial] >= 0),
+                n_steps=int(n_steps[trial]),
+                min_rumors_known=int(bstate.min_rumors[trial]),
+                first_rumor_broadcast_time=int(bstate.first_broadcast[trial]),
+                knowledge_curve=curves[trial],
+            )
+            for trial in range(bstate.gossip_time.shape[0])
+        ]
+
+
+# --------------------------------------------------------------------------- #
 # Registry + replication runner
 # --------------------------------------------------------------------------- #
 PROCESS_KERNELS: dict[str, type[ProcessKernel]] = {
+    BroadcastProcess.name: BroadcastProcess,
+    GossipProcess.name: GossipProcess,
     FrogProcess.name: FrogProcess,
     PredatorPreyProcess.name: PredatorPreyProcess,
     CoverProcess.name: CoverProcess,
@@ -1312,15 +1767,19 @@ def resolve_process_pair(
 ) -> tuple[str, str]:
     """The ``(backend, connectivity)`` pair a process run executes.
 
-    Mirrors :func:`repro.core.runner.resolve_pair`: each request is the
-    explicit argument if given, else the active
+    A kernel built from a simulation config (:class:`BroadcastProcess`,
+    :class:`GossipProcess`) resolves as its config does, through
+    :func:`repro.core.runner.resolve_pair`.  The others mirror it: each
+    request is the explicit argument if given, else the active
     :func:`~repro.core.runner.backend_override` /
     :func:`~repro.core.runner.connectivity_override`, else ``"auto"``, and
     the one policy :func:`~repro.core.runner.auto_pair` resolves it (every
-    registered kernel implements the batched face, so ``auto`` never lands
-    on serial).  Pair- and connectivity-free kernels have no label engine
-    to maintain, so for them both engines are the same computation.
+    such kernel implements the batched face, so ``auto`` never lands on
+    serial).  Pair- and connectivity-free kernels have no label engine to
+    maintain, so for them both engines are the same computation.
     """
+    if isinstance(process, _ConfigProcess):
+        return resolve_pair(process.config, backend, connectivity)
     if backend is None:
         backend = current_backend_override()
     if connectivity is None:
@@ -1370,28 +1829,52 @@ def run_process_replications(
     work units.  Every execution path is bit-for-bit identical for identical
     seeds.
     """
+    backend, connectivity = resolve_process_pair(process, backend, connectivity)
+    return _replicate(process, n_replications, seed, backend, connectivity, rng_streams)
+
+
+def _replicate(
+    process: ProcessKernel,
+    n_replications: int,
+    seed: SeedLike,
+    backend: str,
+    connectivity: str,
+    rng_streams: Optional[Sequence[RandomState]] = None,
+) -> tuple[ReplicationSummary, list[Any]]:
+    """The one replication path under every ``run_*_replications`` entry point.
+
+    ``backend`` and ``connectivity`` are already resolved.  Without
+    ``rng_streams`` an active :func:`repro.exec.execution_override` shards
+    the run into ``"process"`` units whose payload is ``process.spec``;
+    otherwise the trials run on the batched loop or, one by one, on
+    :func:`run_process_serial`.
+    """
     n_replications = check_positive_int(n_replications, "n_replications")
     check_rng_streams(rng_streams, n_replications)
-    resolved_backend, engine = resolve_process_pair(process, backend, connectivity)
     if rng_streams is None:
         from repro.exec.executor import current_executor
 
         executor = current_executor()
         if executor is not None:
             return executor.run_process(
-                process, n_replications, seed,
-                backend=resolved_backend,
-                connectivity=engine,
+                process,
+                n_replications,
+                seed,
+                backend=backend,
+                connectivity=connectivity,
             )
-    if resolved_backend in ("batched", "compiled"):
+    if backend in ("batched", "compiled"):
         from repro.core.batched import run_process_replications_batched
 
         return run_process_replications_batched(
-            process, n_replications, seed,
-            rng_streams=rng_streams, connectivity=engine,
-            compiled=resolved_backend == "compiled",
+            process,
+            n_replications,
+            seed,
+            rng_streams=rng_streams,
+            connectivity=connectivity,
+            compiled=backend == "compiled",
         )
     rngs = list(rng_streams) if rng_streams is not None else spawn_rngs(seed, n_replications)
-    results = [run_process_serial(process, rng, connectivity=engine) for rng in rngs]
+    results = [run_process_serial(process, rng, connectivity) for rng in rngs]
     summary = summarise_values([getattr(res, process.TIME_FIELD) for res in results])
     return summary, results

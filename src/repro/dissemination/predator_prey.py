@@ -21,6 +21,7 @@ import numpy as np
 from repro.dissemination.kernels import (  # noqa: F401  (re-exported result type)
     PredatorPreyProcess,
     PredatorPreyResult,
+    run_process_serial,
     serial_connectivity,
 )
 from repro.grid.lattice import Grid2D
@@ -82,7 +83,4 @@ class PredatorPreySimulation:
 
     def run(self, max_steps: Optional[int] = None) -> PredatorPreyResult:
         """Run until all preys are caught or the horizon is exhausted."""
-        horizon = int(max_steps) if max_steps is not None else self._process.horizon
-        while self._state.n_steps < horizon and not self._process.stopped(self._state):
-            self.step()
-        return self._process.result(self._state)
+        return run_process_serial(self._process, self._rng, state=self._state, horizon=max_steps)

@@ -311,8 +311,6 @@ def execute_unit(unit: WorkUnit) -> dict[str, Any]:
     execution can never recurse into a pool.
     """
     with _suspended_override():
-        if unit.kind in ("broadcast", "gossip"):
-            return _execute_simulation_unit(unit)
         if unit.kind == "process":
             return _execute_process_unit(unit)
         if unit.kind == "map":
@@ -369,37 +367,19 @@ def _pool_run_chunk(
     return outcomes
 
 
-def _execute_simulation_unit(unit: WorkUnit) -> dict[str, Any]:
-    from repro.core.runner import run_broadcast_replications, run_gossip_replications
-
-    config = unit.payload["config"]
-    streams = unit.seed.trial_rngs(unit.start, unit.stop)
-    runner = run_broadcast_replications if unit.kind == "broadcast" else run_gossip_replications
-    summary, results = runner(
-        config,
-        unit.n_trials,
-        backend=unit.backend,
-        connectivity=unit.connectivity,
-        rng_streams=streams,
-    )
-    return {
-        "values": [float(v) for v in summary.values],
-        "results": [_result_record(res) for res in results],
-    }
-
-
 def _execute_process_unit(unit: WorkUnit) -> dict[str, Any]:
-    from repro.dissemination.kernels import make_process, run_process_replications
+    from repro.dissemination.kernels import _replicate, make_process, resolve_process_pair
 
     spec = unit.payload["process"]
     process = make_process(spec["name"], **dict(spec.get("kwargs") or {}))
-    streams = unit.seed.trial_rngs(unit.start, unit.stop)
-    summary, results = run_process_replications(
+    backend, connectivity = resolve_process_pair(process, unit.backend, unit.connectivity)
+    summary, results = _replicate(
         process,
         unit.n_trials,
-        backend=unit.backend,
-        connectivity=unit.connectivity,
-        rng_streams=streams,
+        None,
+        backend,
+        connectivity,
+        rng_streams=unit.seed.trial_rngs(unit.start, unit.stop),
     )
     return {
         "values": [float(v) for v in summary.values],
@@ -429,9 +409,9 @@ def _call_map(
     return payloads
 
 
-#: Result-dataclass integer-array fields carried through records; for
-#: simulation kinds ``config`` is reattached from the unit payload at merge
-#: time instead of being serialised once per trial.
+#: Result-dataclass integer-array fields carried through records; a
+#: broadcast or gossip result's ``config`` is reattached from the kernel at
+#: merge time instead of being serialised once per trial.
 _INT_ARRAY_FIELDS = (
     "informed_curve",
     "knowledge_curve",
@@ -443,7 +423,7 @@ _INT_ARRAY_FIELDS = (
 
 
 def _result_record(result: Any) -> dict[str, Any]:
-    """A simulation result dataclass as a JSON-able record (minus config)."""
+    """A result dataclass as a JSON-able record (minus config)."""
     import dataclasses
 
     record = {}
@@ -454,24 +434,12 @@ def _result_record(result: Any) -> dict[str, Any]:
     return record
 
 
-def _result_from_record(kind: str, record: Mapping[str, Any], config: Any) -> Any:
-    from repro.core.gossip import GossipResult
-    from repro.core.simulation import BroadcastResult
-
+def _process_result_from_record(process: Any, record: Mapping[str, Any]) -> Any:
     fields = dict(record)
     for name in _INT_ARRAY_FIELDS:
         if fields.get(name) is not None:
             fields[name] = np.asarray(fields[name], dtype=np.int64)
-    cls = BroadcastResult if kind == "broadcast" else GossipResult
-    return cls(config=config, **fields)
-
-
-def _process_result_from_record(result_class: type, record: Mapping[str, Any]) -> Any:
-    fields = dict(record)
-    for name in _INT_ARRAY_FIELDS:
-        if fields.get(name) is not None:
-            fields[name] = np.asarray(fields[name], dtype=np.int64)
-    return result_class(**fields)
+    return process.rebuild_result(fields)
 
 
 def _merge_process_records(
@@ -484,24 +452,7 @@ def _merge_process_records(
     results: list[Any] = []
     for record in records:
         values.extend(float(v) for v in record["values"])
-        results.extend(
-            _process_result_from_record(process.result_class, res)
-            for res in record["results"]
-        )
-    return summarise_values(values), results
-
-
-def _merge_simulation_records(
-    kind: str, config: Any, records: Sequence[Mapping[str, Any]]
-) -> tuple[Any, list[Any]]:
-    """Chunk records (in trial order) -> ``(ReplicationSummary, results)``."""
-    from repro.core.runner import summarise_values
-
-    values: list[float] = []
-    results: list[Any] = []
-    for record in records:
-        values.extend(float(v) for v in record["values"])
-        results.extend(_result_from_record(kind, res, config) for res in record["results"])
+        results.extend(_process_result_from_record(process, res) for res in record["results"])
     return summarise_values(values), results
 
 
@@ -1343,35 +1294,6 @@ class SweepExecutor:
             self._pool = None
 
     # -- high-level entry points -------------------------------------------- #
-    def run_replications(
-        self,
-        kind: str,
-        config: Any,
-        n_replications: int,
-        seed: SeedLike,
-        backend: str,
-        connectivity: Optional[str] = None,
-        label: Optional[str] = None,
-    ) -> tuple[Any, list[Any]]:
-        """Sharded equivalent of ``run_broadcast/gossip_replications``.
-
-        ``backend`` (and ``connectivity``, when given) must already be
-        resolved to concrete choices (resolution happens in the calling
-        process so worker processes never depend on ambient override state).
-        """
-        units = self.decompose(
-            label=label or _config_label(kind, config),
-            kind=kind,
-            payload={"config": config},
-            n_replications=n_replications,
-            seed=seed,
-            backend=backend,
-            connectivity=connectivity,
-        )
-        if self.aggregate == "streaming":
-            return self._run_streaming(units)
-        return _merge_simulation_records(kind, config, self.run_units(units))
-
     def run_process(
         self,
         process: Any,
@@ -1384,11 +1306,14 @@ class SweepExecutor:
         """Sharded equivalent of
         :func:`repro.dissemination.kernels.run_process_replications`.
 
-        The unit payload is the kernel's JSON-able ``spec`` — workers
-        rebuild the kernel by name, so process units are picklable *and*
+        The unit payload is the kernel's ``spec`` — workers rebuild the
+        kernel by name, so process units are picklable *and*
         content-addressable in a resume store.  ``backend`` and
-        ``connectivity`` must already be resolved, like
-        :meth:`run_replications`.
+        ``connectivity`` must already be resolved (resolution happens in the
+        calling process so worker processes never depend on ambient override
+        state).  Broadcast and gossip runs shard this way too, as
+        :class:`~repro.dissemination.kernels.BroadcastProcess` and
+        :class:`~repro.dissemination.kernels.GossipProcess` units.
         """
         units = self.decompose(
             label=label or f"process[{process.name}]",
@@ -1424,10 +1349,13 @@ class SweepExecutor:
         ``i`` — and trial streams within a point follow the usual
         per-trial spawn, so results match the sequential loop bit for bit.
 
-        Returns one ``(point, ReplicationSummary, results)`` triple per
-        sweep point, in sweep order.
+        ``kind`` names the process kernel built from each point's config
+        (``"broadcast"`` or ``"gossip"``).  Returns one ``(point,
+        ReplicationSummary, results)`` triple per sweep point, in sweep
+        order.
         """
         from repro.core.runner import resolve_pair
+        from repro.dissemination.kernels import make_process
 
         points = list(sweep)
         root = SeedStreamSpec.reserve(seed, len(points))
@@ -1435,17 +1363,18 @@ class SweepExecutor:
         spans: list[tuple[int, int, Any]] = []
         for index, point in enumerate(points):
             config = config_factory(point)
+            process = make_process(kind, config=config)
             point_backend, point_connectivity = resolve_pair(config, backend)
             point_units = self.decompose(
                 label=f"{label}[{point.label()}]",
-                kind=kind,
-                payload={"config": config},
+                kind="process",
+                payload={"process": process.spec},
                 n_replications=n_replications,
                 seed=root.child_sequence(index),
                 backend=point_backend,
                 connectivity=point_connectivity,
             )
-            spans.append((len(units), len(units) + len(point_units), config))
+            spans.append((len(units), len(units) + len(point_units), process))
             units.extend(point_units)
         if self.aggregate == "streaming":
             from repro.core.runner import StreamingReplicationSummary
@@ -1454,12 +1383,12 @@ class SweepExecutor:
             self.run_units(units, consume=fold)
             return [
                 (point, StreamingReplicationSummary(fold.merged(start, stop)), [])
-                for point, (start, stop, _config) in zip(points, spans)
+                for point, (start, stop, _process) in zip(points, spans)
             ]
         records = self.run_units(units)
         return [
-            (point, *_merge_simulation_records(kind, config, records[start:stop]))
-            for point, (start, stop, config) in zip(points, spans)
+            (point, *_merge_process_records(process, records[start:stop]))
+            for point, (start, stop, process) in zip(points, spans)
         ]
 
     def map_replications(
@@ -1493,10 +1422,6 @@ class SweepExecutor:
         for record in records:
             trials.extend(record["trials"])
         return trials
-
-
-def _config_label(kind: str, config: Any) -> str:
-    return f"{kind}[n={getattr(config, 'n_nodes', '?')},k={getattr(config, 'n_agents', '?')}]"
 
 
 # --------------------------------------------------------------------------- #

@@ -1,9 +1,9 @@
 """Wire protocol for multi-host sweep execution.
 
 Everything that crosses the coordinator/worker HTTP boundary is defined
-here: JSON codecs for :class:`~repro.exec.units.WorkUnit`\\ s (including the
-simulation configs inside them) and the request/response message shapes of
-the coordinator API (:mod:`repro.exec.remote`).
+here: JSON codecs for :class:`~repro.exec.units.WorkUnit`\\ s and the
+request/response message shapes of the coordinator API
+(:mod:`repro.exec.remote`).
 
 Design rules
 ------------
@@ -21,10 +21,14 @@ Design rules
   result independent of *where* it executes: the worker rebuilds exactly
   the unit the coordinator decomposed.
 
-Only ``"broadcast"``, ``"gossip"`` and ``"process"`` units cross the wire
-(:data:`REMOTE_KINDS`): their payloads are pure data (a config dataclass or
-a registered process-kernel spec).  ``"map"`` payloads hold live callables
-and never leave the coordinator process — the executor runs them inline.
+Only ``"process"`` units cross the wire (:data:`REMOTE_KINDS`): their
+payload is pure data, a registered process-kernel spec (a broadcast or
+gossip spec carries its config).  Decoding rebuilds the kernel once, so an
+unknown kernel name or an invalid config is refused at the boundary.  A
+spec with no JSON form (e.g. an obstacle domain object in a config's
+``mobility_kwargs``) does not encode, and its units run on the coordinator.
+``"map"`` payloads hold live callables and never leave the coordinator
+process — the executor runs them inline.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.core.config import BroadcastConfig, GossipConfig
 from repro.exec.seeds import SeedStreamSpec
 from repro.exec.units import UNIT_KINDS, WorkUnit
 from repro.util.serialization import to_jsonable
@@ -45,13 +48,7 @@ from repro.util.serialization import to_jsonable
 PROTOCOL_VERSION = 2
 
 #: Unit kinds whose payloads survive JSON encoding (see module docstring).
-REMOTE_KINDS = ("broadcast", "gossip", "process")
-
-#: Config dataclasses allowed inside simulation-unit payloads.
-_CONFIG_TYPES: dict[str, type] = {
-    "BroadcastConfig": BroadcastConfig,
-    "GossipConfig": GossipConfig,
-}
+REMOTE_KINDS = ("process",)
 
 
 class ProtocolError(ValueError):
@@ -108,62 +105,41 @@ def _dict_field(document: Mapping[str, Any], name: str, what: str) -> dict[str, 
 
 
 # --------------------------------------------------------------------------- #
-# Config + unit codecs
+# Unit codecs
 # --------------------------------------------------------------------------- #
-def encode_config(config: Any) -> dict[str, Any]:
-    """A simulation config dataclass as a typed JSON document."""
-    type_name = type(config).__name__
-    if type_name not in _CONFIG_TYPES:
-        raise ProtocolError(f"unsupported config type {type_name!r}")
-    try:
-        fields = to_jsonable(config)
-    except TypeError as exc:
-        # e.g. a barrier domain object in mobility_kwargs: such configs have
-        # no faithful JSON form and their units stay on the coordinator.
-        raise ProtocolError(f"config {type_name} is not JSON-able: {exc}") from exc
-    return {"type": type_name, "fields": fields}
-
-
-def decode_config(document: Any) -> Any:
-    """Inverse of :func:`encode_config` (strictly validated)."""
-    document = _expect_mapping(document, "config document")
-    type_name = _str_field(document, "type", "config document")
-    cls = _CONFIG_TYPES.get(type_name)
-    if cls is None:
-        raise ProtocolError(f"unsupported config type {type_name!r}")
-    fields = _dict_field(document, "fields", "config document")
-    try:
-        return cls(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"invalid {type_name} fields: {exc}") from exc
-
-
 def _encode_payload(kind: str, payload: Mapping[str, Any]) -> dict[str, Any]:
-    if kind in ("broadcast", "gossip"):
-        return {"config": encode_config(_field(payload, "config", "unit payload"))}
-    if kind == "process":
-        spec = _field(payload, "process", "unit payload")
-        try:
-            spec = to_jsonable(spec)
-        except TypeError as exc:
-            raise ProtocolError(f"process spec is not JSON-able: {exc}") from exc
-        spec = _expect_mapping(spec, "process spec")
-        _str_field(spec, "name", "process spec")
-        return {"process": dict(spec)}
-    raise ProtocolError(
-        f"unit kind {kind!r} does not cross the wire (its payload holds live objects)"
-    )
-
-
-def _decode_payload(kind: str, document: Any) -> dict[str, Any]:
-    document = _expect_mapping(document, "unit payload")
-    if kind in ("broadcast", "gossip"):
-        return {"config": decode_config(_field(document, "config", "unit payload"))}
-    spec = _dict_field(document, "process", "unit payload")
+    if kind != "process":
+        raise ProtocolError(
+            f"unit kind {kind!r} does not cross the wire (its payload holds live objects)"
+        )
+    spec = _field(payload, "process", "unit payload")
+    try:
+        spec = to_jsonable(spec)
+    except TypeError as exc:
+        # e.g. a barrier domain object in a config's mobility_kwargs: such
+        # specs have no faithful JSON form and their units stay on the
+        # coordinator.
+        raise ProtocolError(f"process spec is not JSON-able: {exc}") from exc
+    spec = _expect_mapping(spec, "process spec")
     _str_field(spec, "name", "process spec")
+    return {"process": dict(spec)}
+
+
+def _decode_payload(document: Any) -> dict[str, Any]:
+    from repro.dissemination.kernels import make_process
+
+    document = _expect_mapping(document, "unit payload")
+    spec = _dict_field(document, "process", "unit payload")
+    name = _str_field(spec, "name", "process spec")
     kwargs = spec.get("kwargs")
     if kwargs is not None and not isinstance(kwargs, Mapping):
         raise ProtocolError(f"process spec kwargs must be a JSON object, got {kwargs!r}")
+    try:
+        # The registry lookup and the kernel's (or its config's) own
+        # validation are the checks: a spec no worker could run is refused.
+        make_process(name, **dict(kwargs or {}))
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"invalid process spec {name!r}: {exc}") from exc
     return {"process": spec}
 
 
@@ -206,7 +182,7 @@ def decode_unit(document: Any) -> WorkUnit:
         return WorkUnit(
             label=_str_field(document, "label", "unit document"),
             kind=kind,
-            payload=_decode_payload(kind, _field(document, "payload", "unit document")),
+            payload=_decode_payload(_field(document, "payload", "unit document")),
             n_replications=_int_field(document, "n_replications", "unit document"),
             start=_int_field(document, "start", "unit document"),
             stop=_int_field(document, "stop", "unit document"),

@@ -24,7 +24,7 @@ from typing import Any, Mapping, Optional
 from repro.exec.seeds import SeedStreamSpec
 
 #: Payload kinds understood by :func:`repro.exec.executor.execute_unit`.
-UNIT_KINDS = ("broadcast", "gossip", "map", "process")
+UNIT_KINDS = ("map", "process")
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,15 @@ class WorkUnit:
         Human-readable identity of the sweep point (e.g. ``"E1[k=32]"``);
         part of the fingerprint, so it must be stable across runs.
     kind:
-        ``"broadcast"`` / ``"gossip"`` (a simulation config payload),
-        ``"process"`` (a registered dissemination process-kernel spec) or
-        ``"map"`` (a module-level batch map function payload).
+        ``"process"`` (a registered process-kernel spec: broadcast, gossip
+        or a Section-4 process) or ``"map"`` (a module-level batch map
+        function payload).
     payload:
-        Kind-specific work description.  For simulation kinds:
-        ``{"config": BroadcastConfig | GossipConfig}``.  For process kind:
+        Kind-specific work description.  For process kind:
         ``{"process": {"name": ..., "kwargs": {...}}}`` (a
-        :attr:`repro.dissemination.kernels.ProcessKernel.spec`).  For map
-        kind: ``{"fn": <module-level callable>, "kwargs": {...}}``, where
+        :attr:`repro.dissemination.kernels.ProcessKernel.spec`; a broadcast
+        or gossip spec's kwargs are ``{"config": ...}``).  For map kind:
+        ``{"fn": <module-level callable>, "kwargs": {...}}``, where
         ``fn(rngs, **kwargs)`` returns one payload per generator of the
         chunk's trials.
     n_replications:
@@ -58,10 +58,10 @@ class WorkUnit:
         Stream spec of the sweep point's root seed; trial ``i`` uses child
         stream ``i``.
     backend:
-        Resolved replication backend for simulation kinds (``"serial"``,
+        Resolved replication backend for process units (``"serial"``,
         ``"batched"`` or ``"compiled"``), or ``None`` for map units.
     connectivity:
-        Resolved connectivity engine for simulation kinds (``"recompute"``
+        Resolved connectivity engine for process units (``"recompute"``
         or ``"incremental"``), or ``None`` for map units.  Resolved in the
         dispatching process — like ``backend`` — so workers never depend on
         ambient override state.  Neither field is part of the unit
@@ -184,7 +184,7 @@ def record_matches_unit(unit: WorkUnit, record: Any) -> bool:
     """Whether ``record`` has the shape ``unit``'s execution must produce.
 
     The contract per kind: map units return ``{"trials": [...]}``,
-    simulation and process units return ``{"values": [...], "results":
+    process units return ``{"values": [...], "results":
     [...]}``, and every trial-shaped list holds exactly ``unit.n_trials``
     entries.  This is the cheap structural check the executor applies to
     every fresh *and* stored record before merging — a truncated or

@@ -16,7 +16,6 @@ import math
 from repro.analysis.report import ExperimentReport, ExperimentRow
 from repro.connectivity.percolation import island_parameter_gamma, lower_bound_radius
 from repro.core.config import BroadcastConfig
-from repro.core.metrics import FrontierTracker
 from repro.core.simulation import BroadcastSimulation
 from repro.exec import map_replications
 from repro.theory.lemmas import lemma7_frontier_advance_bound, lemma7_frontier_window

@@ -11,8 +11,6 @@ while a gap as wide as the wall recovers the open-grid behaviour.  This is an
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.report import ExperimentReport, ExperimentRow
 from repro.core.config import BroadcastConfig
 from repro.core.runner import run_broadcast_replications

@@ -11,8 +11,7 @@ tracking used by :mod:`repro.core.metrics` and experiment E6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 

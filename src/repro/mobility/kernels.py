@@ -118,11 +118,12 @@ def apply_lazy_choices(grid: Grid2D, positions: np.ndarray, choice: np.ndarray) 
     -x / +y / -y).  Off-grid proposals are rejected (the agent stays),
     exactly as in :func:`lazy_step`.  Splitting the draw from the apply lets
     the batched backend pre-draw choices in per-trial blocks while keeping
-    the trajectory identical.
+    the trajectory identical.  A proposal moves one coordinate by one, so
+    clipping an off-grid proposal back into the grid rejects it: the walker
+    stays.
     """
-    proposed = positions + PROPOSALS[choice]
-    inside = np.all((proposed >= 0) & (proposed < grid.side), axis=-1)
-    return np.where(inside[..., None], proposed, positions)
+    moved = positions + PROPOSALS.take(choice, axis=0)
+    return np.minimum(np.maximum(moved, 0, out=moved), grid.side - 1, out=moved)
 
 
 def apply_masked_choices(
@@ -137,13 +138,12 @@ def apply_masked_choices(
     tensors.
     """
     positions = np.asarray(positions, dtype=np.int64)
-    proposed = positions + PROPOSALS[choice]
-    inside = np.all((proposed >= 0) & (proposed < side), axis=-1)
+    proposed = positions + PROPOSALS.take(choice, axis=0)
+    px, py = proposed[..., 0], proposed[..., 1]
+    inside = (px >= 0) & (px < side) & (py >= 0) & (py < side)
     # Clip only for the mask lookup; out-of-grid proposals are already
     # rejected by ``inside`` regardless of what the clipped lookup returns.
-    cx = np.clip(proposed[..., 0], 0, side - 1)
-    cy = np.clip(proposed[..., 1], 0, side - 1)
-    allowed = inside & free_mask[cx, cy]
+    allowed = inside & free_mask[np.clip(px, 0, side - 1), np.clip(py, 0, side - 1)]
     return np.where(allowed[..., None], proposed, positions)
 
 
@@ -291,7 +291,7 @@ class TapeStepper(BatchStepper):
     ) -> None:
         if rule not in ("lazy", "simple"):
             raise ValueError(f"rule must be 'lazy' or 'simple', got {rule!r}")
-        self._side = grid.side
+        self._grid = grid
         self._rngs = list(rngs)
         self._rule = rule
         self._low = 0 if rule == "lazy" else 1
@@ -334,15 +334,13 @@ class TapeStepper(BatchStepper):
             self._cursor[trial] = 0
 
     def _off_grid(self, proposed: np.ndarray) -> np.ndarray:
-        outside = (proposed < 0) | (proposed >= self._side)
+        outside = (proposed < 0) | (proposed >= self._grid.side)
         return outside[..., 0] | outside[..., 1]
 
     def step(self, positions: np.ndarray, active: np.ndarray) -> np.ndarray:
-        moved = positions + PROPOSALS.take(self._read(active), axis=0)
         if self._rule == "lazy":
-            # A proposal moves one coordinate by one, so clipping an off-grid
-            # proposal back into the grid rejects it: the walker stays.
-            return np.minimum(np.maximum(moved, 0, out=moved), self._side - 1, out=moved)
+            return apply_lazy_choices(self._grid, positions, self._read(active))
+        moved = positions + PROPOSALS.take(self._read(active), axis=0)
         # The simple walk redraws each off-grid proposal, walkers in order.
         pending = self._off_grid(moved)
         while pending.any():

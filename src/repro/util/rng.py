@@ -9,7 +9,7 @@ replications of the same experiment.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 

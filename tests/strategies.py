@@ -92,26 +92,76 @@ def gossip_configs(draw, max_side: int = 9, max_agents: int = 6) -> GossipConfig
     )
 
 
+#: Every registered mobility model with the kwargs a small test grid needs
+#: (``random_walk`` under both step rules).
+MOBILITY_MODELS = (
+    "random_walk",
+    "simple_walk",
+    "static",
+    "jump",
+    "brownian",
+    "waypoint",
+    "obstacle_walk",
+)
+
+
+def mobility_config(name: str, side: int) -> dict:
+    """``{"mobility": ..., "mobility_kwargs": ...}`` of a config on a ``side`` grid."""
+    from repro.grid.obstacles import ObstacleGrid
+
+    kwargs = {
+        "random_walk": {},
+        "simple_walk": {"rule": "simple"},
+        "static": {},
+        "jump": {"jump_radius": 2},
+        "brownian": {"sigma": 1.3},
+        "waypoint": {},
+        "obstacle_walk": {"domain": ObstacleGrid.with_wall(side, gap_width=2)},
+    }[name]
+    return {
+        "mobility": "random_walk" if name == "simple_walk" else name,
+        "mobility_kwargs": kwargs,
+    }
+
+
 @st.composite
 def process_kernels(draw):
-    """A small dissemination process kernel of any registered kind.
+    """A small process kernel of any registered kind.
 
     Sizes are chosen so trials complete (or hit the horizon) within a few
     dozen steps, and so batches compact mid-run: with several trials per run
-    some finish early while others keep going.
+    some finish early while others keep going.  Broadcast and gossip run on
+    every registered mobility model, at radii including a fractional one.
     """
     from repro.dissemination.kernels import (
+        BroadcastProcess,
         CoverProcess,
         FrogProcess,
+        GossipProcess,
         InfectionProcess,
         InformedCoverageProcess,
         PredatorPreyProcess,
     )
 
-    kind = draw(st.sampled_from(["frog", "predator_prey", "cover", "coverage", "infection"]))
+    kind = draw(
+        st.sampled_from(
+            ["broadcast", "gossip", "frog", "predator_prey", "cover", "coverage", "infection"]
+        )
+    )
     side = draw(st.integers(4, 9))
     n_nodes = side * side
     max_steps = draw(st.sampled_from([30, 60]))
+    if kind in ("broadcast", "gossip"):
+        fields = dict(
+            n_nodes=n_nodes,
+            n_agents=draw(st.integers(2, 6)),
+            radius=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+            max_steps=max_steps,
+            **mobility_config(draw(st.sampled_from(MOBILITY_MODELS)), side),
+        )
+        if kind == "broadcast":
+            return BroadcastProcess(BroadcastConfig(**fields))
+        return GossipProcess(GossipConfig(**fields))
     radius = draw(st.sampled_from([0.0, 1.0, 2.0]))
     if kind == "frog":
         return FrogProcess(

@@ -2,7 +2,7 @@
 
 Two layers below the backend-equivalence property suites:
 
-* **kernel parity** — every provider's apply/flood/labels kernels must equal
+* **kernel parity** — every provider's apply/labels kernels must equal
   the numpy references exactly (positions bit-for-bit, labels up to the
   partition).  The pure-python provider always runs, so the kernel *logic*
   is pinned even on hosts with neither numba nor a C toolchain; whatever
@@ -145,28 +145,6 @@ class TestKernelParity:
         got = ops.labels_batch(positions, 0.0)
         assert np.array_equal(got, min_member_labels(positions, 0.0))
 
-    @settings(max_examples=max_examples(20), deadline=None)
-    @given(side=st.integers(1, 8), n_trials=st.integers(1, 4),
-           k=st.integers(1, 10), n_steps=st.integers(1, 6), seed=seeds)
-    def test_flood_r0_matches_numpy_over_steps(
-        self, ops, side, n_trials, k, n_steps, seed
-    ):
-        """Epoch-table flooding ≡ label-based flooding, with table reuse."""
-        rng = np.random.default_rng(seed)
-        n_nodes = side * side
-        table = np.zeros(n_trials * n_nodes, dtype=np.int64)
-        informed_c = rng.random((n_trials, k)) < 0.3
-        informed_ref = informed_c.copy()
-        for step in range(n_steps):
-            positions = rng.integers(0, side, size=(n_trials, k, 2))
-            counts = ops.flood_r0(
-                positions, informed_c, table, side, n_nodes, step + 1
-            )
-            labels = batched_visibility_labels(positions, 0.0)
-            informed_ref = flood_informed_batch(informed_ref, labels)
-            assert np.array_equal(informed_c, informed_ref)
-            assert np.array_equal(counts, informed_ref.sum(axis=1))
-
 
 # --------------------------------------------------------------------------- #
 # The fused r = 0 block kernel against per-step reference kernels
@@ -182,7 +160,8 @@ class TestFusedBlockKernel:
            block=st.integers(1, 12), data=st.data(), seed=seeds)
     def test_block_equals_per_step_reference(self, side, n_trials, k, kind, block, data, seed):
         """A strided view of a draw block, trial-major over shared marks,
-        equals the python provider's flood and apply kernels step by step."""
+        equals the labels flood and the python provider's apply kernels,
+        step by step."""
         rng = np.random.default_rng(seed)
         free_mask = rng.random((side, side)) < 0.8
         kernel = {
@@ -206,12 +185,11 @@ class TestFusedBlockKernel:
         ref_pos, ref_inf = positions.copy(), informed.copy()
         ref_done = np.full(n_trials, -1, dtype=np.int64)
         ref_counts = np.full((steps, n_trials), -1, dtype=np.int64)
-        table = np.zeros(side * side, dtype=np.int64)
         for a in range(n_trials):
             for s in range(steps):
-                ref_counts[s, a] = reference.flood_r0(
-                    ref_pos[a:a + 1], ref_inf[a:a + 1], table, side, side * side, a * steps + s + 1
-                )[0]
+                labels = batched_visibility_labels(ref_pos[a:a + 1], 0.0)
+                ref_inf[a:a + 1] = flood_informed_batch(ref_inf[a:a + 1], labels)
+                ref_counts[s, a] = ref_inf[a].sum()
                 if ref_counts[s, a] == k:
                     ref_done[a] = s
                     break

@@ -3,9 +3,9 @@
 The property the remote transport stands on is that a worker rebuilds
 *exactly* the unit the coordinator decomposed — same payload, same seed
 spec, same chunk bounds, same content key.  The Hypothesis suites here pin
-that down over the full strategy space (broadcast/gossip configs, process
-kernels, spawned seed streams), including a trip through canonical-JSON
-text, which is what actually crosses the socket.  The deterministic half
+that down over the full strategy space (process kernels, broadcast and
+gossip included, and spawned seed streams), including a trip through
+canonical-JSON text, which is what actually crosses the socket.  The deterministic half
 checks the strict-decoding contract: every malformed document is rejected
 with :class:`ProtocolError`, never handed half-parsed to the executor.
 """
@@ -34,13 +34,12 @@ from repro.exec.protocol import (
     RegisterRequest,
     RegisterResponse,
     canonical_json,
-    decode_config,
     decode_unit,
-    encode_config,
     encode_unit,
 )
 from repro.exec.seeds import SeedStreamSpec
 from repro.exec.units import WorkUnit, unit_key
+from repro.util.serialization import to_jsonable
 from tests.strategies import (
     broadcast_configs,
     gossip_configs,
@@ -63,16 +62,20 @@ def seed_specs(draw):
     return SeedStreamSpec.from_sequence(sequence)
 
 
+def _jsonable(spec) -> bool:
+    try:
+        to_jsonable(spec)
+    except TypeError:
+        return False  # an obstacle domain object: such units stay local
+    return True
+
+
 @st.composite
 def remote_units(draw):
     """Work units of every kind that crosses the wire."""
     kind = draw(st.sampled_from(REMOTE_KINDS))
-    if kind == "broadcast":
-        payload = {"config": draw(broadcast_configs(max_side=8, max_agents=4))}
-    elif kind == "gossip":
-        payload = {"config": draw(gossip_configs(max_side=7, max_agents=4))}
-    else:
-        payload = {"process": draw(process_kernels()).spec}
+    spec = draw(process_kernels().map(lambda process: process.spec).filter(_jsonable))
+    payload = {"process": spec}
     n_replications = draw(replication_counts)
     start = draw(st.integers(0, n_replications - 1))
     stop = draw(st.integers(start + 1, n_replications))
@@ -106,8 +109,7 @@ class TestUnitRoundTrip:
         assert decoded.seed == unit.seed
         assert decoded.backend == unit.backend
         assert decoded.connectivity == unit.connectivity
-        if unit.kind in ("broadcast", "gossip"):
-            assert decoded.payload["config"] == unit.payload["config"]
+        assert decoded.payload["process"] == to_jsonable(unit.payload["process"])
         # The property the store and lease table live on: the rebuilt unit
         # hashes to the same content key.
         assert unit_key(decoded) == unit_key(unit)
@@ -121,7 +123,22 @@ class TestUnitRoundTrip:
     @settings(max_examples=max_examples(50), deadline=None)
     @given(broadcast_configs() | gossip_configs())
     def test_config_codec_round_trips(self, config):
-        assert decode_config(wire_trip(encode_config(config))) == config
+        """A config crosses the wire inside its kernel's spec and comes back equal."""
+        from repro.core.config import BroadcastConfig
+        from repro.dissemination.kernels import make_process
+
+        name = "broadcast" if isinstance(config, BroadcastConfig) else "gossip"
+        unit = WorkUnit(
+            label="unit",
+            kind="process",
+            payload={"process": make_process(name, config=config).spec},
+            n_replications=1,
+            start=0,
+            stop=1,
+            seed=SeedStreamSpec.from_seed(0),
+        )
+        spec = decode_unit(wire_trip(encode_unit(unit))).payload["process"]
+        assert make_process(spec["name"], **spec["kwargs"]).config == config
 
 
 class TestCanonicalJson:
@@ -146,13 +163,15 @@ class TestCanonicalJson:
             canonical_json({"fn": object()})
 
 
-def _example_unit(kind="broadcast"):
+def _example_unit(kind="process"):
     from repro.core.config import BroadcastConfig
+    from repro.dissemination.kernels import BroadcastProcess
 
     if kind == "map":
         payload = {"fn": len, "kwargs": {}}
     else:
-        payload = {"config": BroadcastConfig(n_nodes=16, n_agents=2, radius=1.0, max_steps=10)}
+        config = BroadcastConfig(n_nodes=16, n_agents=2, radius=1.0, max_steps=10)
+        payload = {"process": BroadcastProcess(config).spec}
     return WorkUnit(
         label="E1",
         kind=kind,
@@ -214,13 +233,36 @@ class TestStrictDecoding:
         with pytest.raises(ProtocolError):
             decode_unit(["not", "a", "unit"])
 
-    def test_unknown_config_type_is_rejected(self):
-        with pytest.raises(ProtocolError, match="unsupported config type"):
-            decode_config({"type": "EvilConfig", "fields": {}})
+    def test_unknown_process_name_is_rejected(self):
+        document = encode_unit(_example_unit())
+        document["payload"] = {"process": {"name": "EvilProcess", "kwargs": {}}}
+        with pytest.raises(ProtocolError, match="unknown process 'EvilProcess'"):
+            decode_unit(document)
 
     def test_invalid_config_fields_are_rejected(self):
-        with pytest.raises(ProtocolError, match="invalid BroadcastConfig fields"):
-            decode_config({"type": "BroadcastConfig", "fields": {"n_nodes": -5}})
+        document = encode_unit(_example_unit())
+        document["payload"]["process"]["kwargs"]["config"]["n_nodes"] = -5
+        with pytest.raises(ProtocolError, match="invalid process spec 'broadcast'.*n_nodes"):
+            decode_unit(document)
+        document["payload"]["process"]["kwargs"]["config"] = {"n_nodes": 16, "colour": "red"}
+        with pytest.raises(ProtocolError, match="invalid process spec 'broadcast'"):
+            decode_unit(document)
+
+    def test_a_spec_without_json_form_does_not_cross_the_wire(self):
+        from repro.core.config import BroadcastConfig
+        from repro.dissemination.kernels import BroadcastProcess
+        from repro.grid.obstacles import ObstacleGrid
+
+        config = BroadcastConfig(
+            n_nodes=64,
+            n_agents=3,
+            mobility="obstacle_walk",
+            mobility_kwargs={"domain": ObstacleGrid.with_wall(8, gap_width=2)},
+        )
+        unit = _example_unit()
+        unit = WorkUnit(**{**vars(unit), "payload": {"process": BroadcastProcess(config).spec}})
+        with pytest.raises(ProtocolError, match="not JSON-able"):
+            encode_unit(unit)
 
     def test_process_spec_requires_a_name(self):
         document = encode_unit(_example_unit())

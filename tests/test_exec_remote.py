@@ -26,6 +26,7 @@ import pytest
 
 from repro.core.config import BroadcastConfig
 from repro.core.runner import run_broadcast_replications
+from repro.dissemination.kernels import BroadcastProcess
 from repro.exec import (
     Coordinator,
     CoordinatorClient,
@@ -302,8 +303,12 @@ class TestWorkerDeath:
 def _unit(n_replications=2):
     return WorkUnit(
         label="push-validation",
-        kind="broadcast",
-        payload={"config": BroadcastConfig(n_nodes=16, n_agents=2, radius=1.0, max_steps=10)},
+        kind="process",
+        payload={
+            "process": BroadcastProcess(
+                BroadcastConfig(n_nodes=16, n_agents=2, radius=1.0, max_steps=10)
+            ).spec
+        },
         n_replications=n_replications,
         start=0,
         stop=n_replications,

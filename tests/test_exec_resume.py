@@ -244,7 +244,7 @@ class TestKillAndResume:
 
 
 # --------------------------------------------------------------------------- #
-# Resume on simulation units, across worker counts
+# Resume on broadcast-kernel units, across worker counts
 # --------------------------------------------------------------------------- #
 class TestSimulationResume:
     def test_store_is_shared_between_jobs_counts(self, tmp_path):
@@ -285,7 +285,7 @@ class TestSimulationResume:
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_sigkilled_worker_recovers_bit_for_bit(self, tmp_path, start_method):
-        # The headline fault-tolerance property on real simulation units: a
+        # The headline fault-tolerance property on real broadcast units: a
         # pool worker is SIGKILLed mid-unit (every unit's first submission),
         # the pool is rebuilt, in-flight units are requeued, and the merged
         # sweep is bit-for-bit the plain jobs=1 run.

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import BroadcastConfig
 from repro.core.runner import run_broadcast_replications
+from repro.dissemination.kernels import BroadcastProcess
 from repro.exec import (
     Coordinator,
     CoordinatorClient,
@@ -186,11 +187,11 @@ def _units(count, n_replications=2):
         units.append(
             WorkUnit(
                 label=f"batch-{index}",
-                kind="broadcast",
+                kind="process",
                 payload={
-                    "config": BroadcastConfig(
-                        n_nodes=12, n_agents=2, radius=1.0, max_steps=10
-                    )
+                    "process": BroadcastProcess(
+                        BroadcastConfig(n_nodes=12, n_agents=2, radius=1.0, max_steps=10)
+                    ).spec
                 },
                 n_replications=n_replications,
                 start=0,

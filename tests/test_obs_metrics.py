@@ -220,6 +220,22 @@ class TestStepLoopInstruments:
         assert steps.value == before + result.n_steps
         assert active.value == 0  # cleared after the run
 
+    @pytest.mark.parametrize(
+        "backend, loop", [("serial", "serial_process"), ("batched", "batched_process")]
+    )
+    def test_process_loops_count_under_their_label(self, backend, loop):
+        """The one serial and the one batched loop count each kernel's
+        steps under ``<backend>_<kernel loop>``."""
+        from repro.dissemination.kernels import FrogProcess, run_process_replications
+
+        steps, active = step_loop_instruments(loop)
+        before = steps.value
+        _, results = run_process_replications(
+            FrogProcess(49, 4, max_steps=60), 3, seed=5, backend=backend
+        )
+        assert steps.value == before + sum(result.n_steps for result in results)
+        assert active.value == 0
+
 
 # --------------------------------------------------------------------------- #
 # Progress logging

@@ -39,7 +39,13 @@ from repro.core.runner import run_broadcast_replications, run_gossip_replication
 from repro.grid.geometry import pairwise_manhattan
 from repro.obs.metrics import global_registry
 
-from strategies import max_examples, point_sets as point_sets_strategy, radii
+from strategies import (
+    MOBILITY_MODELS,
+    max_examples,
+    mobility_config,
+    point_sets as point_sets_strategy,
+    radii,
+)
 
 point_sets = point_sets_strategy(max_coord=25)
 
@@ -291,32 +297,14 @@ class TestBackendEquivalence:
 def _make_model(name: str, side: int):
     """A mobility model on a ``side x side`` grid, plus its config kwargs."""
     from repro.grid.lattice import Grid2D
-    from repro.grid.obstacles import ObstacleGrid
     from repro.mobility import make_mobility
 
-    grid = Grid2D(side)
-    kwargs = {
-        "random_walk": {},
-        "simple_walk": {"rule": "simple"},
-        "static": {},
-        "jump": {"jump_radius": 2},
-        "brownian": {"sigma": 1.3},
-        "waypoint": {},
-        "obstacle_walk": {"domain": ObstacleGrid.with_wall(side, gap_width=2)},
-    }[name]
-    registry_name = "random_walk" if name == "simple_walk" else name
-    return make_mobility(registry_name, grid, **kwargs), registry_name, kwargs
+    fields = mobility_config(name, side)
+    registry_name, kwargs = fields["mobility"], fields["mobility_kwargs"]
+    return make_mobility(registry_name, Grid2D(side), **kwargs), registry_name, kwargs
 
 
-MOBILITY_NAMES = [
-    "random_walk",
-    "simple_walk",
-    "static",
-    "jump",
-    "brownian",
-    "waypoint",
-    "obstacle_walk",
-]
+MOBILITY_NAMES = list(MOBILITY_MODELS)
 
 
 class TestKernelStepping:

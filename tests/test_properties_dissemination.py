@@ -13,8 +13,8 @@ bit-for-bit identical results for identical seeds:
 * the plain in-process path vs the sharded executor (``jobs=1`` chunked and
   ``jobs>1`` pooled, including store round-trips), built on the exec
   strategies shared with ``tests/test_properties_exec.py``;
-* the single-trial facades (``FrogModelSimulation`` etc.) vs the serial
-  kernel driver.
+* the single-trial facades (``BroadcastSimulation``, ``GossipSimulation``,
+  ``FrogModelSimulation`` etc.) vs the serial kernel driver.
 """
 
 from __future__ import annotations
@@ -28,9 +28,14 @@ from hypothesis import strategies as st
 
 import repro.compiled
 
+from repro.core.config import BroadcastConfig, GossipConfig
+from repro.core.gossip import GossipSimulation
+from repro.core.simulation import BroadcastSimulation
 from repro.dissemination.frog import FrogModelSimulation
 from repro.dissemination.kernels import (
+    BroadcastProcess,
     FrogProcess,
+    GossipProcess,
     PredatorPreyProcess,
     make_process,
     run_process_replications,
@@ -227,6 +232,57 @@ class TestKernelsMatchBroadcastCore:
 
 
 class TestFacadesMatchKernels:
+    @given(
+        seed=seeds,
+        record=st.sampled_from(["none", "frontier", "coverage"]),
+        radius=st.sampled_from([0.0, 1.0]),
+        connectivity=st.sampled_from(["recompute", "incremental"]),
+        pre_steps=st.integers(0, 6),
+    )
+    @settings(**_SETTINGS)
+    def test_broadcast_facade_matches_serial_driver(
+        self, seed, record, radius, connectivity, pre_steps
+    ):
+        """A facade stepped by hand, then run, equals one serial-loop run."""
+        config = BroadcastConfig(
+            n_nodes=49,
+            n_agents=4,
+            radius=radius,
+            max_steps=400,
+            record_frontier=record == "frontier",
+            record_coverage=record == "coverage",
+        )
+        sim = BroadcastSimulation(config, rng=default_rng(seed), connectivity=connectivity)
+        while sim.time < pre_steps and sim.broadcast_time < 0:
+            sim.step()
+        facade = sim.run()
+        kernel = run_process_serial(BroadcastProcess(config), default_rng(seed), connectivity)
+        assert_results_identical([facade], [kernel])
+        assert (sim.time, sim.broadcast_time, sim.n_informed) == (
+            facade.n_steps, facade.broadcast_time, facade.n_informed
+        )
+        assert (facade.frontier_history is not None) == (record == "frontier")
+        if record != "coverage":
+            assert facade.coverage_time == -1
+
+    @given(
+        seed=seeds,
+        connectivity=st.sampled_from(["recompute", "incremental"]),
+        pre_steps=st.integers(0, 6),
+    )
+    @settings(**_SETTINGS)
+    def test_gossip_facade_matches_serial_driver(self, seed, connectivity, pre_steps):
+        config = GossipConfig(n_nodes=49, n_agents=4, radius=1.0, max_steps=400)
+        sim = GossipSimulation(config, rng=default_rng(seed), connectivity=connectivity)
+        while sim.time < pre_steps and sim.gossip_time < 0:
+            sim.step()
+        facade = sim.run()
+        kernel = run_process_serial(GossipProcess(config), default_rng(seed), connectivity)
+        assert_results_identical([facade], [kernel])
+        assert (sim.time, sim.gossip_time, sim.all_know_all) == (
+            facade.n_steps, facade.gossip_time, facade.completed
+        )
+
     @given(seed=seeds)
     @settings(**_SETTINGS)
     def test_frog_facade_matches_serial_driver(self, seed):
