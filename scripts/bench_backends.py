@@ -25,7 +25,8 @@ Eight modes:
   end-to-end batched broadcast run under both engines, and writes the
   record to ``BENCH_PR4.json``: the fourth point of the trajectory.
 * ``--dissemination`` — times the dissemination process kernels (frog,
-  predator–prey, cover time, infection) under the serial vs batched process
+  predator–prey, cover time, and under the ``infection`` key the lazy-walk
+  broadcast) under the serial vs batched process
   drivers at the paper's ``n = 10^4`` sparse scale and writes the record to
   ``BENCH_PR5.json``: the fifth point of the trajectory, demonstrating that
   every Section-4 by-product runs on the batched backend.
@@ -564,8 +565,10 @@ def run_connectivity(quick: bool = False, seed: int = 2024) -> dict:
 def dissemination_scenarios(quick: bool = False) -> dict[str, dict]:
     """The dissemination process-kernel workloads (one per kernel).
 
-    Horizons are capped so each scenario measures a bounded step loop; the
-    bitwise-equality assertions hold regardless of completion.
+    The ``infection`` key, the related work's name for the broadcast time,
+    runs the lazy-walk broadcast kernel.  Horizons are capped so each
+    scenario measures a bounded step loop; the bitwise-equality assertions
+    hold regardless of completion.
     """
     if quick:
         return {
@@ -576,7 +579,7 @@ def dissemination_scenarios(quick: bool = False) -> dict[str, dict]:
                 "n_replications": 4,
             },
             "cover": {"process": "cover", "kwargs": {"side": 24, "n_walkers": 8, "max_steps": 600}, "n_replications": 4},
-            "infection": {"process": "infection", "kwargs": {"n_nodes": 576, "n_agents": 12, "max_steps": 600}, "n_replications": 4},
+            "infection": {"process": "broadcast", "kwargs": {"config": {"n_nodes": 576, "n_agents": 12, "max_steps": 600}}, "n_replications": 4},
         }
     return {
         "frog": {
@@ -595,8 +598,8 @@ def dissemination_scenarios(quick: bool = False) -> dict[str, dict]:
             "n_replications": 32,
         },
         "infection": {
-            "process": "infection",
-            "kwargs": {"n_nodes": 10_000, "n_agents": 100, "max_steps": 8000},
+            "process": "broadcast",
+            "kwargs": {"config": {"n_nodes": 10_000, "n_agents": 100, "max_steps": 8000}},
             "n_replications": 32,
         },
     }

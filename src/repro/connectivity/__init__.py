@@ -30,7 +30,6 @@ from repro.connectivity.visibility import (
 from repro.connectivity.incremental import (
     DeltaConnectivityEngine,
     labels_equivalent,
-    supports_incremental_connectivity,
 )
 from repro.connectivity.components import (
     component_sizes,
@@ -57,7 +56,6 @@ __all__ = [
     "same_cell_labels",
     "DeltaConnectivityEngine",
     "labels_equivalent",
-    "supports_incremental_connectivity",
     "visibility_components",
     "visibility_edges",
     "visibility_graph",

@@ -83,18 +83,6 @@ from repro.util.validation import check_positive_int
 SAME_CELL_TABLE_LIMIT = 1 << 24
 
 
-def supports_incremental_connectivity(config) -> bool:
-    """Whether the incremental engine can run this simulation configuration.
-
-    The engine covers every configuration the simulation core can express
-    today (integer grid positions, Manhattan metric, any radius including
-    ``r = 0``, any mobility model, frontier/coverage recording untouched).
-    The seam exists to mirror ``supports_batched_*`` and to gate ``"auto"``
-    should a future configuration leave the engine's domain.
-    """
-    return hasattr(config, "radius") and config.radius >= 0
-
-
 class DeltaConnectivityEngine:
     """Maintain component labels of ``G_t(r)`` across a simulation step loop.
 
@@ -659,7 +647,6 @@ def labels_equivalent(a: np.ndarray, b: np.ndarray) -> bool:
 
 __all__ = [
     "DeltaConnectivityEngine",
-    "supports_incremental_connectivity",
     "incremental_reference_labels",
     "labels_equivalent",
     "SAME_CELL_TABLE_LIMIT",

@@ -31,6 +31,7 @@ from repro.core.runner import (
 from repro.core.batched import (
     run_broadcast_replications_batched,
     run_gossip_replications_batched,
+    supports_batched,
     supports_batched_broadcast,
     supports_batched_gossip,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "run_gossip_replications",
     "run_broadcast_replications_batched",
     "run_gossip_replications_batched",
+    "supports_batched",
     "supports_batched_broadcast",
     "supports_batched_gossip",
 ]

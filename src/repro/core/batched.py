@@ -13,10 +13,11 @@ gossip kernels as well as the Section-4 processes):
   mobility model's :meth:`~repro.mobility.base.MobilityModel.batch_stepper`
   — the kernel layer of :mod:`repro.mobility.kernels`.  Models with
   fixed-size per-step draws (lazy walk, obstacle walk, Brownian) pre-draw
-  per-trial blocks and apply them batch-wide; models with data-dependent
-  draws (simple walk, jump, waypoint redraws) step trial by trial but stay
-  vectorised over agents, and still share the batched labelling/flooding
-  passes below;
+  per-trial blocks and apply them batch-wide; the simple walk reads
+  per-trial draw tapes, so its rejection redraws batch too; models with
+  other data-dependent draws (jump, waypoint redraws) step trial by trial
+  but stay vectorised over agents, and still share the batched
+  labelling/flooding passes below;
 * one sort-based component labelling over the whole batch
   (:func:`repro.connectivity.batched.batched_visibility_labels`), or one
   incremental engine addressed by the loop's ``active`` trials;
@@ -38,8 +39,9 @@ the property tests, for every built-in mobility model.
 The ``compiled`` flag (``backend="compiled"``) keeps this exact loop and
 draw order but routes the per-step hot kernels — the broadcast and gossip
 mobility applies and component labelling — through :mod:`repro.compiled`;
-for ``r = 0`` broadcasts with block-draw mobility the whole flood → record →
-complete → move iteration runs as fused multi-step native blocks
+for ``r = 0`` broadcasts with no observable and block-draw mobility the
+whole flood → record → complete → move iteration runs as fused multi-step
+native blocks
 (:func:`repro.compiled.driver.run_broadcast_r0_fused`).  Above ``r = 0`` the
 incremental engine is the provider's stateless
 :class:`~repro.compiled.engine.CompiledDeltaEngine` (one compiled
@@ -85,7 +87,7 @@ from repro.util.rng import RandomState, SeedLike, spawn_rngs
 from repro.util.validation import ValidationError, check_positive_int
 
 
-def _regroup_curves(
+def regroup_curves(
     n_trials: int, step_trials: list[np.ndarray], step_counts: list[np.ndarray]
 ) -> list[np.ndarray]:
     """Per-trial time series from ``(trials, counts)`` records in step order.
@@ -107,13 +109,13 @@ def _regroup_curves(
     return [sorted_counts[bounds[i] : bounds[i + 1]].copy() for i in range(n_trials)]
 
 
-def _mobility_supported(config: BroadcastConfig | GossipConfig) -> bool:
-    """Whether the config names a constructible mobility model.
+def supports_batched(config: BroadcastConfig | GossipConfig) -> bool:
+    """Whether the batched backend can run this broadcast or gossip configuration.
 
-    Every registered kernel runs on the batched backend, so the only
-    disqualifier is a configuration the serial backend would refuse too
-    (unknown model name, invalid or unknown kwargs): the batched backend
-    must not silently accept what serial would reject.
+    Every kernel runs on the batched backend, observables included, so the
+    only disqualifier is a configuration the serial backend would refuse
+    too (unknown model name, invalid or unknown kwargs): the batched
+    backend must not silently accept what serial would reject.
     """
     try:
         grid = Grid2D.from_nodes(config.n_nodes)
@@ -123,24 +125,8 @@ def _mobility_supported(config: BroadcastConfig | GossipConfig) -> bool:
     return True
 
 
-def supports_batched_broadcast(config: BroadcastConfig) -> bool:
-    """Whether the batched backend can run this broadcast configuration.
-
-    Every built-in mobility model (including obstacle-walk domains) is
-    supported; only the frontier/coverage observables stay on the serial
-    path, since they track per-trial trajectories the batched state layout
-    does not carry.
-    """
-    return (
-        not config.record_frontier
-        and not config.record_coverage
-        and _mobility_supported(config)
-    )
-
-
-def supports_batched_gossip(config: GossipConfig) -> bool:
-    """Whether the batched backend can run this gossip configuration."""
-    return _mobility_supported(config)
+#: The per-runner names of the one check, kept for callers of ``repro.core``.
+supports_batched_broadcast = supports_batched_gossip = supports_batched
 
 
 def run_broadcast_replications_batched(
@@ -158,10 +144,10 @@ def run_broadcast_replications_batched(
     batched loop (:func:`run_process_replications_batched`), with
     ``connectivity=None`` resolved from the config as the runner would.
     """
-    if not supports_batched_broadcast(config):
+    if not supports_batched(config):
         raise ValueError(
             "configuration not supported by the batched backend (requires a "
-            "valid mobility configuration and no frontier/coverage recording)"
+            "valid mobility configuration)"
         )
     from repro.dissemination.kernels import BroadcastProcess
 
@@ -188,7 +174,7 @@ def run_gossip_replications_batched(
     knowledge tensor flooded across all trials in one pass per step) on the
     one batched loop, as :func:`run_broadcast_replications_batched` does.
     """
-    if not supports_batched_gossip(config):
+    if not supports_batched(config):
         raise ValueError(
             "configuration not supported by the batched backend (requires a "
             "valid mobility configuration)"
@@ -238,8 +224,9 @@ def run_process_replications_batched(
     ``compiled`` swaps the labelling passes for the active
     :mod:`repro.compiled` provider's labels kernel or engine (raising when
     none is available) and hands the kernel the provider for its mobility
-    applies; a ``fused_r0`` kernel (the broadcast) whose run the fused block
-    driver supports runs every step there instead.  No draw moves, so
+    applies; a ``fused_r0`` kernel (a broadcast with no observable) whose
+    run the fused block driver supports runs every step there instead.  No
+    draw moves, so
     results are again bit-for-bit identical.
     """
     return _run_batched(
@@ -345,7 +332,7 @@ def _summarise(
     step_counts: list[np.ndarray],
     n_steps: np.ndarray,
 ) -> tuple[ReplicationSummary, list]:
-    curves = _regroup_curves(n_trials, step_trials, step_counts)
+    curves = regroup_curves(n_trials, step_trials, step_counts)
     results = process.build_results(bstate, curves, n_steps)
     summary = summarise_values([getattr(res, process.TIME_FIELD) for res in results])
     return summary, results

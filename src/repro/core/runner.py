@@ -17,8 +17,9 @@ the ``backend`` argument (or the config's ``backend`` field):
   kernels) is available on the host;
 * ``"auto"`` — the fastest backend the configuration and host support,
   resolved jointly with the connectivity engine by one policy
-  (:func:`auto_pair`): compiled when a provider is available, else batched,
-  else serial.
+  (:func:`auto_pair`): compiled when a provider is available (except a
+  label run at ``⌊r⌋ = 0`` that the fused driver does not take, which stays
+  batched), else batched, else serial.
 
 All backends consume identical per-trial random streams (derived with
 :func:`repro.util.rng.spawn_rngs`) and return bit-for-bit identical results,
@@ -320,7 +321,7 @@ def auto_pair(
     *,
     batchable: bool = True,
     labels: bool = True,
-    process: bool = False,
+    fused_r0: bool = False,
 ) -> tuple[str, str]:
     """The ``auto`` policy: resolve backend × connectivity as one pair.
 
@@ -330,25 +331,26 @@ def auto_pair(
     (:func:`~repro.connectivity.visibility.effective_radius`), to the
     fastest pair measured (with the bundled C provider):
 
-    =============================  =========================  =========================
-    run                            compiled provider          no provider
-    =============================  =========================  =========================
-    ``r_eff = 0``                  compiled × incremental     batched × incremental
-    ``r_eff = 1``                  compiled × incremental     batched × incremental
-    ``r_eff >= 2``                 compiled × incremental     batched × recompute
-    label process, ``r_eff = 0``   batched × incremental      batched × incremental
-    =============================  =========================  =========================
+    ==================================  =========================  =========================
+    run                                 compiled provider          no provider
+    ==================================  =========================  =========================
+    fused-driver run, ``r_eff = 0``     compiled × incremental     batched × incremental
+    other label run, ``r_eff = 0``      batched × incremental      batched × incremental
+    ``r_eff = 1``                       compiled × incremental     batched × incremental
+    ``r_eff >= 2``                      compiled × incremental     batched × recompute
+    ==================================  =========================  =========================
 
-    Under compiled, ``r_eff = 0`` runs the fused block driver where it
-    applies, else the compiled labels kernel, and from
-    ``r_eff = 1`` up the compiled engine
-    (:class:`~repro.compiled.engine.CompiledDeltaEngine`): one compiled
-    ``labels_batch`` call per step, which beats every numpy engine.
-    The Section-4 process kernels (``process=True``) keep their own
-    mobility draws and applies, so at ``r_eff = 0`` compiled would only
-    swap the numpy same-cell engine for the compiled labels kernel, which
-    measured slower — unless recompute is requested, which compiled runs
-    faster.
+    A *fused-driver run* is one whose kernel's ``fused_r0`` holds
+    (:attr:`~repro.dissemination.kernels.ProcessKernel.fused_r0`): a
+    broadcast with no frontier or coverage observable, which compiled runs
+    on the fused block driver.  Every other run that consumes labels at
+    ``r_eff = 0`` (gossip, an observed broadcast, the Section-4 label
+    kernels) would only swap the numpy same-cell engine for the compiled
+    labels kernel, which measured slower (docs/PERFORMANCE.md) — unless
+    recompute is requested, which compiled runs faster.  From ``r_eff = 1``
+    up the compiled engine
+    (:class:`~repro.compiled.engine.CompiledDeltaEngine`, one compiled
+    ``labels_batch`` call per step) beats every numpy engine.
     An unbatchable configuration (``batchable=False``) resolves ``auto`` to
     serial; serial and batched, explicit or resolved, follow the numpy
     column.  Runs that consume no component labels (``labels=False``) have
@@ -362,7 +364,7 @@ def auto_pair(
             backend = "serial"
         elif not compiled_available():
             backend = "batched"
-        elif process and labels and r_eff == 0 and connectivity != "recompute":
+        elif labels and r_eff == 0 and not fused_r0 and connectivity != "recompute":
             backend = "batched"
         else:
             backend = "compiled"
@@ -386,14 +388,13 @@ def resolve_pair(
     Each request is the explicit argument if given, else the active
     :func:`backend_override` / :func:`connectivity_override`, else the
     config's field; :func:`auto_pair` resolves whatever is left at
-    ``"auto"``.  Only configurations the batched backend supports resolve
-    to batched or compiled.  An explicit ``"batched"``/``"compiled"``
-    request for an unsupported configuration (or, for ``"compiled"``, a
-    host without any provider) raises when the runner is invoked, rather
-    than silently falling back.
+    ``"auto"``, with the ``fused_r0`` of the kernel the config runs on.
+    Only configurations the batched backend supports resolve to batched
+    or compiled.  An explicit ``"batched"``/``"compiled"`` request for an
+    unsupported configuration (or, for ``"compiled"``, a host without any
+    provider) raises when the runner is invoked, rather than silently
+    falling back.
     """
-    from repro.connectivity.incremental import supports_incremental_connectivity
-
     if backend is None:
         backend = _BACKEND_OVERRIDE
     if connectivity is None:
@@ -402,21 +403,16 @@ def resolve_pair(
     connectivity = check_connectivity(
         connectivity if connectivity is not None else config.connectivity
     )
-    batchable = True
+    batchable, fused_r0 = True, False
     if backend == "auto":
-        from repro.core.batched import supports_batched_broadcast, supports_batched_gossip
+        from repro.core.batched import supports_batched
+        from repro.dissemination.kernels import BroadcastProcess, GossipProcess
 
-        if isinstance(config, BroadcastConfig):
-            batchable = supports_batched_broadcast(config)
-        else:
-            batchable = supports_batched_gossip(config)
-    return auto_pair(
-        backend,
-        connectivity,
-        config.radius,
-        batchable=batchable,
-        labels=supports_incremental_connectivity(config),
-    )
+        batchable = supports_batched(config)
+        if batchable:
+            kernel = BroadcastProcess if isinstance(config, BroadcastConfig) else GossipProcess
+            fused_r0 = kernel(config).fused_r0
+    return auto_pair(backend, connectivity, config.radius, batchable=batchable, fused_r0=fused_r0)
 
 
 def resolve_backend(

@@ -18,22 +18,21 @@ points of the Section-4 processes remain as thin facades:
   ``O(n log^2 n / k)``.
 * :func:`multi_walk_cover_time` — cover time of ``k`` independent random
   walks on the grid, bounded by ``O(n log^2 n / k + n log n)``.
-* :func:`infection_time` — the broadcast problem in the virus-literature
-  vocabulary.
+
+The coverage time ``T_C`` of informed agents and the informed frontier are
+observables of :class:`BroadcastProcess` (``record_coverage``,
+``record_frontier``), and the related work's *infection time* is the
+broadcast time itself.
 """
 
 from repro.dissemination.frog import FrogModelSimulation, FrogModelResult
 from repro.dissemination.predator_prey import PredatorPreySimulation, PredatorPreyResult
 from repro.dissemination.coverage import multi_walk_cover_time, CoverTimeResult
-from repro.dissemination.infection import infection_time, InfectionResult
 from repro.dissemination.kernels import (
     BroadcastProcess,
     CoverProcess,
     FrogProcess,
     GossipProcess,
-    InfectionProcess,
-    InformedCoverageProcess,
-    InformedCoverageResult,
     PredatorPreyProcess,
     ProcessKernel,
     available_processes,
@@ -49,17 +48,12 @@ __all__ = [
     "PredatorPreyResult",
     "multi_walk_cover_time",
     "CoverTimeResult",
-    "infection_time",
-    "InfectionResult",
     "ProcessKernel",
     "BroadcastProcess",
     "GossipProcess",
     "FrogProcess",
     "PredatorPreyProcess",
     "CoverProcess",
-    "InformedCoverageProcess",
-    "InformedCoverageResult",
-    "InfectionProcess",
     "available_processes",
     "make_process",
     "run_process_replications",

@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.connectivity.spatial_hash import neighbor_pairs
 from repro.connectivity.visibility import effective_radius, visibility_components
+from repro.core.batched import regroup_curves
 from repro.core.config import (
     BroadcastConfig,
     GossipConfig,
@@ -148,38 +149,6 @@ class CoverTimeResult:
         return int(reached[0]) if reached.size else -1
 
 
-@dataclass(frozen=True)
-class InformedCoverageResult:
-    """Outcome of a broadcast run that also tracks informed-agent coverage.
-
-    This is the E9 observable: the broadcast time ``T_B`` and the coverage
-    time ``T_C`` (first time every node has been visited by an *informed*
-    agent), measured from one trajectory.
-    """
-
-    n_nodes: int
-    n_agents: int
-    radius: float
-    broadcast_time: int
-    coverage_time: int
-    completed: bool
-    coverage_completed: bool
-    n_steps: int
-    coverage_fraction: float
-    informed_curve: np.ndarray
-
-
-@dataclass(frozen=True)
-class InfectionResult:
-    """Outcome of an infection-time measurement."""
-
-    n_nodes: int
-    n_agents: int
-    radius: float
-    infection_time: int
-    completed: bool
-
-
 # --------------------------------------------------------------------------- #
 # The contract
 # --------------------------------------------------------------------------- #
@@ -219,16 +188,12 @@ class ProcessKernel(abc.ABC):
         Step-loop label: the serial loop counts this kernel's steps under
         ``repro_sim_steps_total{loop="serial_<loop>"}``, the batched loop
         under ``batched_<loop>``.
-    fused_r0:
-        Whether a compiled run may hand the whole loop to :meth:`run_fused`
-        where the fused ``r = 0`` block driver applies.
     """
 
     name: str = ""
     TIME_FIELD: str = ""
     result_class: type = object
     loop: str = "process"
-    fused_r0: bool = False
 
     grid: Grid2D
     radius: float
@@ -239,6 +204,17 @@ class ProcessKernel(abc.ABC):
     def needs(self) -> ConnectivityNeed:
         """The per-step connectivity input this process consumes."""
         return "labels"
+
+    @property
+    def fused_r0(self) -> bool:
+        """Whether the fused ``r = 0`` block driver may run this kernel (:meth:`run_fused`).
+
+        The one place that decides whether a run may fuse: the batched loop
+        hands a compiled run to the driver only when this holds (and the
+        driver supports its mobility), and ``auto`` resolves a label run at
+        ``⌊r⌋ = 0`` to compiled only when it holds.
+        """
+        return False
 
     @property
     @abc.abstractmethod
@@ -390,23 +366,51 @@ def run_process_serial(
 
 
 # --------------------------------------------------------------------------- #
-# Shared single-population, source-seeded configuration
+# Frog model (state-dependent mobility: only active agents move)
 # --------------------------------------------------------------------------- #
-def _flat_node_ids(positions: np.ndarray, side: int) -> np.ndarray:
-    """Vectorised flat node keys (``x * side + y``) of any positions tensor."""
-    return positions[..., 0] * side + positions[..., 1]
+class FrogState(ProcessState):
+    """Serial per-trial state of the Frog model."""
+
+    __slots__ = ("positions", "active", "n_steps", "activation_time", "curve")
+
+    def __init__(self, positions: np.ndarray, active: np.ndarray) -> None:
+        self.positions = positions
+        self.active = active
+        self.n_steps = 0
+        self.activation_time = -1
+        self.curve: list[int] = []
 
 
-class _SourceSeededProcess(ProcessKernel):
-    """Shared configuration of the single-population source-seeded kernels.
+class _FrogBatch:
+    """Batched state of the Frog model (hot arrays compacted to active trials)."""
 
-    The frog, informed-coverage and infection processes all share the
-    broadcast-like setup: ``k`` agents placed uniformly, one source agent
-    seeded (drawn from the trial's generator when not fixed), a
-    transmission radius and the default broadcast horizon.  The draw order
-    — positions first, then the source index — is the legacy serial
-    simulators' constructor order, part of the stream-equivalence contract.
+    __slots__ = ("positions", "active_mask", "activation_time", "final_active", "choice")
+
+    def __init__(self, positions: np.ndarray, active_mask: np.ndarray) -> None:
+        n_trials = positions.shape[0]
+        self.positions = positions
+        self.active_mask = active_mask
+        self.activation_time = np.full(n_trials, -1, dtype=np.int64)
+        self.final_active = np.full(n_trials, -1, dtype=np.int64)
+        self.choice = np.zeros(positions.shape[:2], dtype=np.int64)
+
+
+class FrogProcess(ProcessKernel):
+    """The Frog model as a batch-aware process kernel.
+
+    ``k`` agents are placed uniformly and one source agent is active (drawn
+    from the trial's generator when not fixed, after the positions: the
+    legacy serial simulator's draw order).  Only *active* (informed) agents
+    move; activation floods through the components of ``G_t(r)``.  Motion
+    is masked kernel stepping: each trial draws exactly ``n_active`` lazy
+    proposals (the serial draw), scattered into a batch-wide choice tensor
+    whose inactive entries are the "stay" proposal, then applied with one
+    :func:`~repro.mobility.kernels.apply_lazy_choices` pass.
     """
+
+    name = "frog"
+    TIME_FIELD = "activation_time"
+    result_class = FrogModelResult
 
     def __init__(
         self,
@@ -445,7 +449,7 @@ class _SourceSeededProcess(ProcessKernel):
         }
 
     def _draw_trial(self, rng: RandomState) -> tuple[np.ndarray, np.ndarray]:
-        """One trial's initial positions and source-seeded boolean mask."""
+        """One trial's initial positions and source-seeded active mask."""
         positions = self.grid.random_positions(self.n_agents, rng)
         source = self.source
         if source is None:
@@ -453,61 +457,6 @@ class _SourceSeededProcess(ProcessKernel):
         mask = np.zeros(self.n_agents, dtype=bool)
         mask[source] = True
         return positions, mask
-
-    def _draw_batch(self, rngs: Sequence[RandomState]) -> tuple[np.ndarray, np.ndarray]:
-        """The per-trial init draws fused into ``(R, k, 2)`` + ``(R, k)``."""
-        n_trials = len(rngs)
-        positions = np.empty((n_trials, self.n_agents, 2), dtype=np.int64)
-        mask = np.zeros((n_trials, self.n_agents), dtype=bool)
-        for trial, rng in enumerate(rngs):
-            positions[trial], mask[trial] = self._draw_trial(rng)
-        return positions, mask
-
-
-# --------------------------------------------------------------------------- #
-# Frog model (state-dependent mobility: only active agents move)
-# --------------------------------------------------------------------------- #
-class FrogState(ProcessState):
-    """Serial per-trial state of the Frog model."""
-
-    __slots__ = ("positions", "active", "n_steps", "activation_time", "curve")
-
-    def __init__(self, positions: np.ndarray, active: np.ndarray) -> None:
-        self.positions = positions
-        self.active = active
-        self.n_steps = 0
-        self.activation_time = -1
-        self.curve: list[int] = []
-
-
-class _FrogBatch:
-    """Batched state of the Frog model (hot arrays compacted to active trials)."""
-
-    __slots__ = ("positions", "active_mask", "activation_time", "final_active", "choice")
-
-    def __init__(self, positions: np.ndarray, active_mask: np.ndarray) -> None:
-        n_trials = positions.shape[0]
-        self.positions = positions
-        self.active_mask = active_mask
-        self.activation_time = np.full(n_trials, -1, dtype=np.int64)
-        self.final_active = np.full(n_trials, -1, dtype=np.int64)
-        self.choice = np.zeros(positions.shape[:2], dtype=np.int64)
-
-
-class FrogProcess(_SourceSeededProcess):
-    """The Frog model as a batch-aware process kernel.
-
-    Only *active* (informed) agents move; activation floods through the
-    components of ``G_t(r)``.  Motion is masked kernel stepping: each trial
-    draws exactly ``n_active`` lazy proposals (the serial draw), scattered
-    into a batch-wide choice tensor whose inactive entries are the "stay"
-    proposal, then applied with one
-    :func:`~repro.mobility.kernels.apply_lazy_choices` pass.
-    """
-
-    name = "frog"
-    TIME_FIELD = "activation_time"
-    result_class = FrogModelResult
 
     # -- serial ------------------------------------------------------------- #
     def init_state(self, rng: RandomState) -> FrogState:
@@ -543,7 +492,12 @@ class FrogProcess(_SourceSeededProcess):
 
     # -- batched ------------------------------------------------------------ #
     def init_batch(self, rngs: Sequence[RandomState], ops: Any = None) -> _FrogBatch:
-        return _FrogBatch(*self._draw_batch(rngs))
+        n_trials = len(rngs)
+        positions = np.empty((n_trials, self.n_agents, 2), dtype=np.int64)
+        mask = np.zeros((n_trials, self.n_agents), dtype=bool)
+        for trial, rng in enumerate(rngs):
+            positions[trial], mask[trial] = self._draw_trial(rng)
+        return _FrogBatch(positions, mask)
 
     def step_batch(
         self,
@@ -825,6 +779,36 @@ class PredatorPreyProcess(ProcessKernel):
 
 
 # --------------------------------------------------------------------------- #
+# Visited-node marking (cover time, and a broadcast's informed coverage)
+# --------------------------------------------------------------------------- #
+def _flat_node_ids(positions: np.ndarray, side: int) -> np.ndarray:
+    """Vectorised flat node keys (``x * side + y``) of any positions tensor."""
+    return positions[..., 0] * side + positions[..., 1]
+
+
+def _batch_node_keys(positions: np.ndarray, side: int, n_nodes: int) -> np.ndarray:
+    """``row * n_nodes + node`` keys of ``(R', k, 2)`` positions: flat indices
+    into an ``(R', n_nodes)`` visited table."""
+    rows = np.arange(positions.shape[0], dtype=np.int64)[:, None]
+    return _flat_node_ids(positions, side) + rows * n_nodes
+
+
+def _mark_visited(visited: np.ndarray, count: np.ndarray, keys: np.ndarray) -> None:
+    """Mark flat ``keys`` in the ``(R', n)`` ``visited`` table and count each row's new nodes.
+
+    Deduplication runs only over the keys not yet visited — a rapidly
+    shrinking set once the walks warm up — so the steady-state cost is one
+    gather over the batch, not a sort.
+    """
+    flat_visited = visited.reshape(-1)
+    new = keys[~flat_visited[keys]]
+    if new.size:
+        fresh = np.unique(new)
+        flat_visited[fresh] = True
+        count += np.bincount(fresh // visited.shape[1], minlength=count.shape[0])
+
+
+# --------------------------------------------------------------------------- #
 # Multi-walk cover time (no connectivity at all)
 # --------------------------------------------------------------------------- #
 class CoverState(ProcessState):
@@ -867,7 +851,7 @@ class CoverProcess(ProcessKernel):
 
     No connectivity input at all: each step moves every walk (via the
     mobility kernel's loop-persistent batch stepper — block pre-drawn lazy
-    choices, or per-trial stepping for the ``simple`` rule) and marks the
+    choices, or per-trial draw tapes for the ``simple`` rule) and marks the
     nodes now occupied.  The coverage curve is recorded every
     ``record_curve_every`` steps, exactly like the legacy loop.
     """
@@ -964,29 +948,9 @@ class CoverProcess(ProcessKernel):
         stepper = self._mobility.batch_stepper(k, rngs)
         return _CoverBatch(positions, visited, count, stepper)
 
-    def _mark(
-        self,
-        visited: np.ndarray,
-        count: np.ndarray,
-        positions: np.ndarray,
-    ) -> None:
-        """Mark the occupied nodes and update the per-row visited counts.
-
-        Deduplication runs only over the keys not yet visited — a rapidly
-        shrinking set once the walks warm up — so the steady-state cost is
-        one gather over the batch, not a sort.
-        """
-        n = self.n_nodes
-        flat = (
-            self._node_ids(positions)
-            + np.arange(positions.shape[0], dtype=np.int64)[:, None] * n
-        ).ravel()
-        flat_visited = visited.reshape(-1)
-        new = flat[~flat_visited[flat]]
-        if new.size:
-            fresh = np.unique(new)
-            flat_visited[fresh] = True
-            count += np.bincount(fresh // n, minlength=count.shape[0])
+    def _mark(self, visited: np.ndarray, count: np.ndarray, positions: np.ndarray) -> None:
+        """Mark the occupied nodes and update the per-row visited counts."""
+        _mark_visited(visited, count, _batch_node_keys(positions, self.side, self.n_nodes).ravel())
 
     def initially_stopped(self, bstate: _CoverBatch) -> np.ndarray:
         return bstate.cover_time == 0
@@ -1045,306 +1009,6 @@ class CoverProcess(ProcessKernel):
                 )
             )
         return results
-
-
-# --------------------------------------------------------------------------- #
-# Broadcast + informed coverage (the E9 observable)
-# --------------------------------------------------------------------------- #
-class InformedCoverageState(ProcessState):
-    """Serial per-trial state of the informed-coverage process."""
-
-    __slots__ = (
-        "positions", "informed", "visited", "n_steps",
-        "broadcast_time", "coverage_time", "curve",
-    )
-
-    def __init__(self, positions: np.ndarray, informed: np.ndarray, n_nodes: int) -> None:
-        self.positions = positions
-        self.informed = informed
-        self.visited = np.zeros(n_nodes, dtype=bool)
-        self.n_steps = 0
-        self.broadcast_time = -1
-        self.coverage_time = -1
-        self.curve: list[int] = []
-
-
-class _InformedCoverageBatch:
-    """Batched state of the informed-coverage process."""
-
-    __slots__ = (
-        "positions", "informed", "visited", "count", "stepper",
-        "broadcast_time", "coverage_time", "final_informed", "final_count",
-    )
-
-    def __init__(
-        self,
-        positions: np.ndarray,
-        informed: np.ndarray,
-        visited: np.ndarray,
-        stepper: Any,
-    ) -> None:
-        n_trials = positions.shape[0]
-        self.positions = positions
-        self.informed = informed
-        self.visited = visited
-        self.count = np.zeros(n_trials, dtype=np.int64)
-        self.stepper = stepper
-        self.broadcast_time = np.full(n_trials, -1, dtype=np.int64)
-        self.coverage_time = np.full(n_trials, -1, dtype=np.int64)
-        self.final_informed = np.full(n_trials, -1, dtype=np.int64)
-        self.final_count = np.zeros(n_trials, dtype=np.int64)
-
-
-class InformedCoverageProcess(_SourceSeededProcess):
-    """Broadcast plus informed-agent coverage as one process kernel.
-
-    Mirrors a ``BroadcastSimulation`` with ``record_coverage=True`` draw for
-    draw: flood through ``G_t(r)`` components, mark the nodes occupied by
-    informed agents, then one lazy-walk step for everybody.  A trial stops
-    once *both* the broadcast and the coverage have completed (the E9
-    semantics: ``T_B`` and ``T_C`` measured from one trajectory).
-    """
-
-    name = "coverage"
-    TIME_FIELD = "broadcast_time"
-    result_class = InformedCoverageResult
-
-    def __init__(
-        self,
-        n_nodes: int,
-        n_agents: int,
-        radius: float = 0.0,
-        source: Optional[int] = None,
-        max_steps: Optional[int] = None,
-    ) -> None:
-        super().__init__(n_nodes, n_agents, radius=radius, source=source, max_steps=max_steps)
-        self._mobility = RandomWalkMobility(self.grid)
-
-    def _node_ids(self, positions: np.ndarray) -> np.ndarray:
-        return _flat_node_ids(positions, self.grid.side)
-
-    # -- serial ------------------------------------------------------------- #
-    def init_state(self, rng: RandomState) -> InformedCoverageState:
-        positions, informed = self._draw_trial(rng)
-        return InformedCoverageState(positions, informed, self.n_nodes)
-
-    def step(self, state: InformedCoverageState, conn: Any, rng: RandomState) -> None:
-        state.informed = flood_informed(state.informed, conn)
-        n_informed = int(np.count_nonzero(state.informed))
-        state.curve.append(n_informed)
-        state.visited[self._node_ids(state.positions[state.informed])] = True
-        if state.coverage_time < 0 and bool(state.visited.all()):
-            state.coverage_time = state.n_steps
-        if state.broadcast_time < 0 and n_informed == self.n_agents:
-            state.broadcast_time = state.n_steps
-        state.positions = self._mobility.step(state.positions, rng)
-        state.n_steps += 1
-
-    def stopped(self, state: InformedCoverageState) -> bool:
-        return state.broadcast_time >= 0 and state.coverage_time >= 0
-
-    def result(self, state: InformedCoverageState) -> InformedCoverageResult:
-        return InformedCoverageResult(
-            n_nodes=self.n_nodes,
-            n_agents=self.n_agents,
-            radius=self.radius,
-            broadcast_time=state.broadcast_time,
-            coverage_time=state.coverage_time,
-            completed=state.broadcast_time >= 0,
-            coverage_completed=state.coverage_time >= 0,
-            n_steps=state.n_steps,
-            coverage_fraction=float(np.count_nonzero(state.visited) / self.n_nodes),
-            informed_curve=np.asarray(state.curve, dtype=np.int64),
-        )
-
-    # -- batched ------------------------------------------------------------ #
-    def init_batch(self, rngs: Sequence[RandomState], ops: Any = None) -> _InformedCoverageBatch:
-        positions, informed = self._draw_batch(rngs)
-        visited = np.zeros((len(rngs), self.n_nodes), dtype=bool)
-        stepper = self._mobility.batch_stepper(self.n_agents, rngs)
-        return _InformedCoverageBatch(positions, informed, visited, stepper)
-
-    def step_batch(
-        self,
-        bstate: _InformedCoverageBatch,
-        conn: np.ndarray,
-        rngs: Sequence[RandomState],
-        active: np.ndarray,
-        t: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        informed = flood_informed_batch(bstate.informed, conn)
-        bstate.informed = informed
-        counts = informed.sum(axis=1)
-        # Mark only the informed agents' nodes: scatter through flat keys with
-        # the uninformed entries masked out.
-        n = self.n_nodes
-        flat = (
-            self._node_ids(bstate.positions)
-            + np.arange(active.size, dtype=np.int64)[:, None] * n
-        )
-        flat_visited = bstate.visited.reshape(-1)
-        keys = flat[informed]
-        new = keys[~flat_visited[keys]]
-        if new.size:
-            fresh = np.unique(new)
-            flat_visited[fresh] = True
-            bstate.count += np.bincount(fresh // n, minlength=active.size)
-        newly_covered = (bstate.count == n) & (bstate.coverage_time[active] < 0)
-        bstate.coverage_time[active[newly_covered]] = t
-        newly_broadcast = (counts == self.n_agents) & (bstate.broadcast_time[active] < 0)
-        bstate.broadcast_time[active[newly_broadcast]] = t
-        done = (bstate.broadcast_time[active] >= 0) & (bstate.coverage_time[active] >= 0)
-        bstate.final_informed[active[done]] = counts[done]
-        bstate.final_count[active[done]] = bstate.count[done]
-        bstate.positions = bstate.stepper.step(bstate.positions, active)
-        return counts, done
-
-    def compact(self, bstate: _InformedCoverageBatch, keep: np.ndarray) -> None:
-        bstate.positions = bstate.positions[keep]
-        bstate.informed = bstate.informed[keep]
-        bstate.visited = bstate.visited[keep]
-        bstate.count = bstate.count[keep]
-
-    def finalize(self, bstate: _InformedCoverageBatch, active: np.ndarray) -> None:
-        bstate.final_informed[active] = bstate.informed.sum(axis=1)
-        bstate.final_count[active] = bstate.count
-
-    def build_results(
-        self,
-        bstate: _InformedCoverageBatch,
-        curves: list[np.ndarray],
-        n_steps: np.ndarray,
-    ) -> list[InformedCoverageResult]:
-        return [
-            InformedCoverageResult(
-                n_nodes=self.n_nodes,
-                n_agents=self.n_agents,
-                radius=self.radius,
-                broadcast_time=int(bstate.broadcast_time[trial]),
-                coverage_time=int(bstate.coverage_time[trial]),
-                completed=bool(bstate.broadcast_time[trial] >= 0),
-                coverage_completed=bool(bstate.coverage_time[trial] >= 0),
-                n_steps=int(n_steps[trial]),
-                coverage_fraction=float(bstate.final_count[trial] / self.n_nodes),
-                informed_curve=curves[trial],
-            )
-            for trial in range(bstate.broadcast_time.shape[0])
-        ]
-
-
-# --------------------------------------------------------------------------- #
-# Infection time (the broadcast problem in virus-literature vocabulary)
-# --------------------------------------------------------------------------- #
-class InfectionState(ProcessState):
-    """Serial per-trial state of the infection process."""
-
-    __slots__ = ("positions", "informed", "n_steps", "infection_time")
-
-    def __init__(self, positions: np.ndarray, informed: np.ndarray) -> None:
-        self.positions = positions
-        self.informed = informed
-        self.n_steps = 0
-        self.infection_time = -1
-
-
-class _InfectionBatch:
-    """Batched state of the infection process."""
-
-    __slots__ = ("positions", "informed", "stepper", "infection_time")
-
-    def __init__(self, positions: np.ndarray, informed: np.ndarray, stepper: Any) -> None:
-        self.positions = positions
-        self.informed = informed
-        self.stepper = stepper
-        self.infection_time = np.full(positions.shape[0], -1, dtype=np.int64)
-
-
-class InfectionProcess(_SourceSeededProcess):
-    """Contact infection (single-rumor broadcast) as a process kernel.
-
-    Draw-for-draw equivalent to a plain lazy-walk ``BroadcastSimulation``;
-    exists so the infection-time framing of E12 and the related-work
-    baselines runs on the shared process drivers (batched + sharded +
-    incremental connectivity) without touching the core broadcast runner.
-    """
-
-    name = "infection"
-    TIME_FIELD = "infection_time"
-    result_class = InfectionResult
-
-    def __init__(
-        self,
-        n_nodes: int,
-        n_agents: int,
-        radius: float = 0.0,
-        source: Optional[int] = None,
-        max_steps: Optional[int] = None,
-    ) -> None:
-        super().__init__(n_nodes, n_agents, radius=radius, source=source, max_steps=max_steps)
-        self._mobility = RandomWalkMobility(self.grid)
-
-    # -- serial ------------------------------------------------------------- #
-    def init_state(self, rng: RandomState) -> InfectionState:
-        return InfectionState(*self._draw_trial(rng))
-
-    def step(self, state: InfectionState, conn: Any, rng: RandomState) -> None:
-        state.informed = flood_informed(state.informed, conn)
-        if state.infection_time < 0 and bool(state.informed.all()):
-            state.infection_time = state.n_steps
-        state.positions = self._mobility.step(state.positions, rng)
-        state.n_steps += 1
-
-    def stopped(self, state: InfectionState) -> bool:
-        return state.infection_time >= 0
-
-    def result(self, state: InfectionState) -> InfectionResult:
-        return InfectionResult(
-            n_nodes=self.n_nodes,
-            n_agents=self.n_agents,
-            radius=self.radius,
-            infection_time=state.infection_time,
-            completed=state.infection_time >= 0,
-        )
-
-    # -- batched ------------------------------------------------------------ #
-    def init_batch(self, rngs: Sequence[RandomState], ops: Any = None) -> _InfectionBatch:
-        positions, informed = self._draw_batch(rngs)
-        stepper = self._mobility.batch_stepper(self.n_agents, rngs)
-        return _InfectionBatch(positions, informed, stepper)
-
-    def step_batch(
-        self,
-        bstate: _InfectionBatch,
-        conn: np.ndarray,
-        rngs: Sequence[RandomState],
-        active: np.ndarray,
-        t: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        informed = flood_informed_batch(bstate.informed, conn)
-        bstate.informed = informed
-        counts = informed.sum(axis=1)
-        done = counts == self.n_agents
-        bstate.infection_time[active[done]] = t
-        bstate.positions = bstate.stepper.step(bstate.positions, active)
-        return counts, done
-
-    def compact(self, bstate: _InfectionBatch, keep: np.ndarray) -> None:
-        bstate.positions = bstate.positions[keep]
-        bstate.informed = bstate.informed[keep]
-
-    def build_results(
-        self, bstate: _InfectionBatch, curves: list[np.ndarray], n_steps: np.ndarray
-    ) -> list[InfectionResult]:
-        return [
-            InfectionResult(
-                n_nodes=self.n_nodes,
-                n_agents=self.n_agents,
-                radius=self.radius,
-                infection_time=int(bstate.infection_time[trial]),
-                completed=bool(bstate.infection_time[trial] >= 0),
-            )
-            for trial in range(bstate.infection_time.shape[0])
-        ]
 
 
 # --------------------------------------------------------------------------- #
@@ -1449,20 +1113,56 @@ class BroadcastState(ProcessState):
 
 
 class _BroadcastBatch:
-    """Batched state of a broadcast."""
+    """Batched state of a broadcast, with the observables its config records.
 
-    __slots__ = ("positions", "informed", "stepper", "broadcast_time", "final_informed")
+    ``frontier`` (each trial's rightmost informed column so far) and
+    ``visited``/``count`` (the nodes informed agents have occupied) are
+    ``None`` unless recorded; like the positions, they hold the active
+    trials only.  Each step's frontier is kept as an ``(active, values)``
+    record and regrouped per trial like the informed curve.
+    """
+
+    __slots__ = (
+        "positions",
+        "informed",
+        "stepper",
+        "broadcast_time",
+        "final_informed",
+        "frontier",
+        "frontier_trials",
+        "frontier_values",
+        "visited",
+        "count",
+        "coverage_time",
+        "final_count",
+    )
 
     def __init__(
-        self, positions: np.ndarray, sources: np.ndarray, stepper: Any, n_agents: int
+        self,
+        positions: np.ndarray,
+        sources: np.ndarray,
+        stepper: Any,
+        config: BroadcastConfig,
+        n_nodes: int,
     ) -> None:
-        n_trials = positions.shape[0]
+        n_trials, n_agents = positions.shape[:2]
         self.positions = positions
         self.informed = np.zeros((n_trials, n_agents), dtype=bool)
         self.informed[np.arange(n_trials), sources] = True
         self.stepper = stepper
         self.broadcast_time = np.full(n_trials, -1, dtype=np.int64)
         self.final_informed = np.full(n_trials, n_agents, dtype=np.int64)
+        self.frontier = np.full(n_trials, -1, dtype=np.int64) if config.record_frontier else None
+        self.frontier_trials: list[np.ndarray] = []
+        self.frontier_values: list[np.ndarray] = []
+        self.visited = (
+            np.zeros((n_trials, n_nodes), dtype=bool) if config.record_coverage else None
+        )
+        self.count = np.zeros(n_trials, dtype=np.int64)
+        self.coverage_time = np.full(n_trials, -1, dtype=np.int64)
+        # A trial that records coverage stops only once covered, so only the
+        # horizon leaves one short of every node.
+        self.final_count = np.full(n_trials, n_nodes, dtype=np.int64)
 
 
 class BroadcastProcess(_ConfigProcess):
@@ -1471,9 +1171,10 @@ class BroadcastProcess(_ConfigProcess):
     Each step floods the rumor through the components of ``G_t(r)``,
     records, then moves every agent one step of the config's mobility model
     (also on the step the broadcast completes).  The frontier and coverage
-    observables (``record_frontier``, ``record_coverage``) track per-trial
-    trajectories the batch layout does not carry, so they run on the serial
-    face only.  A compiled batch with a block-draw mobility model at
+    observables (``record_frontier``, ``record_coverage``) run on both
+    faces; a trial that records coverage stops once both the broadcast and
+    the coverage are done (``T_B`` and ``T_C`` from one trajectory).  A
+    compiled batch with no observable and a block-draw mobility model at
     ``⌊r⌋ = 0`` runs on the fused block driver (:meth:`run_fused`).
     """
 
@@ -1481,8 +1182,12 @@ class BroadcastProcess(_ConfigProcess):
     TIME_FIELD = "broadcast_time"
     result_class = BroadcastResult
     loop = "broadcast"
-    fused_r0 = True
     config_class = BroadcastConfig
+
+    @property
+    def fused_r0(self) -> bool:
+        """The fused driver records neither observable, so it takes only runs without one."""
+        return not (self.config.record_frontier or self.config.record_coverage)
 
     def _draw_source(self, rng: RandomState) -> int:
         source = self.config.source
@@ -1534,10 +1239,8 @@ class BroadcastProcess(_ConfigProcess):
 
     # -- batched ------------------------------------------------------------ #
     def init_batch(self, rngs: Sequence[RandomState], ops: Any = None) -> _BroadcastBatch:
-        if self.config.record_frontier or self.config.record_coverage:
-            raise ValueError("frontier and coverage recording run on the serial backend only")
         positions, sources, stepper = self._draw_batch(rngs, ops)
-        return _BroadcastBatch(positions, sources, stepper, self.n_agents)
+        return _BroadcastBatch(positions, sources, stepper, self.config, self.grid.n_nodes)
 
     def step_batch(
         self,
@@ -1551,16 +1254,44 @@ class BroadcastProcess(_ConfigProcess):
         bstate.informed = informed
         counts = informed.sum(axis=1)
         done = counts == self.n_agents
-        bstate.broadcast_time[active[done]] = t
+        if bstate.frontier is not None:
+            rightmost = np.where(informed, bstate.positions[..., 0], -1).max(axis=1)
+            bstate.frontier = np.maximum(bstate.frontier, rightmost)
+            bstate.frontier_trials.append(active)
+            bstate.frontier_values.append(bstate.frontier)
+        if bstate.visited is None:
+            bstate.broadcast_time[active[done]] = t
+        else:
+            done = self._record_coverage(bstate, done, active, t)
         bstate.positions = bstate.stepper.step(bstate.positions, active)
         return counts, done
+
+    def _record_coverage(
+        self, bstate: _BroadcastBatch, broadcast: np.ndarray, active: np.ndarray, t: int
+    ) -> np.ndarray:
+        """Mark the informed agents' nodes; done once broadcast and coverage both are."""
+        n_nodes = self.grid.n_nodes
+        keys = _batch_node_keys(bstate.positions, self.grid.side, n_nodes)
+        _mark_visited(bstate.visited, bstate.count, keys[bstate.informed])
+        newly_broadcast = broadcast & (bstate.broadcast_time[active] < 0)
+        bstate.broadcast_time[active[newly_broadcast]] = t
+        newly_covered = (bstate.count == n_nodes) & (bstate.coverage_time[active] < 0)
+        bstate.coverage_time[active[newly_covered]] = t
+        return (bstate.broadcast_time[active] >= 0) & (bstate.coverage_time[active] >= 0)
 
     def compact(self, bstate: _BroadcastBatch, keep: np.ndarray) -> None:
         bstate.positions = bstate.positions[keep]
         bstate.informed = bstate.informed[keep]
+        if bstate.frontier is not None:
+            bstate.frontier = bstate.frontier[keep]
+        if bstate.visited is not None:
+            bstate.visited = bstate.visited[keep]
+            bstate.count = bstate.count[keep]
 
     def finalize(self, bstate: _BroadcastBatch, active: np.ndarray) -> None:
         bstate.final_informed[active] = bstate.informed.sum(axis=1)
+        if bstate.visited is not None:
+            bstate.final_count[active] = bstate.count
 
     def run_fused(
         self, ops: Any, bstate: _BroadcastBatch
@@ -1584,6 +1315,13 @@ class BroadcastProcess(_ConfigProcess):
     def build_results(
         self, bstate: _BroadcastBatch, curves: list[np.ndarray], n_steps: np.ndarray
     ) -> list[BroadcastResult]:
+        n_trials = bstate.broadcast_time.shape[0]
+        frontiers = (
+            regroup_curves(n_trials, bstate.frontier_trials, bstate.frontier_values)
+            if bstate.frontier is not None
+            else [None] * n_trials
+        )
+        covered = bstate.visited is not None
         return [
             BroadcastResult(
                 config=self.config,
@@ -1592,8 +1330,13 @@ class BroadcastProcess(_ConfigProcess):
                 n_steps=int(n_steps[trial]),
                 n_informed=int(bstate.final_informed[trial]),
                 informed_curve=curves[trial],
+                frontier_history=frontiers[trial],
+                coverage_time=int(bstate.coverage_time[trial]),
+                coverage_fraction=(
+                    float(bstate.final_count[trial] / self.grid.n_nodes) if covered else 0.0
+                ),
             )
-            for trial in range(bstate.broadcast_time.shape[0])
+            for trial in range(n_trials)
         ]
 
 
@@ -1739,8 +1482,6 @@ PROCESS_KERNELS: dict[str, type[ProcessKernel]] = {
     FrogProcess.name: FrogProcess,
     PredatorPreyProcess.name: PredatorPreyProcess,
     CoverProcess.name: CoverProcess,
-    InformedCoverageProcess.name: InformedCoverageProcess,
-    InfectionProcess.name: InfectionProcess,
 }
 
 
@@ -1789,7 +1530,7 @@ def resolve_process_pair(
         check_connectivity(connectivity if connectivity is not None else "auto"),
         process.radius,
         labels=process.needs == "labels",
-        process=True,
+        fused_r0=process.fused_r0,
     )
 
 

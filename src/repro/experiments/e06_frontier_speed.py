@@ -16,7 +16,8 @@ import math
 from repro.analysis.report import ExperimentReport, ExperimentRow
 from repro.connectivity.percolation import island_parameter_gamma, lower_bound_radius
 from repro.core.config import BroadcastConfig
-from repro.core.simulation import BroadcastSimulation
+from repro.core.runner import run_broadcast_replications
+from repro.core.simulation import BroadcastResult
 from repro.exec import map_replications
 from repro.theory.lemmas import lemma7_frontier_advance_bound, lemma7_frontier_window
 from repro.util.rng import RandomState, SeedLike
@@ -36,21 +37,19 @@ def _frontier_trials(
     rngs: list[RandomState], n_nodes: int, n_agents: int, radius: float, window: int
 ) -> list[dict]:
     """Frontier-tracked broadcast replications, one per generator (executor
-    map function)."""
-    return [_frontier_trial(rng, n_nodes, n_agents, radius, window) for rng in rngs]
-
-
-def _frontier_trial(
-    rng: RandomState, n_nodes: int, n_agents: int, radius: float, window: int
-) -> dict:
-    """One frontier-tracked broadcast replication."""
+    map function), run as one replication run over the generators."""
     config = BroadcastConfig(
         n_nodes=n_nodes,
         n_agents=n_agents,
         radius=radius,
         record_frontier=True,
     )
-    result = BroadcastSimulation(config, rng=rng).run()
+    _, results = run_broadcast_replications(config, len(rngs), rng_streams=rngs)
+    return [_frontier_payload(result, window) for result in results]
+
+
+def _frontier_payload(result: BroadcastResult, window: int) -> dict:
+    """One replication's frontier statistics."""
     history = list(result.frontier_history) if result.frontier_history is not None else []
     total_advance = int(history[-1] - history[0]) if history else 0
     return {

@@ -12,8 +12,8 @@ import numpy as np
 
 from repro.analysis.fitting import fit_power_law
 from repro.analysis.report import ExperimentReport, ExperimentRow
-from repro.core.config import default_max_steps
-from repro.dissemination.kernels import InformedCoverageProcess, run_process_replications
+from repro.core.config import BroadcastConfig, default_max_steps
+from repro.core.runner import run_broadcast_replications
 from repro.theory.bounds import broadcast_time_scale
 from repro.util.rng import SeedLike, spawn_rngs
 from repro.workloads.configs import get_workload
@@ -33,12 +33,16 @@ def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:
     rows: list[ExperimentRow] = []
     coverage_means: list[float] = []
     for rng, k in zip(rngs, agent_counts):
-        # T_B and T_C from one trajectory, on the batched + sharded +
-        # incremental-connectivity process drivers.
-        process = InformedCoverageProcess(
-            n_nodes, k, radius=0.0, max_steps=default_max_steps(n_nodes, k) * 2
+        # T_B and T_C from one trajectory: a broadcast that records coverage
+        # runs until both are done.
+        config = BroadcastConfig(
+            n_nodes=n_nodes,
+            n_agents=k,
+            radius=0.0,
+            max_steps=default_max_steps(n_nodes, k) * 2,
+            record_coverage=True,
         )
-        _, results = run_process_replications(process, replications, seed=rng)
+        _, results = run_broadcast_replications(config, replications, seed=rng)
         broadcast_times = [r.broadcast_time for r in results if r.broadcast_time >= 0]
         coverage_times = [r.coverage_time for r in results if r.coverage_time >= 0]
         mean_tb = float(np.mean(broadcast_times)) if broadcast_times else float("nan")

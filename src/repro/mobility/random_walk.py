@@ -12,8 +12,8 @@ from repro.mobility.kernels import (
     BatchStepper,
     BlockDrawStepper,
     MobilityState,
-    PerTrialStepper,
     StepRule,
+    TapeStepper,
     _check_batch_positions,
     apply_lazy_choices,
     lazy_step,
@@ -77,9 +77,11 @@ class RandomWalkMobility(MobilityModel):
         rngs: Sequence[RandomState],
         states: Optional[Sequence[Optional[MobilityState]]] = None,
     ) -> BatchStepper:
-        states = self._check_states(len(rngs), states)
+        self._check_states(len(rngs), states)
         if self._rule != "lazy":
-            return PerTrialStepper(self, rngs, states)
+            # The simple rule's rejection redraws are data dependent, so each
+            # trial reads its own draw tape.
+            return TapeStepper(self._grid, rngs, "simple", n_walkers=n_agents)
         grid = self._grid
         return BlockDrawStepper(
             rngs,

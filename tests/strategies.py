@@ -131,24 +131,23 @@ def process_kernels(draw):
     Sizes are chosen so trials complete (or hit the horizon) within a few
     dozen steps, and so batches compact mid-run: with several trials per run
     some finish early while others keep going.  Broadcast and gossip run on
-    every registered mobility model, at radii including a fractional one.
+    every registered mobility model, at radii including a fractional one,
+    and a broadcast may record the frontier and the coverage observables.
     """
     from repro.dissemination.kernels import (
         BroadcastProcess,
         CoverProcess,
         FrogProcess,
         GossipProcess,
-        InfectionProcess,
-        InformedCoverageProcess,
         PredatorPreyProcess,
     )
 
-    kind = draw(
-        st.sampled_from(
-            ["broadcast", "gossip", "frog", "predator_prey", "cover", "coverage", "infection"]
-        )
-    )
-    side = draw(st.integers(4, 9))
+    kind = draw(st.sampled_from(["broadcast", "gossip", "frog", "predator_prey", "cover"]))
+    record_coverage = kind == "broadcast" and draw(st.booleans())
+    # Informed agents cover every node within the horizon only on the
+    # smallest grids; there some trials of a run stop early while others
+    # run on, so a batch that records coverage compacts mid-run.
+    side = draw(st.integers(4, 5) if record_coverage else st.integers(4, 9))
     n_nodes = side * side
     max_steps = draw(st.sampled_from([30, 60]))
     if kind in ("broadcast", "gossip"):
@@ -160,7 +159,13 @@ def process_kernels(draw):
             **mobility_config(draw(st.sampled_from(MOBILITY_MODELS)), side),
         )
         if kind == "broadcast":
-            return BroadcastProcess(BroadcastConfig(**fields))
+            return BroadcastProcess(
+                BroadcastConfig(
+                    record_frontier=draw(st.booleans()),
+                    record_coverage=record_coverage,
+                    **fields,
+                )
+            )
         return GossipProcess(GossipConfig(**fields))
     radius = draw(st.sampled_from([0.0, 1.0, 2.0]))
     if kind == "frog":
@@ -176,20 +181,12 @@ def process_kernels(draw):
             max_steps=max_steps,
             preys_move=draw(st.booleans()),
         )
-    if kind == "cover":
-        return CoverProcess(
-            side,
-            draw(st.integers(1, 6)),
-            max_steps,
-            rule=draw(st.sampled_from(["lazy", "simple"])),
-            record_curve_every=draw(st.sampled_from([1, 3])),
-        )
-    if kind == "coverage":
-        return InformedCoverageProcess(
-            n_nodes, draw(st.integers(2, 6)), radius=radius, max_steps=max_steps
-        )
-    return InfectionProcess(
-        n_nodes, draw(st.integers(2, 6)), radius=radius, max_steps=max_steps
+    return CoverProcess(
+        side,
+        draw(st.integers(1, 6)),
+        max_steps,
+        rule=draw(st.sampled_from(["lazy", "simple"])),
+        record_curve_every=draw(st.sampled_from([1, 3])),
     )
 
 

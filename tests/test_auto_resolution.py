@@ -12,6 +12,7 @@ bit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -57,17 +58,26 @@ TABLE = {
         2.0: (("compiled", "incremental"), ("batched", "recompute")),
         4.0: (("compiled", "incremental"), ("batched", "recompute")),
     },
+    # Gossip and an observed broadcast: the fused r = 0 driver takes
+    # neither, and at r_eff = 0 the numpy same-cell engine beats the
+    # compiled labels kernel.
     "gossip": {
-        0.0: (("compiled", "incremental"), ("batched", "incremental")),
-        0.5: (("compiled", "incremental"), ("batched", "incremental")),
+        0.0: (("batched", "incremental"), ("batched", "incremental")),
+        0.5: (("batched", "incremental"), ("batched", "incremental")),
         1.0: (("compiled", "incremental"), ("batched", "incremental")),
         1.5: (("compiled", "incremental"), ("batched", "incremental")),
         2.0: (("compiled", "incremental"), ("batched", "recompute")),
         4.0: (("compiled", "incremental"), ("batched", "recompute")),
     },
-    # Frog: at r_eff = 0 the numpy same-cell engine beats the compiled
-    # labels kernel for every label process (process kernels get no
-    # compiled mobility or flood).
+    "observed broadcast": {
+        0.0: (("batched", "incremental"), ("batched", "incremental")),
+        0.5: (("batched", "incremental"), ("batched", "incremental")),
+        1.0: (("compiled", "incremental"), ("batched", "incremental")),
+        1.5: (("compiled", "incremental"), ("batched", "incremental")),
+        2.0: (("compiled", "incremental"), ("batched", "recompute")),
+        4.0: (("compiled", "incremental"), ("batched", "recompute")),
+    },
+    # Frog: the same rule for every label process.
     "label process": {
         0.0: (("batched", "incremental"), ("batched", "incremental")),
         0.5: (("batched", "incremental"), ("batched", "incremental")),
@@ -107,9 +117,13 @@ def provider_env(monkeypatch):
 
 def _resolve(kind: str, radius: float) -> tuple[str, str]:
     """The resolved pair, checked against both single-choice resolvers."""
-    if kind in ("broadcast", "gossip"):
-        cls = BroadcastConfig if kind == "broadcast" else GossipConfig
-        config = cls(n_nodes=100, n_agents=4, radius=radius)
+    if kind in ("broadcast", "gossip", "observed broadcast"):
+        if kind == "gossip":
+            config = GossipConfig(n_nodes=100, n_agents=4, radius=radius)
+        else:
+            config = BroadcastConfig(
+                n_nodes=100, n_agents=4, radius=radius, record_coverage=kind != "broadcast"
+            )
         pair = resolve_pair(config)
         assert pair == (resolve_backend(config), resolve_connectivity(config))
         return pair
@@ -179,10 +193,13 @@ def test_overrides_beat_config_fields_not_arguments():
 
 @pytest.mark.parametrize("radius", RADII)
 def test_serial_runs_resolve_for_the_serial_backend(radius):
-    """Serial-only configs and direct simulations keep the numpy rule."""
+    """Direct simulations keep the numpy rule; a frontier broadcast is no
+    longer serial-only, and resolves as an observed broadcast."""
     expected = "incremental" if radius < 2 else "recompute"
     frontier = BroadcastConfig(n_nodes=100, n_agents=4, radius=radius, record_frontier=True)
-    assert resolve_pair(frontier) == ("serial", expected)
+    with_provider, without = TABLE["observed broadcast"][radius]
+    assert resolve_pair(frontier) == (with_provider if repro.compiled.available() else without)
+    assert resolve_pair(frontier, "serial") == ("serial", expected)
     config = BroadcastConfig(n_nodes=100, n_agents=4, radius=radius)
     assert (BroadcastSimulation(config, rng=0)._engine is not None) == (expected == "incremental")
     gossip = GossipConfig(n_nodes=100, n_agents=4, radius=radius)
@@ -237,6 +254,45 @@ def test_compiled_incremental_runs_the_compiled_engine(monkeypatch, connectivity
         config, 3, seed=4, backend="serial", connectivity="recompute"
     )
     assert np.array_equal(compiled[0].values, serial[0].values)
+
+
+@requires_compiled
+@pytest.mark.parametrize("observable", ["record_frontier", "record_coverage"])
+def test_observed_broadcast_never_reaches_the_fused_driver(monkeypatch, observable):
+    """The fused driver records no observable, so a broadcast that records
+    one runs the per-step loop under auto and under explicit compiled."""
+    from repro.dissemination.kernels import BroadcastProcess
+
+    calls = []
+    original = BroadcastProcess.run_fused
+
+    def spying(self, *args, **kwargs):
+        calls.append(self.config)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BroadcastProcess, "run_fused", spying)
+    plain = BroadcastConfig(n_nodes=64, n_agents=4, max_steps=400)
+    run_broadcast_replications(plain, 3, seed=2, backend="compiled")
+    assert calls == ([plain] if repro.compiled.require_ops().has_block_driver else [])
+    observed = dataclasses.replace(plain, **{observable: True})
+    serial = run_broadcast_replications(observed, 3, seed=2, backend="serial")[1]
+    for backend in (None, "compiled"):
+        calls.clear()
+        results = run_broadcast_replications(observed, 3, seed=2, backend=backend)[1]
+        assert calls == [], backend
+        assert _observed_outcome(results) == _observed_outcome(serial), backend
+
+
+def _observed_outcome(results) -> list[tuple]:
+    return [
+        (
+            *outcome,
+            None if r.frontier_history is None else r.frontier_history.tolist(),
+            r.coverage_time,
+            r.coverage_fraction,
+        )
+        for r, outcome in zip(results, _broadcast_outcome(results))
+    ]
 
 
 # --------------------------------------------------------------------------- #

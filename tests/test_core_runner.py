@@ -8,8 +8,8 @@ import pytest
 from repro.core.batched import (
     run_broadcast_replications_batched,
     run_gossip_replications_batched,
+    supports_batched,
     supports_batched_broadcast,
-    supports_batched_gossip,
 )
 from repro.core.config import BroadcastConfig, GossipConfig
 from repro.core.runner import (
@@ -127,7 +127,10 @@ class TestBackendSeam:
         config = BroadcastConfig(n_nodes=144, n_agents=8)
         assert config.backend == "auto"
         assert resolve_backend(config) == _auto_fast()
-        assert resolve_backend(GossipConfig(n_nodes=100, n_agents=4)) == _auto_fast()
+        # The fused r = 0 driver runs broadcasts only; gossip at r = 0 is
+        # fastest on batched x incremental, with or without a provider.
+        assert resolve_backend(GossipConfig(n_nodes=100, n_agents=4)) == "batched"
+        assert resolve_backend(GossipConfig(n_nodes=100, n_agents=4, radius=1.0)) == _auto_fast()
 
     def test_every_builtin_mobility_is_batched_under_auto(self):
         for mobility, kwargs in [
@@ -141,13 +144,13 @@ class TestBackendSeam:
             config = BroadcastConfig(
                 n_nodes=144, n_agents=8, mobility=mobility, mobility_kwargs=kwargs
             )
-            assert supports_batched_broadcast(config), mobility
+            assert supports_batched(config), mobility
             assert resolve_backend(config) == _auto_fast()
             gossip = GossipConfig(
                 n_nodes=100, n_agents=4, mobility=mobility, mobility_kwargs=kwargs
             )
-            assert supports_batched_gossip(gossip), mobility
-            assert resolve_backend(gossip) == _auto_fast()
+            assert supports_batched(gossip), mobility
+            assert resolve_backend(gossip) == "batched"
 
     def test_obstacle_walk_is_batched_under_auto(self):
         from repro.grid.obstacles import ObstacleGrid
@@ -161,26 +164,24 @@ class TestBackendSeam:
         assert resolve_backend(config) == _auto_fast()
 
     def test_auto_falls_back_to_serial_when_unsupported(self):
-        assert not supports_batched_broadcast(
-            BroadcastConfig(n_nodes=144, n_agents=8, record_frontier=True)
-        )
-        assert not supports_batched_broadcast(
-            BroadcastConfig(n_nodes=144, n_agents=8, record_coverage=True)
-        )
+        # The frontier and coverage observables run on the batched face.
+        assert supports_batched(BroadcastConfig(n_nodes=144, n_agents=8, record_frontier=True))
+        assert supports_batched(BroadcastConfig(n_nodes=144, n_agents=8, record_coverage=True))
         # Unknown mobility kwargs must fall back to serial, which rejects
         # them — the batched backend must not accept what serial refuses.
         bad_kwargs = BroadcastConfig(
             n_nodes=144, n_agents=8, mobility_kwargs={"rule": "lazy", "speed": 2}
         )
-        assert not supports_batched_broadcast(bad_kwargs)
+        assert not supports_batched(bad_kwargs)
         assert resolve_backend(bad_kwargs) == "serial"
         with pytest.raises(TypeError):
             run_broadcast_replications(bad_kwargs, 1, seed=0)
-        assert not supports_batched_gossip(
+        assert not supports_batched(
             GossipConfig(n_nodes=100, n_agents=4, mobility_kwargs={"rul": "simple"})
         )
+        # An observed broadcast at r = 0 is no fused-driver run: batched.
         config = BroadcastConfig(n_nodes=144, n_agents=8, record_frontier=True)
-        assert resolve_backend(config) == "serial"
+        assert resolve_backend(config) == "batched"
 
     def test_argument_overrides_config_backend(self):
         config = BroadcastConfig(n_nodes=144, n_agents=8, backend="serial")
@@ -196,9 +197,12 @@ class TestBackendSeam:
             resolve_backend(config, backend="gpu")
 
     def test_explicit_batched_on_unsupported_config_raises(self):
-        config = BroadcastConfig(n_nodes=144, n_agents=8, record_frontier=True)
+        config = BroadcastConfig(n_nodes=144, n_agents=8, mobility_kwargs={"speed": 2})
         with pytest.raises(ValueError):
             run_broadcast_replications_batched(config, 2, seed=0)
+        frontier = BroadcastConfig(n_nodes=144, n_agents=8, record_frontier=True, max_steps=40)
+        _, results = run_broadcast_replications_batched(frontier, 2, seed=0)
+        assert all(res.frontier_history is not None for res in results)
         gossip = GossipConfig(n_nodes=100, n_agents=4, mobility_kwargs={"bad": 1})
         with pytest.raises(ValueError):
             run_gossip_replications_batched(gossip, 2, seed=0)

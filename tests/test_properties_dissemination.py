@@ -186,51 +186,6 @@ class TestExecutorEquivalence:
         assert_results_identical(reference, resumed)
 
 
-class TestKernelsMatchBroadcastCore:
-    """The broadcast-shaped kernels are pinned to the core simulation.
-
-    ``InfectionProcess`` claims draw-for-draw equivalence to a plain
-    lazy-walk ``BroadcastSimulation`` and ``InformedCoverageProcess`` to
-    one with ``record_coverage=True``; these tests keep the two
-    implementations from silently desynchronising.
-    """
-
-    @given(seed=seeds)
-    @settings(**_SETTINGS)
-    def test_infection_matches_broadcast_simulation(self, seed):
-        from repro.core.config import BroadcastConfig
-        from repro.core.simulation import BroadcastSimulation
-        from repro.dissemination.kernels import InfectionProcess
-
-        config = BroadcastConfig(n_nodes=81, n_agents=5, radius=0.0, max_steps=200)
-        core = BroadcastSimulation(config, rng=default_rng(seed)).run()
-        kernel = run_process_serial(
-            InfectionProcess(81, 5, radius=0.0, max_steps=200), default_rng(seed)
-        )
-        assert kernel.infection_time == core.broadcast_time
-        assert kernel.completed == core.completed
-
-    @given(seed=seeds)
-    @settings(**_SETTINGS)
-    def test_coverage_matches_broadcast_simulation_with_coverage(self, seed):
-        from repro.core.config import BroadcastConfig
-        from repro.core.simulation import BroadcastSimulation
-        from repro.dissemination.kernels import InformedCoverageProcess
-
-        config = BroadcastConfig(
-            n_nodes=49, n_agents=4, radius=0.0, record_coverage=True, max_steps=600
-        )
-        core = BroadcastSimulation(config, rng=default_rng(seed)).run()
-        kernel = run_process_serial(
-            InformedCoverageProcess(49, 4, radius=0.0, max_steps=600), default_rng(seed)
-        )
-        assert kernel.broadcast_time == core.broadcast_time
-        assert kernel.coverage_time == core.coverage_time
-        assert kernel.n_steps == core.n_steps
-        assert kernel.coverage_fraction == core.coverage_fraction
-        assert np.array_equal(kernel.informed_curve, core.informed_curve)
-
-
 class TestFacadesMatchKernels:
     @given(
         seed=seeds,
