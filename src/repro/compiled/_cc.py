@@ -22,16 +22,11 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.compiled._csrc import C_SOURCE
-
-_I64P = ctypes.POINTER(ctypes.c_int64)
-_I32P = ctypes.POINTER(ctypes.c_int32)
-_U8P = ctypes.POINTER(ctypes.c_uint8)
-_F64P = ctypes.POINTER(ctypes.c_double)
 
 #: Compiler candidates tried in order (first one present wins).
 _COMPILERS = ("cc", "gcc", "clang")
@@ -53,26 +48,6 @@ def cache_dir() -> Path:
     if override:
         return Path(override)
     return Path.home() / ".cache" / "repro-compiled"
-
-
-def _i64(arr: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.cast(arr.ctypes.data, _I64P)
-
-
-def _i32(arr: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.cast(arr.ctypes.data, _I32P)
-
-
-def _u8(arr: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.cast(arr.ctypes.data, _U8P)
-
-
-def _f64(arr: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.cast(arr.ctypes.data, _F64P)
-
-
-def _contig_i64(arr: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(arr, dtype=np.int64)
 
 
 def _build_library() -> ctypes.CDLL:
@@ -117,13 +92,45 @@ def _build_library() -> ctypes.CDLL:
 #: The fused kernel's ``apply_kind`` per mobility kernel spec (0: static).
 _BLOCK_KINDS = {"lazy": 1, "masked": 2, "brownian": 3}
 
+_I64 = ctypes.c_int64
+_PTR = ctypes.c_void_p
+
+#: ``(restype, argtypes)`` of every exported kernel, declared once at load.
+_SIGNATURES = {
+    "repro_apply_lazy": (None, (_I64, _I64, _PTR, _PTR, _PTR)),
+    "repro_apply_masked": (None, (_I64, _I64, _PTR, _PTR, _PTR, _PTR)),
+    "repro_apply_brownian": (None, (_I64, _I64, _PTR, _PTR, _PTR)),
+    "repro_broadcast_r0_block": (
+        _I64,
+        (_I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR),
+    ),
+    "repro_labels_batch": (_I64, (_I64, _I64, _PTR, ctypes.c_double, _PTR)),
+}
+
+
+def _buffer(arr: np.ndarray) -> Any:
+    """A C-contiguous array's first byte, as a pointer argument.
+
+    ``byref(c_byte.from_buffer(arr))`` costs a third of ``arr.ctypes.data``,
+    but ``from_buffer`` refuses read-only and empty buffers, which pass the
+    address numpy reports instead.
+    """
+    try:
+        return ctypes.byref(ctypes.c_byte.from_buffer(arr))
+    except (TypeError, ValueError):
+        if not arr.flags.c_contiguous:
+            raise ValueError("kernel arrays must be C-contiguous") from None
+        return arr.ctypes.data
+
 
 class CcOps:
     """Provider object binding the C kernels behind the common kernel API.
 
-    Array arguments are converted to C-contiguous buffers of the exact
-    dtype the C side expects; ``informed`` masks are numpy bool arrays
-    (one byte per entry) addressed as ``uint8``.
+    Every kernel is bound once, with its argument types, so a call costs
+    the C routine plus one ctypes call.  Array arguments of another dtype or
+    layout are first copied to C-contiguous arrays of the exact dtype the C
+    side expects; ``informed`` masks are numpy bool arrays (one byte per
+    entry) and obstacle masks nonzero bytes, both read as ``uint8``.
     """
 
     name = "cc"
@@ -132,67 +139,58 @@ class CcOps:
 
     def __init__(self) -> None:
         self._lib = _build_library()
-        for fn in (
-            "repro_apply_lazy",
-            "repro_apply_masked",
-            "repro_apply_brownian",
-            "repro_broadcast_r0_block",
-            "repro_labels_batch",
-        ):
-            getattr(self._lib, fn).restype = ctypes.c_int64
+        for fn, (restype, argtypes) in _SIGNATURES.items():
+            getattr(self._lib, fn).restype = restype
+            getattr(self._lib, fn).argtypes = argtypes
 
     # -- mobility applies ------------------------------------------------- #
     def apply_lazy(self, side: int, positions: np.ndarray, choice: np.ndarray) -> np.ndarray:
-        positions = _contig_i64(positions)
+        positions = np.ascontiguousarray(positions, dtype=np.int64)
         choice = np.ascontiguousarray(choice, dtype=np.int32)
+        if positions.size != 2 * choice.size:
+            raise ValueError("positions must hold one (x, y) pair per choice")
         out = np.empty_like(positions)
         self._lib.repro_apply_lazy(
-            ctypes.c_int64(choice.size), ctypes.c_int64(side),
-            _i64(positions), _i32(choice), _i64(out),
+            choice.size, side, _buffer(positions), _buffer(choice), _buffer(out)
         )
         return out
 
     def apply_masked(
         self, side: int, free_mask: np.ndarray, positions: np.ndarray, choice: np.ndarray
     ) -> np.ndarray:
-        positions = _contig_i64(positions)
+        positions = np.ascontiguousarray(positions, dtype=np.int64)
         choice = np.ascontiguousarray(choice, dtype=np.int32)
-        mask = np.ascontiguousarray(free_mask, dtype=np.uint8).ravel()
+        mask = np.ascontiguousarray(free_mask, dtype=np.uint8)
+        if positions.size != 2 * choice.size or mask.size < side * side:
+            raise ValueError("need one (x, y) pair per choice and a side * side mask")
         out = np.empty_like(positions)
         self._lib.repro_apply_masked(
-            ctypes.c_int64(choice.size), ctypes.c_int64(side),
-            _u8(mask), _i64(positions), _i32(choice), _i64(out),
+            choice.size, side, _buffer(mask), _buffer(positions), _buffer(choice), _buffer(out)
         )
         return out
 
     def apply_brownian(
         self, side: int, positions: np.ndarray, displacement: np.ndarray
     ) -> np.ndarray:
-        positions = _contig_i64(positions)
+        positions = np.ascontiguousarray(positions, dtype=np.int64)
         displacement = np.ascontiguousarray(displacement, dtype=np.float64)
+        if positions.size % 2 or displacement.size != positions.size:
+            raise ValueError("need one (dx, dy) pair per (x, y) pair")
         out = np.empty_like(positions)
         self._lib.repro_apply_brownian(
-            ctypes.c_int64(positions.size // 2), ctypes.c_int64(side),
-            _i64(positions), _f64(displacement), _i64(out),
+            positions.size // 2, side, _buffer(positions), _buffer(displacement), _buffer(out)
         )
         return out
 
     # -- labelling --------------------------------------------------------- #
     def labels_batch(self, positions: np.ndarray, radius: float) -> np.ndarray:
-        positions = _contig_i64(positions)
+        positions = np.ascontiguousarray(positions, dtype=np.int64)
+        if positions.ndim != 3 or positions.shape[2] != 2:
+            raise ValueError("positions must have shape (n_trials, k, 2)")
         n_trials, k = positions.shape[:2]
         labels = np.empty((n_trials, k), dtype=np.int64)
-        if n_trials == 0 or k == 0:
-            return labels
-        ki = np.empty((2 * k, 2), dtype=np.int64)  # struct {i64 key; i64 idx;} x 2k
-        parent = np.empty(k, dtype=np.int64)
-        rank = np.empty(k, dtype=np.int64)
-        minid = np.empty(k, dtype=np.int64)
-        self._lib.repro_labels_batch(
-            ctypes.c_int64(n_trials), ctypes.c_int64(k), _i64(positions),
-            ctypes.c_double(float(radius)), _i64(labels),
-            _i64(ki), _i64(parent), _i64(rank), _i64(minid),
-        )
+        if self._lib.repro_labels_batch(n_trials, k, _buffer(positions), radius, _buffer(labels)):
+            raise MemoryError("repro_labels_batch could not allocate its scratch")
         return labels
 
     # -- cc-only extension ------------------------------------------------ #
@@ -212,21 +210,30 @@ class CcOps:
         ``draws`` (int32 choices, or float64 displacements for brownian) is
         read in place when each trial's slice is contiguous.  ``marks`` is
         the shared all-zero uint8 table of ``side * side`` cells.
-        ``done_at`` (A,) and ``counts_out`` (steps, A) arrive filled with
-        -1; steps after a trial completed keep their -1.  Returns the steps
-        the longest-running trial ran.
+        ``positions`` (A, k, 2) and ``informed`` (A, k) are advanced in
+        place; ``done_at`` (A,) and ``counts_out`` (steps, A) arrive filled
+        with -1, and steps after a trial completed keep their -1.  All four
+        are C-contiguous and never converted.  Returns the steps the
+        longest-running trial ran.
         """
         n_steps, n_trials = counts_out.shape
         k = informed.shape[1]
-        if not positions.flags["C_CONTIGUOUS"] or not informed.flags["C_CONTIGUOUS"]:
-            raise ValueError("positions and informed must be C-contiguous (mutated in place)")
+        if (
+            positions.shape != (n_trials, k, 2)
+            or positions.dtype != np.int64
+            or informed.shape != (n_trials, k)
+            or informed.itemsize != 1
+            or done_at.shape != (n_trials,)
+            or done_at.dtype != np.int64
+            or counts_out.dtype != np.int64
+        ):
+            raise ValueError("positions, informed, done_at or counts_out: wrong shape or dtype")
         if marks.dtype != np.uint8 or marks.size < side * side:
             raise ValueError("marks must be a uint8 table of side * side cells")
-        # Keep every marshalled temporary referenced for the call's duration.
-        mask_arr: Optional[np.ndarray] = None
-        mask_ptr = ctypes.cast(None, _U8P)
-        ichoice = ctypes.cast(None, _I32P)
-        fdisp = ctypes.cast(None, _F64P)
+        # Pointer arguments: NULL unless the kernel spec reads them.
+        mask: Any = None
+        ichoice: Optional[int] = None
+        fdisp: Optional[int] = None
         kind = stride = 0
         if kernel is not None:
             kind = _BLOCK_KINDS[kernel[0]]
@@ -241,18 +248,30 @@ class CcOps:
             ):
                 draws = np.ascontiguousarray(draws, dtype=dtype)
             stride = draws.strides[0] // draws.itemsize
+            # A draw view's trials are contiguous but strided apart, which
+            # from_buffer refuses: the kernel gets the view's base address.
             if kind == 3:
-                fdisp = _f64(draws)
+                fdisp = draws.ctypes.data
             else:
-                ichoice = _i32(draws)
+                ichoice = draws.ctypes.data
             if kind == 2:
-                mask_arr = np.ascontiguousarray(kernel[2], dtype=np.uint8).ravel()
-                mask_ptr = _u8(mask_arr)
-        return int(
-            self._lib.repro_broadcast_r0_block(
-                ctypes.c_int64(n_trials), ctypes.c_int64(k), ctypes.c_int64(side),
-                ctypes.c_int64(n_steps), ctypes.c_int64(kind), mask_ptr, ichoice, fdisp,
-                ctypes.c_int64(stride), _i64(positions), _u8(informed), _u8(marks),
-                _i64(done_at), _i64(counts_out),
-            )
+                free_mask = np.ascontiguousarray(kernel[2], dtype=np.uint8)
+                if free_mask.size < side * side:
+                    raise ValueError("the obstacle mask must cover side * side cells")
+                mask = _buffer(free_mask)
+        return self._lib.repro_broadcast_r0_block(
+            n_trials,
+            k,
+            side,
+            n_steps,
+            kind,
+            mask,
+            ichoice,
+            fdisp,
+            stride,
+            _buffer(positions),
+            _buffer(informed),
+            _buffer(marks),
+            _buffer(done_at),
+            _buffer(counts_out),
         )

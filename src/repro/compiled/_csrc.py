@@ -237,12 +237,16 @@ static void min_label_pass(i64 *parent, i64 *minid, i64 base, i64 k, i64 *out)
  * are radix-sorted by cell key; the same cell is scanned forward in the
  * sorted run, and each of the four forward-neighbour cells through a
  * cursor that only moves forward (the targets grow with the key).
- * Scratch requirements: ki (2k KeyIdx), parent/rank/minid (k i64 each).
- * Returns 0.
+ * The scratch (2k KeyIdx, then parent/rank/minid of k i64 each) is
+ * allocated per call, so concurrent calls share nothing.  Returns 0, or -1
+ * when the scratch cannot be allocated (labels untouched).
  */
-i64 repro_labels_batch(i64 n_trials, i64 k, const i64 *pos, double radius,
-                       i64 *labels, KeyIdx *ki, i64 *parent, i64 *rank_, i64 *minid)
+i64 repro_labels_batch(i64 n_trials, i64 k, const i64 *pos, double radius, i64 *labels)
 {
+    if (n_trials <= 0 || k <= 0) return 0;
+    KeyIdx *ki = malloc((size_t)k * (2 * sizeof(KeyIdx) + 3 * sizeof(i64)));
+    if (ki == NULL) return -1;
+    i64 *parent = (i64 *)(ki + 2 * k), *rank_ = parent + k, *minid = rank_ + k;
     i64 cell = radius <= 0 ? 1 : (i64)ceil(radius);
     for (i64 r = 0; r < n_trials; r++) {
         const i64 *p = pos + r * k * 2;
@@ -309,6 +313,7 @@ i64 repro_labels_batch(i64 n_trials, i64 k, const i64 *pos, double radius,
         for (i64 i = 0; i < k; i++) parent[i] = uf_find(parent, i);
         min_label_pass(parent, minid, r * k, k, lab);
     }
+    free(ki);
     return 0;
 }
 """

@@ -10,14 +10,15 @@ plain-Python reference module itself) to that protocol; the cc provider
 implements it natively in :class:`repro.compiled._cc.CcOps`.
 
 On top of the raw protocol this module carries the glue the simulation loops
-use: ``apply_kernel`` dispatches a :class:`~repro.mobility.kernels.BlockDrawStepper`
-kernel spec, ``accelerate_stepper`` swaps a stepper's numpy apply for the
-compiled one, and ``make_labels_fn`` stands in for the numpy labelling pass.
+use: ``bind_apply`` resolves a :class:`~repro.mobility.kernels.BlockDrawStepper`
+kernel spec into one apply closure per run, ``accelerate_stepper`` swaps a
+stepper's numpy apply for it, and ``make_labels_fn`` stands in for the numpy
+labelling pass.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -68,27 +69,29 @@ class LoopOps:
 
 
 # --------------------------------------------------------------------------- #
-# Kernel-spec dispatch (mobility applies)
+# Kernel specs (mobility applies)
 # --------------------------------------------------------------------------- #
 #: Kernel-spec kinds the compiled apply path understands.
 SUPPORTED_KERNELS = ("lazy", "masked", "brownian")
 
 
-def apply_kernel(ops: Any, kernel: tuple, positions: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Apply one per-step draw slice through the provider's compiled kernel.
+def bind_apply(ops: Any, kernel: tuple) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The apply ``(positions, draws) -> positions`` of a kernel spec, resolved once.
 
     ``kernel`` is the spec a mobility model attached to its
     :class:`~repro.mobility.kernels.BlockDrawStepper`:
     ``("lazy", side)``, ``("masked", side, free_mask)`` or
-    ``("brownian", side)``.
+    ``("brownian", side)``.  The closure calls the provider's method of that
+    name with the spec's arguments, so no step dispatches on the spec.
     """
-    kind = kernel[0]
+    kind, side = kernel[0], kernel[1]
     if kind == "lazy":
-        return ops.apply_lazy(kernel[1], positions, draws)
+        return lambda positions, draws: ops.apply_lazy(side, positions, draws)
     if kind == "masked":
-        return ops.apply_masked(kernel[1], kernel[2], positions, draws)
+        mask = kernel[2]
+        return lambda positions, draws: ops.apply_masked(side, mask, positions, draws)
     if kind == "brownian":
-        return ops.apply_brownian(kernel[1], positions, draws)
+        return lambda positions, draws: ops.apply_brownian(side, positions, draws)
     raise ValueError(f"unknown compiled kernel spec {kind!r}")
 
 
@@ -99,13 +102,20 @@ def accelerate_stepper(ops: Any, stepper: Any) -> Any:
     (per-trial steppers, models with data-dependent draws): those paths keep
     their numpy applies, which is still bit-for-bit correct — the compiled
     backend accelerates exactly the kernels that exist, never the contract.
+
+    An obstacle spec's mask, a read-only bool array, is replaced by its
+    C-contiguous uint8 copy, made once per run: the compiled apply of every
+    step and every block of the fused driver then read it unconverted.
     """
     kernel = getattr(stepper, "kernel", None)
     if not isinstance(stepper, BlockDrawStepper) or kernel is None:
         return stepper
     if kernel[0] not in SUPPORTED_KERNELS:
         return stepper
-    stepper.set_apply(lambda positions, draws: apply_kernel(ops, kernel, positions, draws))
+    if kernel[0] == "masked":
+        mask = np.ascontiguousarray(kernel[2], dtype=np.uint8)
+        kernel = stepper.kernel = ("masked", kernel[1], mask)
+    stepper.set_apply(bind_apply(ops, kernel))
     return stepper
 
 

@@ -150,7 +150,7 @@ def run_broadcast_r0_fused(
     Returns ``(step_trials, step_counts, broadcast_time, n_steps,
     n_informed)``: the curve records as one flattened ``(trials, counts)``
     pair per block, in step order, for
-    :func:`repro.core.batched._regroup_curves`, and the per-trial outcomes.
+    :func:`repro.core.batched.regroup_curves`, and the per-trial outcomes.
     ``positions`` and ``informed`` are consumed (mutated and compacted).
     """
     k = informed.shape[1]

@@ -16,7 +16,9 @@ Two layers below the backend-equivalence property suites:
 
 from __future__ import annotations
 
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -147,9 +149,241 @@ class TestKernelParity:
 
 
 # --------------------------------------------------------------------------- #
-# The fused r = 0 block kernel against per-step reference kernels
+# Input kinds: what a provider method converts before its kernel reads it
 # --------------------------------------------------------------------------- #
 _BLOCK_OPS = next((ops for ops in _PROVIDERS if ops.has_block_driver), None)
+
+#: Input kinds a provider method accepts besides a C-contiguous array of the
+#: kernel's dtype ("dtype" swaps int64 <-> int32, float64 -> float32, bool -> uint8).
+_KINDS = ("read-only", "non-contiguous", "dtype")
+_OTHER_DTYPE = {
+    np.dtype(np.int64): np.int32,
+    np.dtype(np.int32): np.int64,
+    np.dtype(np.float64): np.float32,
+    np.dtype(np.bool_): np.uint8,
+}
+
+
+def as_kind(arr: np.ndarray, kind: str) -> np.ndarray:
+    """``arr``'s values as an input of ``kind`` (see :data:`_KINDS`)."""
+    if kind == "read-only":
+        out = arr.copy()
+        out.flags.writeable = False
+        return out
+    if kind == "non-contiguous":
+        wide = np.zeros(arr.shape + (2,), dtype=arr.dtype)
+        wide[..., 1] = arr
+        return wide[..., 1]
+    return arr.astype(_OTHER_DTYPE[arr.dtype])
+
+
+def contiguous(arr: np.ndarray, dtype) -> np.ndarray:
+    """The contiguous copy of ``arr``'s values in the kernel's own dtype."""
+    return np.array(arr, dtype=dtype, order="C")
+
+
+class TestInputKinds:
+    """Read-only, non-contiguous, other-dtype and empty inputs give what the
+    contiguous copy of the same values gives, for every entry point."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_apply_lazy(self, ops, kind):
+        rng = np.random.default_rng(11)
+        positions = as_kind(rng.integers(0, 6, size=(3, 7, 2)), kind)
+        choice = as_kind(rng.integers(0, 5, size=(3, 7), dtype=np.int32), kind)
+        got = ops.apply_lazy(6, positions, choice)
+        expected = ops.apply_lazy(6, contiguous(positions, np.int64), contiguous(choice, np.int32))
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_apply_masked(self, ops, kind):
+        rng = np.random.default_rng(12)
+        free_mask = as_kind(rng.random((6, 6)) < 0.6, kind)
+        positions = as_kind(rng.integers(0, 6, size=(3, 7, 2)), kind)
+        choice = as_kind(rng.integers(0, 5, size=(3, 7), dtype=np.int32), kind)
+        got = ops.apply_masked(6, free_mask, positions, choice)
+        expected = ops.apply_masked(
+            6,
+            contiguous(free_mask, np.uint8),
+            contiguous(positions, np.int64),
+            contiguous(choice, np.int32),
+        )
+        assert np.array_equal(got, expected)
+        assert np.array_equal(
+            got, apply_masked_choices(6, contiguous(free_mask, bool), positions, choice)
+        )
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_apply_brownian(self, ops, kind):
+        rng = np.random.default_rng(13)
+        positions = as_kind(rng.integers(0, 6, size=(3, 7, 2)), kind)
+        displacement = as_kind(rng.normal(0.0, 1.5, size=(3, 7, 2)), kind)
+        got = ops.apply_brownian(6, positions, displacement)
+        expected = ops.apply_brownian(
+            6, contiguous(positions, np.int64), contiguous(displacement, np.float64)
+        )
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("radius", [0.0, 1.0, 2.5])
+    def test_labels_batch(self, ops, kind, radius):
+        rng = np.random.default_rng(14)
+        positions = as_kind(rng.integers(0, 9, size=(3, 40, 2)), kind)
+        got = ops.labels_batch(positions, radius)
+        reference = api.LoopOps(kernels_py, "python").labels_batch(
+            contiguous(positions, np.int64), radius
+        )
+        assert np.array_equal(got, ops.labels_batch(contiguous(positions, np.int64), radius))
+        assert np.array_equal(got, reference)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0)])
+    def test_empty_batches(self, ops, shape):
+        positions = np.zeros(shape + (2,), dtype=np.int64)
+        choice = np.zeros(shape, dtype=np.int32)
+        free_mask = np.ones((4, 4), dtype=bool)
+        for got in (
+            ops.apply_lazy(4, positions, choice),
+            ops.apply_masked(4, free_mask, positions, choice),
+            ops.apply_brownian(4, positions, np.zeros(shape + (2,))),
+        ):
+            assert got.shape == shape + (2,) and got.dtype == np.int64
+        for radius in (0.0, 2.0):
+            labels = ops.labels_batch(positions, radius)
+            assert labels.shape == shape and labels.dtype == np.int64
+
+    def test_accelerated_obstacle_stepper_converts_its_mask_once(self, ops):
+        """The compiled obstacle apply and the fused driver read the spec's
+        mask as uint8; ``accelerate_stepper`` converts the model's read-only
+        bool mask once, and the bound apply still equals the numpy one."""
+        rng = np.random.default_rng(17)
+        free_mask = rng.random((6, 6)) < 0.6
+        free_mask.flags.writeable = False
+        stepper = BlockDrawStepper([], None, None, kernel=("masked", 6, free_mask))
+        assert api.accelerate_stepper(ops, stepper) is stepper
+        mask = stepper.kernel[2]
+        assert mask.dtype == np.uint8 and mask.flags.c_contiguous and mask.flags.writeable
+        positions = rng.integers(0, 6, size=(3, 7, 2))
+        choice = rng.integers(0, 5, size=(3, 7), dtype=np.int32)
+        assert np.array_equal(
+            stepper._apply(positions, choice),
+            apply_masked_choices(6, free_mask, positions, choice),
+        )
+
+    def test_labels_batch_is_reentrant(self):
+        """Two threads labelling different batches at once (ctypes releases
+        the GIL around the call) each get their serial result: the kernel's
+        scratch belongs to the call."""
+        compiled = [ops for ops in _PROVIDERS if ops.name != "python"]
+        if not compiled:
+            pytest.skip("no compiled provider on this host")
+        ops = compiled[0]
+        rng = np.random.default_rng(15)
+        # More threads than the host's CPUs, on batches of different sizes.
+        batches = [
+            rng.integers(0, extent, size=(8, k, 2))
+            for extent, k in ((60, 400), (120, 300), (250, 500), (400, 200))
+        ]
+        serial = [ops.labels_batch(batch, 3.0) for batch in batches]
+        start = threading.Barrier(len(batches))
+
+        def label_repeatedly(batch: np.ndarray) -> list:
+            start.wait(timeout=60)
+            return [ops.labels_batch(batch, 3.0) for _ in range(25)]
+
+        with ThreadPoolExecutor(max_workers=len(batches)) as pool:
+            results = list(pool.map(label_repeatedly, batches, timeout=120))
+        for runs, expected in zip(results, serial):
+            assert all(np.array_equal(labels, expected) for labels in runs)
+
+
+def _run_block(ops, kernel, side, draws, positions, informed, steps):
+    """One ``broadcast_r0_block`` call on copies; returns every output."""
+    positions, informed = positions.copy(), informed.copy()
+    marks = np.zeros(side * side, dtype=np.uint8)
+    done_at = np.full(positions.shape[0], -1, dtype=np.int64)
+    counts = np.full((steps, positions.shape[0]), -1, dtype=np.int64)
+    ran = ops.broadcast_r0_block(kernel, side, draws, positions, informed, marks, done_at, counts)
+    return ran, positions, informed, done_at, counts, marks
+
+
+@pytest.mark.skipif(_BLOCK_OPS is None, reason="no provider with the fused block driver")
+class TestBlockInputKinds:
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("walk", ["lazy", "masked", "brownian"])
+    def test_draws_and_mask(self, kind, walk):
+        side, n_trials, k, steps = 5, 3, 6, 9
+        rng = np.random.default_rng(16)
+        free_mask = rng.random((side, side)) < 0.7
+        if walk == "brownian":
+            draws = rng.normal(0.0, 1.3, size=(n_trials, steps, k, 2))
+            dtype = np.float64
+        else:
+            draws = rng.integers(0, 5, size=(n_trials, steps, k), dtype=np.int32)
+            dtype = np.int32
+        positions = rng.integers(0, side, size=(n_trials, k, 2))
+        informed = rng.random((n_trials, k)) < 0.3
+        mask = as_kind(free_mask, kind)
+        draws = as_kind(draws, kind)
+        spec = {
+            "lazy": ("lazy", side),
+            "masked": ("masked", side, mask),
+            "brownian": ("brownian", side),
+        }[walk]
+        plain = ("masked", side, contiguous(mask, np.uint8)) if walk == "masked" else spec
+        got = _run_block(_BLOCK_OPS, spec, side, draws, positions, informed, steps)
+        expected = _run_block(
+            _BLOCK_OPS, plain, side, contiguous(draws, dtype), positions, informed, steps
+        )
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n_trials, k", [(0, 4), (3, 0)])
+    def test_empty_batches(self, n_trials, k):
+        side, steps = 4, 5
+        draws = np.zeros((n_trials, steps, k), dtype=np.int32)
+        positions = np.zeros((n_trials, k, 2), dtype=np.int64)
+        informed = np.zeros((n_trials, k), dtype=bool)
+        ran, _, _, done_at, counts, _ = _run_block(
+            _BLOCK_OPS, ("lazy", side), side, draws, positions, informed, steps
+        )
+        # With no agents every trial is complete at its first step.
+        assert ran == (1 if n_trials else 0)
+        assert np.array_equal(done_at, np.zeros(n_trials, dtype=np.int64))
+        assert np.array_equal(counts[:1], np.zeros((1, n_trials), dtype=np.int64))
+
+    def test_rejects_arrays_the_kernels_would_misread(self):
+        """Sizes, dtypes and layouts the C side cannot read raise before any call."""
+        ops = _BLOCK_OPS
+        positions = np.zeros((2, 3, 2), dtype=np.int64)
+        informed = np.zeros((2, 3), dtype=bool)
+        done_at = np.full(2, -1, dtype=np.int64)
+
+        def block(p=positions, i=informed, d=done_at, kernel=("lazy", 4)):
+            draws = np.zeros((2, 4, 3), dtype=np.int32)
+            counts = np.full((4, 2), -1, dtype=np.int64)
+            marks = np.zeros(16, dtype=np.uint8)
+            return ops.broadcast_r0_block(kernel, 4, draws, p, i, marks, d, counts)
+
+        rejected = [
+            lambda: ops.apply_lazy(4, positions, np.zeros((2, 2))),
+            lambda: ops.apply_masked(4, np.ones((3, 3), bool), positions, np.zeros((2, 3))),
+            lambda: ops.apply_brownian(4, positions, np.zeros((2, 3))),
+            lambda: ops.labels_batch(np.zeros((2, 3)), 1.0),
+            lambda: block(p=positions.astype(np.int32)),
+            lambda: block(p=np.zeros((2, 3, 4), dtype=np.int64)[..., ::2]),
+            lambda: block(i=np.zeros((2, 6), dtype=bool)[:, ::2]),
+            lambda: block(d=np.full(3, -1, dtype=np.int64)),
+            lambda: block(kernel=("masked", 4, np.ones((3, 3), bool))),
+        ]
+        for call in rejected:
+            with pytest.raises(ValueError):
+                call()
+        assert block() == 4  # the same call on well-formed arrays runs
+
+
+# --------------------------------------------------------------------------- #
+# The fused r = 0 block kernel against per-step reference kernels
+# --------------------------------------------------------------------------- #
 
 
 @pytest.mark.skipif(_BLOCK_OPS is None, reason="no provider with the fused block driver")
@@ -181,7 +415,9 @@ class TestFusedBlockKernel:
         positions = rng.integers(0, side, size=(n_trials, k, 2))
         informed = rng.random((n_trials, k)) < 0.3
 
-        reference = api.LoopOps(kernels_py, "python")
+        reference = None if kernel is None else api.bind_apply(
+            api.LoopOps(kernels_py, "python"), kernel
+        )
         ref_pos, ref_inf = positions.copy(), informed.copy()
         ref_done = np.full(n_trials, -1, dtype=np.int64)
         ref_counts = np.full((steps, n_trials), -1, dtype=np.int64)
@@ -193,10 +429,8 @@ class TestFusedBlockKernel:
                 if ref_counts[s, a] == k:
                     ref_done[a] = s
                     break
-                if kernel is not None:
-                    ref_pos[a:a + 1] = api.apply_kernel(
-                        reference, kernel, ref_pos[a:a + 1], draws[a:a + 1, s]
-                    )
+                if reference is not None:
+                    ref_pos[a:a + 1] = reference(ref_pos[a:a + 1], draws[a:a + 1, s])
 
         marks = np.zeros(side * side, dtype=np.uint8)
         done_at = np.full(n_trials, -1, dtype=np.int64)
