@@ -14,6 +14,14 @@ paper's sparse model: in the dense regime the visibility graph has a giant
 flooding would finish in one step.  Clementi et al. instead let information
 travel only ``R`` per step, which is what produces the ``sqrt(n)/R`` law this
 baseline reproduces (experiment E16).
+
+The exchange is a dilation of the informed set by the L1 ball of radius
+``R``: the informed agents' nodes are marked on the grid, an exact L1
+distance transform (a forward and a backward running minimum along each
+axis) gives every node its distance to the nearest mark, and each agent
+within ``R`` of one is informed.  That costs O(n) per step whatever ``R``,
+where enumerating the pairs within ``R`` among ``k = Θ(n)`` agents costs
+O(k·R²).
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.connectivity.spatial_hash import neighbor_pairs
 from repro.grid.lattice import Grid2D
 from repro.mobility.jump import JumpMobility
 from repro.util.rng import RandomState, default_rng
@@ -45,18 +52,41 @@ class DenseModelResult:
 
 
 def _single_hop_exchange(
-    positions: np.ndarray, informed: np.ndarray, radius: float
+    positions: np.ndarray, informed: np.ndarray, radius: float, side: int
 ) -> np.ndarray:
-    """One round of single-hop exchange: informed agents inform neighbours within ``radius``."""
+    """One round of single-hop exchange: informed agents inform every agent within ``radius``.
+
+    The dilation described above, on the ``side × side`` grid, with the
+    Manhattan ``<= radius`` rule of
+    :func:`~repro.connectivity.spatial_hash.neighbor_pairs`.
+    """
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    new_informed = informed.copy()
-    pairs = neighbor_pairs(positions, radius)
-    if pairs.size:
-        a, b = pairs[:, 0], pairs[:, 1]
-        new_informed[b[informed[a]]] = True
-        new_informed[a[informed[b]]] = True
-    return new_informed
+    if not informed.any():
+        # No mark: every distance would be the sentinel, which a radius of
+        # 2·side or more would meet.
+        return informed.copy()
+    dist = np.full((side, side), 2 * side, dtype=np.int64)
+    dist[positions[informed, 0], positions[informed, 1]] = 0
+    dist = _l1_distance_transform(dist)
+    return dist[positions[:, 0], positions[:, 1]] <= radius
+
+
+def _l1_distance_transform(dist: np.ndarray) -> np.ndarray:
+    """``D[x, y] = min over (x', y') of dist[x', y'] + |x - x'| + |y - y'|`` on a square grid.
+
+    The L1 metric is separable, so a forward and a backward running minimum
+    along each axis are exact: forward,
+    ``min_{j <= i} (d[j] + i - j) = i + min_{j <= i} (d[j] - j)``; backward,
+    ``min_{j >= i} (d[j] + j - i)`` the same way on the reversed axis.  The
+    second axis runs as the first of the transpose.
+    """
+    ramp = np.arange(dist.shape[0])[:, None]
+    for _ in range(2):
+        dist = np.minimum.accumulate(dist - ramp, axis=0) + ramp
+        dist = np.minimum.accumulate((dist + ramp)[::-1], axis=0)[::-1] - ramp
+        dist = dist.T
+    return dist
 
 
 class DenseModelSimulation:
@@ -123,7 +153,7 @@ class DenseModelSimulation:
         curve: list[int] = []
         t = 0
         while t < self._max_steps:
-            informed = _single_hop_exchange(positions, informed, self._radius)
+            informed = _single_hop_exchange(positions, informed, self._radius, self._grid.side)
             curve.append(int(informed.sum()))
             if informed.all():
                 broadcast_time = t

@@ -9,34 +9,11 @@ and well below ``r_c``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.connectivity.percolation import percolation_radius
 from repro.core.config import BroadcastConfig
 from repro.core.simulation import BroadcastSimulation
 from repro.util.rng import RandomState
 from repro.util.validation import check_positive_int
-
-
-@dataclass(frozen=True)
-class RegimeComparison:
-    """Broadcast times measured below and above the percolation point."""
-
-    n_nodes: int
-    n_agents: int
-    radius_below: float
-    radius_above: float
-    broadcast_time_below: int
-    broadcast_time_above: int
-
-    @property
-    def speedup(self) -> float:
-        """How much faster broadcast completes above the percolation point."""
-        if self.broadcast_time_above <= 0:
-            return float("inf")
-        if self.broadcast_time_below < 0:
-            return float("inf")
-        return self.broadcast_time_below / max(self.broadcast_time_above, 1)
 
 
 def above_percolation_broadcast(

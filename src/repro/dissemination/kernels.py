@@ -326,11 +326,15 @@ def serial_engine(process: ProcessKernel, connectivity: str) -> Optional[Any]:
     Only label-consuming kernels maintain one, under ``"incremental"``;
     pair- and connectivity-free kernels have nothing label-shaped to
     maintain, so every resolved choice is result-identical by construction.
+    The engine runs at ``⌊r⌋``, as the batched loop's does, so a radius in
+    ``(0, 1)`` takes the same-cell path.
     """
     if process.needs == "labels" and connectivity == "incremental":
         from repro.connectivity.incremental import DeltaConnectivityEngine
 
-        return DeltaConnectivityEngine(process.n_points, process.radius, process.grid.side)
+        return DeltaConnectivityEngine(
+            process.n_points, effective_radius(process.radius), process.grid.side
+        )
     return None
 
 

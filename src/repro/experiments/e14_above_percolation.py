@@ -12,10 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.report import ExperimentReport, ExperimentRow
-from repro.baselines.peres_above import above_percolation_broadcast
 from repro.connectivity.percolation import percolation_radius
 from repro.core.config import BroadcastConfig
-from repro.core.simulation import BroadcastSimulation
+from repro.core.runner import run_broadcast_replications
 from repro.exec import map_replications
 from repro.util.rng import RandomState, SeedLike, spawn_rngs
 from repro.workloads.configs import get_workload
@@ -32,23 +31,25 @@ def _regime_trials(
     rngs: list[RandomState], n_nodes: int, n_agents: int, radius_below: float
 ) -> list[dict]:
     """Paired below/above-percolation replications, one per generator
-    (executor map function)."""
-    return [_regime_trial(rng, n_nodes, n_agents, radius_below) for rng in rngs]
+    (executor map function).
 
-
-def _regime_trial(rng: RandomState, n_nodes: int, n_agents: int, radius_below: float) -> dict:
-    """One paired below/above-percolation replication.
-
-    The below/above runs draw from the trial stream's two spawned children,
-    exactly like the pre-executor loop.
+    Each trial's below and above runs draw from its stream's first and
+    second spawned child; each regime is one replication run over the
+    trials' children.
     """
-    pair = spawn_rngs(rng, 2)
-    below_config = BroadcastConfig(n_nodes=n_nodes, n_agents=n_agents, radius=radius_below)
-    below_result = BroadcastSimulation(below_config, rng=pair[0]).run()
-    above_time = above_percolation_broadcast(
-        n_nodes, n_agents, radius_factor=ABOVE_FACTOR, rng=pair[1]
-    )
-    return {"below_time": int(below_result.broadcast_time), "above_time": int(above_time)}
+    pairs = [spawn_rngs(rng, 2) for rng in rngs]
+
+    def regime(radius: float, child: int) -> list:
+        config = BroadcastConfig(n_nodes=n_nodes, n_agents=n_agents, radius=radius)
+        streams = [pair[child] for pair in pairs]
+        return run_broadcast_replications(config, len(streams), rng_streams=streams)[1]
+
+    below = regime(radius_below, 0)
+    above = regime(ABOVE_FACTOR * percolation_radius(n_nodes, n_agents), 1)
+    return [
+        {"below_time": int(b.broadcast_time), "above_time": int(a.broadcast_time)}
+        for b, a in zip(below, above)
+    ]
 
 
 def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:

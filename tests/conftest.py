@@ -8,6 +8,12 @@ import pytest
 from repro.grid.lattice import Grid2D
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "property: Hypothesis property test (select with -m property)"
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic random generator for tests."""

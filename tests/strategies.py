@@ -154,7 +154,7 @@ def process_kernels(draw):
         fields = dict(
             n_nodes=n_nodes,
             n_agents=draw(st.integers(2, 6)),
-            radius=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+            radius=draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])),
             max_steps=max_steps,
             **mobility_config(draw(st.sampled_from(MOBILITY_MODELS)), side),
         )
@@ -188,6 +188,33 @@ def process_kernels(draw):
         rule=draw(st.sampled_from(["lazy", "simple"])),
         record_curve_every=draw(st.sampled_from([1, 3])),
     )
+
+
+@st.composite
+def dense_exchanges(draw) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """One dense-model exchange round: ``(positions, informed, radius, side)``.
+
+    Agents are drawn from a pool of at most ``k`` nodes, so smaller pools
+    co-locate agents; the informed set is empty, full or random, and the
+    radius runs from 0 to past the grid's L1 diameter.
+    """
+    side = draw(st.integers(1, 32))
+    k = draw(st.integers(1, 200))
+    node = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
+    pool = draw(st.lists(node, min_size=1, max_size=k))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=k, max_size=k))
+    positions = np.array([pool[i] for i in picks], dtype=np.int64)
+    kind = draw(st.sampled_from(["empty", "full", "random"]))
+    if kind == "random":
+        informed = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    else:
+        informed = np.full(k, kind == "full")
+    radius = draw(
+        st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0])
+        | st.integers(0, 2 * side).map(float)
+        | st.integers(2 * side, 4 * side).map(float)
+    )
+    return positions, informed, radius, side
 
 
 @st.composite

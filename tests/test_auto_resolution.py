@@ -206,6 +206,16 @@ def test_serial_runs_resolve_for_the_serial_backend(radius):
     assert (GossipSimulation(gossip, rng=0)._engine is not None) == (expected == "incremental")
 
 
+@pytest.mark.parametrize("radius, floor", [(0.7, 0), (1.5, 1)])
+def test_serial_engine_runs_at_the_floor_radius(radius, floor):
+    """The serial engine labels G_t(⌊r⌋), as the batched loop's does, so an
+    r = 0.7 run takes the same-cell path."""
+    config = BroadcastConfig(n_nodes=100, n_agents=4, radius=radius)
+    assert BroadcastSimulation(config, rng=0)._engine.radius == floor
+    gossip = GossipConfig(n_nodes=100, n_agents=4, radius=radius)
+    assert GossipSimulation(gossip, rng=0)._engine.radius == floor
+
+
 def test_sweep_units_carry_the_resolved_pair(monkeypatch):
     from repro.analysis.sweep import ParameterSweep
     from repro.exec import SweepExecutor

@@ -16,6 +16,11 @@ from repro.baselines.dimitriou_bound import (
 from repro.baselines.peres_above import above_percolation_broadcast
 from repro.baselines.static_pushpull import push_pull_rounds
 from repro.baselines.wang_bound import wang_claimed_infection_time, wang_vs_true_ratio
+from repro.connectivity.percolation import percolation_radius
+from repro.core.config import BroadcastConfig
+from repro.core.simulation import BroadcastSimulation
+from repro.experiments.e14_above_percolation import ABOVE_FACTOR, BELOW_FACTOR, _regime_trials
+from repro.util.rng import spawn_rngs
 
 
 class TestDenseModel:
@@ -105,6 +110,28 @@ class TestAbovePercolation:
     def test_invalid_factor(self):
         with pytest.raises(ValueError):
             above_percolation_broadcast(256, 8, radius_factor=0.0, rng=0)
+
+    # r_below = 0.71 (the fused r = 0 driver under auto) and 1.25 (⌊r⌋ = 1).
+    @pytest.mark.parametrize("n_nodes, n_agents", [(256, 32), (400, 16)])
+    @pytest.mark.parametrize("seed", [0, 7, 23])
+    def test_regime_trials_equal_the_per_trial_loop(self, n_nodes, n_agents, seed):
+        """E14's map function runs each regime as one replication run over the
+        trials' spawned children; it must equal the serial loop it replaced."""
+        radius_below = BELOW_FACTOR * percolation_radius(n_nodes, n_agents)
+        expected = []
+        for rng in spawn_rngs(seed, 3):
+            below, above = spawn_rngs(rng, 2)
+            config = BroadcastConfig(n_nodes=n_nodes, n_agents=n_agents, radius=radius_below)
+            expected.append(
+                {
+                    "below_time": BroadcastSimulation(config, rng=below).run().broadcast_time,
+                    "above_time": above_percolation_broadcast(
+                        n_nodes, n_agents, radius_factor=ABOVE_FACTOR, rng=above
+                    ),
+                }
+            )
+        got = _regime_trials(spawn_rngs(seed, 3), n_nodes, n_agents, radius_below)
+        assert got == expected
 
 
 class TestPushPull:
