@@ -35,21 +35,20 @@ Eight modes:
   ``n = 10^4`` scale, plus one large compiled-only trial with ``10^5``
   agents, and writes the record to ``BENCH_PR7.json``: the sixth point of
   the trajectory.  Every compiled kernel is warmed up on a throwaway trial
-  first so the timings measure steady state; the warmup (JIT/C-build) time
-  is recorded separately as ``compile_seconds``.  Requires a
-  :mod:`repro.compiled` provider (numba or the bundled C kernels).
+  first so the timings measure steady state; the warmup (C-build) time is
+  recorded separately as ``compile_seconds``.  Requires a
+  :mod:`repro.compiled` provider (the bundled C kernels).
 * ``--streaming`` — measures buffered vs streaming replication aggregation
   over a multi-point sweep (wall clock and tracemalloc peak memory, with the
   scalar statistics asserted to agree) and writes the record to
   ``BENCH_PR8.json``: the seventh point of the trajectory, demonstrating the
   O(1)-per-sweep-point memory of ``aggregate="streaming"``.
 * ``--throughput`` — measures dispatch-layer throughput (work units per
-  second) on a many-tiny-units sweep across the inline, pool and remote
-  dispatch modes at batch sizes 1/8/32 (``--pool-chunk`` for the pool,
-  ``--claim-batch`` for HTTP workers) and writes the record to
-  ``BENCH_PR10.json``: the eighth point of the trajectory, demonstrating
-  the batched claim/push protocol, keep-alive transport, group-committed
-  store writes and chunk-amortized pool dispatch.
+  second) on a many-tiny-units sweep across the inline and pool dispatch
+  modes at pool chunks of 1/8/32 units (``--pool-chunk``) and writes the
+  record to ``BENCH_PR10.json``: the eighth point of the trajectory,
+  demonstrating group-committed store writes and chunk-amortized pool
+  dispatch.
 * ``--check FILE`` — perf-regression gate: re-runs the workload family of a
   committed record (at ``--quick`` size in CI) and fails if the measured
   speedups regress below ``--check-tolerance`` times the committed ones.
@@ -80,7 +79,6 @@ import json
 import os
 import platform
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
@@ -748,10 +746,9 @@ def _time_broadcast(
 def _warmup_compiled(seed: int) -> float:
     """Run one tiny throwaway trial per compiled kernel family.
 
-    Triggers every JIT compilation (numba provider) or shared-object build
-    (C provider) outside the timed region so the measurements below see
-    steady state.  Returns the wall-clock seconds spent; with a warm
-    on-disk cache this is near zero.
+    Triggers the C provider's shared-object build outside the timed region
+    so the measurements below see steady state.  Returns the wall-clock
+    seconds spent; with a warm on-disk cache this is near zero.
     """
     from repro.dissemination.kernels import make_process, run_process_replications
 
@@ -1018,13 +1015,12 @@ def throughput_workload(quick: bool = False) -> dict:
     One replication per work unit (``chunk_size = 1``) on a deliberately
     tiny broadcast (8 nodes, 1 agent at r = 1, 4 steps), so each unit
     executes in a fraction of a millisecond and the per-unit dispatch
-    overhead — HTTP round trips, store fsyncs, pool submissions — dominates
-    wall clock.  That is exactly the regime the batched claim/push protocol,
-    the group-committed store writes and the chunk-amortized pool dispatch
-    were built for.  The full-mode replication count is high enough that a
-    timed pass runs a few hundred milliseconds even at the fastest mode:
-    worker wake-up latency at pass start amortizes away instead of
-    dominating the measurement.
+    overhead — store fsyncs, pool submissions — dominates wall clock.
+    That is exactly the regime the group-committed store writes and the
+    chunk-amortized pool dispatch were built for.  The full-mode
+    replication count is high enough that a timed pass runs a few hundred
+    milliseconds even at the fastest mode: worker wake-up latency at pass
+    start amortizes away instead of dominating the measurement.
     """
     base = {
         "n_nodes": 8,
@@ -1033,7 +1029,6 @@ def throughput_workload(quick: bool = False) -> dict:
         "max_steps": 4,
         "chunk_size": 1,
         "batch_sizes": [1, 8, 32],
-        "workers": 2,
         "jobs": 2,
     }
     base["n_replications"] = 128 if quick else 512
@@ -1043,12 +1038,12 @@ def throughput_workload(quick: bool = False) -> dict:
 def _throughput_scratch() -> str:
     """A scratch directory for the throughput stores, RAM-backed if possible.
 
-    The throughput mode measures *dispatch-plane* amortization — HTTP round
-    trips, batching, per-future IPC — so the store lives on tmpfs when the
-    host offers one: on rotational/journaled storage the per-record fsync
-    (identical at every batch size) dominates wall clock and compresses the
-    very ratios the mode exists to expose.  Every measured mode uses the
-    same backing, so comparisons stay apples-to-apples.
+    The throughput mode measures *dispatch-plane* amortization — batching,
+    per-future IPC — so the store lives on tmpfs when the host offers one:
+    on rotational/journaled storage the per-record fsync (identical at
+    every batch size) dominates wall clock and compresses the very ratios
+    the mode exists to expose.  Every measured mode uses the same backing,
+    so comparisons stay apples-to-apples.
     """
     for base in ("/dev/shm",):
         if os.path.isdir(base) and os.access(base, os.W_OK):
@@ -1071,14 +1066,13 @@ def _timed_throughput_run(
     """Warm the dispatch path, then time three full sweeps; keep the best.
 
     The warmup run (two replications at a shifted seed, so its unit keys
-    never collide with the measured sweeps') spins up the process pool or
-    lets HTTP workers register and complete a claim/push round — one-time
-    setup costs that would otherwise pollute a units-per-second measurement.
-    The timed passes use different seeds (fresh unit keys each, so a resume
-    store never short-circuits a later pass) and the fastest one wins:
-    scheduler jitter on a shared host only ever slows a pass down, and the
-    first pass after a mode switch routinely pays residual noise from the
-    previous mode's process teardown.
+    never collide with the measured sweeps') spins up the process pool — a
+    one-time setup cost that would otherwise pollute a units-per-second
+    measurement.  The timed passes use different seeds (fresh unit keys
+    each, so a resume store never short-circuits a later pass) and the
+    fastest one wins: scheduler jitter on a shared host only ever slows a
+    pass down, and the first pass after a mode switch routinely pays
+    residual noise from the previous mode's process teardown.
     """
     config = _throughput_config(workload)
     time.sleep(0.3)  # let the previous mode's processes fully drain
@@ -1118,68 +1112,14 @@ def _run_throughput_pool(
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _run_throughput_remote(
-    workload: dict, seed: int, claim_batch: int
-) -> tuple[float, np.ndarray]:
-    """One remote-dispatch measurement against real ``repro worker`` processes.
-
-    Workers run as subprocesses (not threads): in-process workers would
-    share the GIL with the coordinator and cap measured throughput at the
-    contention point rather than the transport's — and subprocesses are
-    what ``--dispatch remote`` actually serves in production.
-    """
-    tmp = _throughput_scratch()
-    executor = SweepExecutor(
-        dispatch="remote",
-        chunk_size=workload["chunk_size"],
-        store=tmp,
-        lease_ttl=30.0,
-    )
-    procs = []
-    try:
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        procs = [
-            subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro", "worker",
-                    "--coordinator", executor.coordinator.address,
-                    "--claim-batch", str(claim_batch),
-                    "--poll", "0.02",
-                    "--idle-cap", "0.02",
-                    "--worker-id", f"bench-{claim_batch}-{index}",
-                ],
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-                env=env,
-            )
-            for index in range(workload["workers"])
-        ]
-        elapsed, values = _timed_throughput_run(executor, workload, seed)
-        executor.coordinator.finish()
-        for proc in procs:
-            proc.wait(timeout=60)
-        return elapsed, values
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-        executor.close()
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
 def run_throughput(quick: bool = False, seed: int = 2024) -> dict:
     """Benchmark dispatch throughput across batch sizes and return the record.
 
     Every mode's per-trial values are asserted bit-for-bit identical to the
-    inline (``--jobs 1``) reference before anything is recorded.  The two
-    headline ratios the ``--check`` gate guards:
-
-    * ``remote_batch_speedup`` — units/sec of the HTTP worker path at the
-      largest claim batch over batch 1 (same worker count);
-    * ``pool_chunk_speedup`` — units/sec of the process pool at the largest
-      ``pool_chunk`` over chunk 1 (same job count).
+    inline (``--jobs 1``) reference before anything is recorded.  The
+    headline ratio the ``--check`` gate guards is ``pool_chunk_speedup``:
+    units/sec of the process pool at the largest ``pool_chunk`` over
+    chunk 1 (same job count).
     """
     workload = throughput_workload(quick)
     units = workload["n_replications"] // workload["chunk_size"]
@@ -1203,17 +1143,6 @@ def run_throughput(quick: bool = False, seed: int = 2024) -> dict:
             "bitwise_identical": True,
         }
 
-    # Remote runs before pool: its batch-speedup ratio is the tighter gate,
-    # and the first measurements after the inline warmup see the least
-    # residual scheduler noise from other modes' process churn.
-    remote: dict[str, dict] = {}
-    for batch in batch_sizes:
-        elapsed, values = _run_throughput_remote(workload, seed, batch)
-        remote[f"batch{batch}"] = entry_for(elapsed, values, f"remote batch={batch}")
-        print(
-            f"remote batch={batch:<4d} {remote[f'batch{batch}']['units_per_second']:8.1f} units/s"
-        )
-
     pool: dict[str, dict] = {}
     for chunk in batch_sizes:
         elapsed, values = _run_throughput_pool(workload, seed, chunk)
@@ -1228,11 +1157,6 @@ def run_throughput(quick: bool = False, seed: int = 2024) -> dict:
         "workload": {**workload, "seed": seed, "units": units},
         "inline": inline_entry,
         "pool": pool,
-        "remote": remote,
-        "remote_batch_speedup": (
-            remote[f"batch{largest}"]["units_per_second"]
-            / remote["batch1"]["units_per_second"]
-        ),
         "pool_chunk_speedup": (
             pool[f"chunk{largest}"]["units_per_second"]
             / pool["chunk1"]["units_per_second"]
@@ -1240,9 +1164,7 @@ def run_throughput(quick: bool = False, seed: int = 2024) -> dict:
     }
     record.update(_environment())
     print(
-        f"remote batch speedup (batch {largest} vs 1): "
-        f"{record['remote_batch_speedup']:5.2f}x\n"
-        f"pool chunk speedup   (chunk {largest} vs 1): "
+        f"pool chunk speedup (chunk {largest} vs 1): "
         f"{record['pool_chunk_speedup']:5.2f}x"
     )
     return record
@@ -1396,17 +1318,13 @@ def check_against(record_path: Path, quick: bool, tolerance: float, seed: int) -
             )
     elif kind == "sweep_throughput_batching":
         measured = run_throughput(quick=quick, seed=seed)
-        for field, label in (
-            ("remote_batch_speedup", "remote batched claim/push"),
-            ("pool_chunk_speedup", "pool chunked dispatch"),
-        ):
-            floor = committed[field] * tolerance
-            got = measured[field]
-            print(f"{label} speedup: measured {got:.2f}x, floor {floor:.2f}x")
-            if got < floor:
-                failures.append(
-                    f"{label} speedup regressed: {got:.2f}x < {floor:.2f}x"
-                )
+        floor = committed["pool_chunk_speedup"] * tolerance
+        got = measured["pool_chunk_speedup"]
+        print(f"pool chunked dispatch speedup: measured {got:.2f}x, floor {floor:.2f}x")
+        if got < floor:
+            failures.append(
+                f"pool chunked dispatch speedup regressed: {got:.2f}x < {floor:.2f}x"
+            )
     else:
         failures.append(f"unknown benchmark kind {kind!r} in {record_path}")
     return failures
@@ -1464,8 +1382,8 @@ def main(argv: list[str] | None = None) -> dict:
     parser.add_argument(
         "--throughput",
         action="store_true",
-        help="run the dispatch-throughput comparison (inline/pool/remote at "
-        "batch sizes 1/8/32 on a many-tiny-units sweep; default output: "
+        help="run the dispatch-throughput comparison (inline, and pool at "
+        "chunks of 1/8/32 units, on a many-tiny-units sweep; default output: "
         "repo-root BENCH_PR10.json)",
     )
     parser.add_argument(

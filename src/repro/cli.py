@@ -120,39 +120,20 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default=None,
         help="replication backend for every simulation in the run: 'serial', "
-        "'batched', 'compiled' (native hot kernels via numba or the bundled "
-        "C provider; error if a config does not support it or no provider "
+        "'batched', 'compiled' (native hot kernels from the bundled C "
+        "provider; error if a config does not support it or no provider "
         "is available), or 'auto' (the fastest supported backend); results "
         "are bit-for-bit identical across backends; default: each config's "
         "own choice",
-    )
-    run_parser.add_argument(
-        "--dispatch",
-        choices=("auto", "inline", "pool", "remote"),
-        default="auto",
-        help="how work units are executed: 'inline' (in this process), "
-        "'pool' (a local process pool of --jobs workers), 'remote' (an "
-        "embedded HTTP coordinator that hands units to 'repro worker' "
-        "processes on any host), or 'auto' (remote if --listen is given, "
-        "pool if --jobs > 1, else inline); results are bit-for-bit "
-        "identical across modes (default: auto)",
-    )
-    run_parser.add_argument(
-        "--listen",
-        metavar="HOST:PORT",
-        default=None,
-        help="bind address of the remote-dispatch coordinator (implies "
-        "--dispatch remote; port 0 picks a free port; the coordinator is "
-        "unauthenticated — bind loopback or a trusted network only)",
     )
     run_parser.add_argument(
         "--lease-ttl",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="seconds a claimed work unit may go without a worker heartbeat "
-        "before its lease expires and another worker may steal it "
-        "(default: 60)",
+        help="seconds a claimed work unit may go without a heartbeat before "
+        "its lease expires and another executor sharing the --resume store "
+        "may steal it (default: 60)",
     )
     run_parser.add_argument(
         "--aggregate",
@@ -197,79 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
     workload_parser.add_argument("--scale", choices=SCALES, default="small")
     workload_parser.set_defaults(func=_cmd_workload)
 
-    worker_parser = subparsers.add_parser(
-        "worker",
-        help="pull and execute work units from a remote-dispatch coordinator",
-        description=(
-            "Worker half of --dispatch remote: registers with the coordinator, "
-            "then loops claim -> execute -> push (heartbeating held "
-            "leases) until the coordinator reports the sweep done.  Any number "
-            "of workers on any hosts produce results bit-for-bit identical to "
-            "a --jobs 1 run."
-        ),
-    )
-    worker_parser.add_argument(
-        "--coordinator",
-        required=True,
-        metavar="URL",
-        help="coordinator base URL, e.g. http://127.0.0.1:8765",
-    )
-    worker_parser.add_argument(
-        "--worker-id",
-        default=None,
-        metavar="ID",
-        help="stable worker identity (default: derived from pid + a random "
-        "suffix); also the lease owner id recorded on claimed units",
-    )
-    worker_parser.add_argument(
-        "--poll",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="idle-claim poll interval (default: the coordinator's hint)",
-    )
-    worker_parser.add_argument(
-        "--max-units",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="exit after executing N units (default: run until done)",
-    )
-    worker_parser.add_argument(
-        "--claim-batch",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="work units claimed per batch request, and records pushed per "
-        "batch; each record is validated and acknowledged independently; "
-        "with N > 1 the worker also pipelines (claims the next batch and "
-        "pushes the last one while executing the current one) (default: 1)",
-    )
-    worker_parser.add_argument(
-        "--idle-cap",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="ceiling for the exponential idle-poll backoff; lower it for "
-        "latency-sensitive workers that must pick up new work quickly "
-        "(default: 2.0)",
-    )
-    worker_parser.add_argument(
-        "--connect-timeout",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="how long to retry the initial registration while the "
-        "coordinator is not up yet (default: 60)",
-    )
-    worker_parser.add_argument(
-        "--log-json",
-        metavar="PATH",
-        default=None,
-        help="append structured JSON-line progress events to PATH",
-    )
-    worker_parser.set_defaults(func=_cmd_worker)
-
     return parser
 
 
@@ -296,17 +204,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     executor = SweepExecutor.from_options(
         jobs=args.jobs, chunk_size=args.chunk_size, store=args.resume,
         retries=args.retries, unit_timeout=args.unit_timeout,
-        aggregate=args.aggregate, dispatch=args.dispatch, listen=args.listen,
-        lease_ttl=args.lease_ttl, pool_chunk=args.pool_chunk,
+        aggregate=args.aggregate, lease_ttl=args.lease_ttl,
+        pool_chunk=args.pool_chunk,
     )
-    if executor is not None and executor.coordinator is not None:
-        # Tell the operator (on stderr: stdout stays byte-identical) where
-        # to point `repro worker --coordinator URL` processes.
-        print(
-            f"coordinator listening on {executor.coordinator.address}",
-            file=sys.stderr,
-            flush=True,
-        )
     logging_context = (
         progress_logging(args.log_json) if args.log_json else nullcontext()
     )
@@ -326,8 +226,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(executor.execution_report().render(), file=sys.stderr)
     if args.metrics_file:
         registries = [executor.metrics] if executor is not None else []
-        if executor is not None and executor.coordinator is not None:
-            registries.append(executor.coordinator.registry)
         registries.append(global_registry())
         with open(args.metrics_file, "w", encoding="utf-8") as handle:
             handle.write(render_registries(*registries))
@@ -336,42 +234,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         payload = [to_jsonable(report) for report in reports]
         dump_json(payload if len(payload) > 1 else payload[0], args.json)
         print(f"wrote {args.json}")
-    if executor is not None:
-        # Shuts the coordinator down gracefully: polling workers are told
-        # "done" (and exit) instead of hitting a vanished socket.
-        executor.close()
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    import json
-    import os
-    from contextlib import nullcontext
-
-    from repro.exec import TransportFaultPlan, run_worker
-    from repro.obs import progress_logging
-
-    # Chaos hook for CI and tests: a JSON TransportFaultPlan in the
-    # environment injects deterministic push-path faults into this worker.
-    plan = None
-    plan_json = os.environ.get("REPRO_REMOTE_FAULTS")
-    if plan_json:
-        plan = TransportFaultPlan(**json.loads(plan_json))
-    logging_context = (
-        progress_logging(args.log_json) if args.log_json else nullcontext()
-    )
-    with logging_context:
-        stats = run_worker(
-            args.coordinator,
-            worker_id=args.worker_id,
-            poll=args.poll,
-            max_units=args.max_units,
-            connect_timeout=args.connect_timeout,
-            transport_faults=plan,
-            claim_batch=args.claim_batch,
-            idle_cap=args.idle_cap,
-        )
-    print(stats.render(), file=sys.stderr)
     return 0
 
 

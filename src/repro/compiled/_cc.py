@@ -4,7 +4,8 @@ The C translation unit in :mod:`repro.compiled._csrc` is compiled once per
 source hash into a shared object cached under ``REPRO_COMPILED_CACHE``
 (default ``~/.cache/repro-compiled``) and bound through :mod:`ctypes` — no
 third-party dependency, so the compiled backend works wherever a C compiler
-does, numba installed or not.  Build failures of any kind (no compiler, no
+does.  Each build prunes the cached builds of other source hashes that no
+process has loaded for a day.  Build failures of any kind (no compiler, no
 writable cache, broken toolchain) raise :class:`CcBuildError`, which the
 provider probe in :mod:`repro.compiled` treats as "provider unavailable".
 
@@ -19,8 +20,10 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import re
 import subprocess
 import tempfile
+import time
 from pathlib import Path
 from typing import Any, Optional
 
@@ -50,43 +53,101 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-compiled"
 
 
-def _build_library() -> ctypes.CDLL:
-    """Compile (or reuse) the shared object and load it."""
+def _library_path() -> Path:
+    """The cached shared object built from the current source and flags."""
     digest = hashlib.sha256(("\n".join(_CFLAGS) + C_SOURCE).encode("utf-8")).hexdigest()[:16]
-    directory = cache_dir()
-    lib_path = directory / f"repro_kernels_{digest}.so"
-    if not lib_path.exists():
+    return cache_dir() / f"repro_kernels_{digest}.so"
+
+
+def _build_library() -> ctypes.CDLL:
+    """Compile (or reuse) the shared object and load it.
+
+    A load refreshes the shared object's mtime, which is how
+    :func:`_prune_stale` tells a build in use from an abandoned one.  A
+    concurrent prune may remove a stale shared object between the existence
+    check and ``dlopen``; it is then built again.
+    """
+    lib_path = _library_path()
+    for _ in range(2):
+        if not lib_path.exists():
+            _compile(lib_path)
+            _prune_stale(lib_path)
         try:
-            directory.mkdir(parents=True, exist_ok=True)
+            library = ctypes.CDLL(str(lib_path))
         except OSError as exc:
-            raise CcBuildError(f"cannot create kernel cache {directory}: {exc}") from exc
-        src_path = directory / f"repro_kernels_{digest}.c"
-        src_path.write_text(C_SOURCE, encoding="utf-8")
-        error: Optional[str] = None
-        for compiler in _COMPILERS:
-            # Build into a temp file first so a crashed compile never leaves
-            # a half-written .so behind for other processes to dlopen.
-            fd, tmp_name = tempfile.mkstemp(suffix=".so", dir=str(directory))
-            os.close(fd)
-            cmd = [compiler, *_CFLAGS, "-o", tmp_name, str(src_path), "-lm"]
-            try:
-                proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-            except (OSError, subprocess.SubprocessError) as exc:
-                error = f"{compiler}: {exc}"
-                os.unlink(tmp_name)
-                continue
-            if proc.returncode != 0:
-                error = f"{compiler}: {proc.stderr.strip()[:500]}"
-                os.unlink(tmp_name)
-                continue
-            os.replace(tmp_name, lib_path)
-            break
-        else:
-            raise CcBuildError(f"no working C compiler found ({error})")
+            if lib_path.exists():
+                raise CcBuildError(f"cannot load {lib_path}: {exc}") from exc
+            continue
+        try:
+            os.utime(lib_path)
+        except OSError:
+            pass  # a read-only cache: nothing prunes it either
+        return library
+    raise CcBuildError(f"cannot load {lib_path}: removed from the cache twice while loading")
+
+
+def _compile(lib_path: Path) -> None:
+    """Build ``lib_path`` from the bundled source with the first working compiler."""
+    directory = lib_path.parent
     try:
-        return ctypes.CDLL(str(lib_path))
+        directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise CcBuildError(f"cannot load {lib_path}: {exc}") from exc
+        raise CcBuildError(f"cannot create kernel cache {directory}: {exc}") from exc
+    src_path = lib_path.with_suffix(".c")
+    src_path.write_text(C_SOURCE, encoding="utf-8")
+    error: Optional[str] = None
+    for compiler in _COMPILERS:
+        # Build into a temp file first so a crashed compile never leaves
+        # a half-written .so behind for other processes to dlopen.
+        fd, tmp_name = tempfile.mkstemp(suffix=".so", dir=str(directory))
+        os.close(fd)
+        cmd = [compiler, *_CFLAGS, "-o", tmp_name, str(src_path), "-lm"]
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        except (OSError, subprocess.SubprocessError) as exc:
+            error = f"{compiler}: {exc}"
+            os.unlink(tmp_name)
+            continue
+        if proc.returncode != 0:
+            error = f"{compiler}: {proc.stderr.strip()[:500]}"
+            os.unlink(tmp_name)
+            continue
+        os.replace(tmp_name, lib_path)
+        return
+    raise CcBuildError(f"no working C compiler found ({error})")
+
+
+#: A cached build whose files are all older than this (seconds) is pruned
+#: after the next build of another source hash.
+_STALE_SECONDS = 24 * 3600
+
+_CACHED_FILE = re.compile(r"repro_kernels_[0-9a-f]{16}\.(?:c|so)")
+
+
+def _prune_stale(current: Path) -> None:
+    """Delete other source hashes' ``.c``/``.so`` pairs unused for a day.
+
+    A pair's age is that of its newest file: loads refresh the ``.so`` and a
+    build rewrites the ``.c``, so neither a tree in use nor a concurrent
+    build is pruned.  The ``current`` pair and the builders' temp files
+    (which do not match the cache names) are never touched.
+    """
+    pairs: dict[str, list[Path]] = {}
+    for path in current.parent.iterdir():
+        if _CACHED_FILE.fullmatch(path.name) and path.stem != current.stem:
+            pairs.setdefault(path.stem, []).append(path)
+    cutoff = time.time() - _STALE_SECONDS
+    for paths in pairs.values():
+        try:
+            newest = max(path.stat().st_mtime for path in paths)
+        except OSError:
+            continue  # another process is pruning or rebuilding it
+        if newest < cutoff:
+            for path in paths:
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
 
 
 #: The fused kernel's ``apply_kind`` per mobility kernel spec (0: static).
@@ -134,7 +195,7 @@ class CcOps:
     """
 
     name = "cc"
-    #: cc-only extension (the numba/python providers fall back without it).
+    #: cc-only extension (the python provider falls back without it).
     has_block_driver = True
 
     def __init__(self) -> None:

@@ -4,7 +4,7 @@ One translation unit, compiled once per source hash by
 :mod:`repro.compiled._cc` into a cached shared object.  Every function is a
 line-for-line translation of the reference kernels in
 :mod:`repro.compiled.kernels_py` (property-tested against them), plus one
-cc-only extension the pure-Python/numba providers do not carry:
+cc-only extension the pure-Python provider does not carry:
 ``repro_broadcast_r0_block``, the fused multi-step broadcast driver for the
 paper's sparse ``r = 0`` regime (flood + count + completion detection +
 mobility apply for a whole pre-drawn block of steps in one call).  It runs

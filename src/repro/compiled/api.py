@@ -4,9 +4,9 @@ A *provider* is an object exposing the compiled kernel set at numpy level
 (``apply_lazy`` / ``apply_masked`` / ``apply_brownian`` / ``labels_batch``,
 plus the cc-only ``broadcast_r0_block`` extension flagged by
 ``has_block_driver``).
-:class:`LoopOps` adapts any namespace of loop kernels with the
-:mod:`repro.compiled.kernels_py` signatures (the jitted numba module or the
-plain-Python reference module itself) to that protocol; the cc provider
+:class:`LoopOps` adapts a namespace of loop kernels with the
+:mod:`repro.compiled.kernels_py` signatures (the plain-Python reference
+module itself, the ``python`` provider) to that protocol; the cc provider
 implements it natively in :class:`repro.compiled._cc.CcOps`.
 
 On top of the raw protocol this module carries the glue the simulation loops

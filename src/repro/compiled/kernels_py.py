@@ -1,17 +1,15 @@
 """Loop-level reference kernels of the compiled backend.
 
 These are the *source of truth* for every compiled hot kernel: plain-Python
-loop implementations written in the restricted style numba's ``@njit`` can
-compile directly (no fancy indexing, no Python objects, out-parameters
-instead of allocation-heavy returns).  The three providers share them:
+loop implementations written in the restricted style a C translation
+follows line for line (no fancy indexing, no Python objects, out-parameters
+instead of allocation-heavy returns).  Both providers share them:
 
-* the **numba** provider jit-compiles these functions verbatim
-  (:mod:`repro.compiled._numba`);
 * the **cc** provider is a line-for-line C translation
   (:mod:`repro.compiled._csrc`), property-tested against these references;
 * the **python** provider runs them uncompiled — far too slow for real
   workloads, but always importable, which is what lets the test suite pin
-  the kernel *logic* even on hosts with neither numba nor a C toolchain.
+  the kernel *logic* even on hosts without a C toolchain.
 
 Semantics contracts (each mirrors an existing numpy kernel):
 
@@ -31,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 #: Proposal displacements, row i = proposal i (stay, +x, -x, +y, -y).
-#: Kept as module-level constants so the numba provider can close over them.
 _PROP_DX = np.array([0, 1, -1, 0, 0], dtype=np.int64)
 _PROP_DY = np.array([0, 0, 0, 1, -1], dtype=np.int64)
 

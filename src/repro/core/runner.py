@@ -13,8 +13,8 @@ the ``backend`` argument (or the config's ``backend`` field):
   (:mod:`repro.core.batched`), typically an order of magnitude faster on
   replication-heavy workloads;
 * ``"compiled"`` — the batched loop with its per-step hot kernels compiled
-  (:mod:`repro.compiled`); raises when no provider (numba or the bundled C
-  kernels) is available on the host;
+  (:mod:`repro.compiled`); raises when no provider (the bundled C kernels)
+  is available on the host;
 * ``"auto"`` — the fastest backend the configuration and host support,
   resolved jointly with the connectivity engine by one policy
   (:func:`auto_pair`): compiled when a provider is available (except a

@@ -38,12 +38,6 @@ The context-local override installed by :func:`execution_override` is how
 ``--jobs`` reaches the replication runners inside experiments without
 per-experiment plumbing, mirroring
 :func:`repro.core.runner.backend_override`.
-
-Remote dispatch (``dispatch="remote"``) embeds an HTTP coordinator
-(:mod:`repro.exec.remote`) instead of a process pool: remotable units are
-queued for ``repro worker`` processes on any host, everything else runs
-inline, and the same merge path assembles the same bytes.  See
-``docs/DISTRIBUTED.md``.
 """
 
 from __future__ import annotations
@@ -51,8 +45,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import os
-import shutil
-import tempfile
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -93,11 +85,6 @@ POOL_FAILURE_LIMIT = 3
 #: Record-merging styles an executor supports.
 AGGREGATES = ("buffered", "streaming")
 
-#: Unit dispatch modes an executor supports.  ``"auto"`` resolves to
-#: ``"remote"`` when a listen address is given, else ``"pool"`` when
-#: ``jobs > 1``, else ``"inline"`` — the pre-remote behaviour exactly.
-DISPATCH_MODES = ("auto", "inline", "pool", "remote")
-
 
 def check_aggregate(aggregate: str) -> str:
     """Validate an ``aggregate`` choice (``"buffered"`` or ``"streaming"``)."""
@@ -108,23 +95,14 @@ def check_aggregate(aggregate: str) -> str:
     return aggregate
 
 
-def check_dispatch(dispatch: str) -> str:
-    """Validate a ``dispatch`` choice (one of :data:`DISPATCH_MODES`)."""
-    if dispatch not in DISPATCH_MODES:
-        raise ValueError(
-            f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}"
-        )
-    return dispatch
-
-
 def _init_pool_worker(jobs: int) -> None:
     """Pool-worker initializer: record this worker's share of the CPUs.
 
     ``jobs`` workers split the CPUs the executor's process may use, so a
     worker counts on ``max(1, usable // jobs)`` of them, and the fused
     driver starts its draw helper thread only where that share leaves a CPU
-    to spare (inline and remote execution count every usable CPU).  Module
-    level, so that ``spawn`` workers can import it.
+    to spare (inline execution counts every usable CPU).  Module level, so
+    that ``spawn`` workers can import it.
     """
     from repro.compiled.driver import set_cpu_share, usable_cpus
 
@@ -496,7 +474,8 @@ class SweepExecutor:
     ----------
     jobs:
         Worker processes.  ``1`` executes every unit in process, in order —
-        the reference path the parallel path must match bit for bit.
+        the reference path the parallel path must match bit for bit; more
+        than ``1`` dispatches units to a process pool (:attr:`dispatch`).
     chunk_size:
         Trials per work unit (default:
         :func:`~repro.exec.units.default_chunk_size`, a function of the
@@ -530,19 +509,6 @@ class SweepExecutor:
         :class:`~repro.core.runner.StreamingReplicationSummary` and an empty
         results list.  Per-trial records still reach the result store, and
         the default path is bit-for-bit unchanged.
-    dispatch:
-        ``"auto"`` (default) resolves to ``"remote"`` when ``listen`` is
-        given, else ``"pool"`` when ``jobs > 1``, else ``"inline"`` — the
-        historical behaviour.  ``"remote"`` embeds an HTTP coordinator and
-        queues every wire-safe unit for external ``repro worker`` loops;
-        units that cannot cross the wire (map payloads, non-JSON-able
-        configs) run inline.  Any topology of workers produces bit-for-bit
-        the ``jobs=1`` result.
-    listen:
-        ``"host:port"`` bind address of the embedded coordinator (remote
-        dispatch only; port 0 picks a free port — read it back from
-        ``executor.coordinator.address``).  Defaults to loopback; the
-        coordinator is unauthenticated, so never bind a public interface.
     pool_chunk:
         Units per submitted pool task (default ``1``, the classic
         one-future-per-unit dispatch).  Larger values amortize the
@@ -563,8 +529,6 @@ class SweepExecutor:
         fault_plan: Optional[FaultPlan] = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         aggregate: str = "buffered",
-        dispatch: str = "auto",
-        listen: Optional[str] = None,
         pool_chunk: int = 1,
     ) -> None:
         if jobs < 1:
@@ -582,17 +546,6 @@ class SweepExecutor:
         self.fault_plan = fault_plan
         self.lease_ttl = float(lease_ttl)
         self.aggregate = check_aggregate(aggregate)
-        check_dispatch(dispatch)
-        if dispatch == "auto":
-            dispatch = "remote" if listen is not None else ("pool" if jobs > 1 else "inline")
-        self.dispatch = dispatch
-        #: A remote executor needs a store (the coordinator's source of
-        #: truth for pushed records); without one a private temp directory
-        #: serves the run and is removed on close.
-        self._own_store_dir: Optional[str] = None
-        if self.dispatch == "remote" and self.store is None:
-            self._own_store_dir = tempfile.mkdtemp(prefix="repro-remote-store-")
-            self.store = ResultStore(self._own_store_dir)
         self.leases: Optional[LeaseTable] = None
         if self.store is not None:
             self.leases = LeaseTable(self.store.directory / "leases", ttl=self.lease_ttl)
@@ -617,19 +570,15 @@ class SweepExecutor:
             for counter in self.leases.stats.counters():
                 self.metrics.register(counter)
         self._degraded = False
-        #: The embedded HTTP coordinator (remote dispatch only), started
-        #: eagerly so ``/metrics`` answers before any unit is submitted.
-        self.coordinator = None
-        if self.dispatch == "remote":
-            from repro.exec.remote import Coordinator
-            from repro.obs.metrics import global_registry
 
-            self.coordinator = Coordinator(
-                self.store,
-                lease_ttl=self.lease_ttl,
-                listen=listen or "127.0.0.1:0",
-                extra_registries=(self.metrics, global_registry()),
-            )
+    @property
+    def dispatch(self) -> str:
+        """``"pool"`` when ``jobs > 1``, else ``"inline"``: how units run.
+
+        A pool executor still runs a lone pending unit, and any unit whose
+        payload cannot be pickled, in process.
+        """
+        return "pool" if self.jobs > 1 else "inline"
 
     @classmethod
     def from_options(
@@ -640,8 +589,6 @@ class SweepExecutor:
         retries: int = 0,
         unit_timeout: Optional[float] = None,
         aggregate: str = "buffered",
-        dispatch: str = "auto",
-        listen: Optional[str] = None,
         lease_ttl: Optional[float] = None,
         pool_chunk: Optional[int] = None,
     ) -> Optional["SweepExecutor"]:
@@ -649,15 +596,13 @@ class SweepExecutor:
 
         The single activation rule behind ``--jobs`` / ``--resume`` /
         ``--chunk-size`` / ``--retries`` / ``--unit-timeout`` /
-        ``--aggregate`` / ``--dispatch`` / ``--listen`` / ``--pool-chunk``:
-        all-default options mean "keep the classic in-process path"
-        (``None`` composes with :func:`execution_override` as a true
-        no-op).  ``aggregate="streaming"`` alone activates an in-process
-        executor, since streaming needs the unit machinery; a non-``"auto"``
-        dispatch or a listen address activates one because dispatch needs it.
+        ``--aggregate`` / ``--pool-chunk``: all-default options mean "keep
+        the classic in-process path" (``None`` composes with
+        :func:`execution_override` as a true no-op).
+        ``aggregate="streaming"`` alone activates an in-process executor,
+        since streaming needs the unit machinery.
         """
         check_aggregate(aggregate)
-        check_dispatch(dispatch)
         if (
             jobs == 1
             and chunk_size is None
@@ -665,8 +610,6 @@ class SweepExecutor:
             and retries == 0
             and unit_timeout is None
             and aggregate == "buffered"
-            and dispatch == "auto"
-            and listen is None
             and pool_chunk in (None, 1)
         ):
             return None
@@ -676,31 +619,19 @@ class SweepExecutor:
             store=store,
             retry=RetryPolicy.from_options(retries=retries, unit_timeout=unit_timeout),
             aggregate=aggregate,
-            dispatch=dispatch,
-            listen=listen,
             lease_ttl=lease_ttl if lease_ttl is not None else DEFAULT_LEASE_TTL,
             pool_chunk=pool_chunk if pool_chunk is not None else 1,
         )
 
     # -- lifecycle ---------------------------------------------------------- #
     def close(self) -> None:
-        """Shut down the pool, coordinator and held leases (idempotent).
-
-        A remote executor's coordinator first tells polling workers the
-        sweep is done, then stops serving; a temp store created for
-        store-less remote dispatch is removed with it.
-        """
-        if self.coordinator is not None:
-            self.coordinator.close()
+        """Shut down the pool and release held leases (idempotent)."""
         if self.leases is not None:
             for key in self.leases.keys():
                 self.leases.release(key)
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._own_store_dir is not None:
-            shutil.rmtree(self._own_store_dir, ignore_errors=True)
-            self._own_store_dir = None
 
     def execution_report(self) -> ExecutionReport:
         """Everything the fault-tolerance layer did so far, as one snapshot.
@@ -854,56 +785,13 @@ class SweepExecutor:
             else:
                 pending.append(index)
 
-        # Remote dispatch: every storable unit that survives the wire goes to
-        # the coordinator's queue for workers to drain; anything else (map
-        # payloads, non-JSON-able configs) falls back to inline execution
-        # here, exactly as the jobs=1 reference path would run it.
-        remote_keys: list[str] = []
-        if self.coordinator is not None and pending:
-            from repro.exec.protocol import ProtocolError
-
-            def remote_callback(index: int) -> Callable[[dict[str, Any]], None]:
-                def on_record(record: dict[str, Any]) -> None:
-                    self._counters.executed.inc()
-                    deliver(index, record)
-
-                return on_record
-
-            local: list[int] = []
-            for index in pending:
-                key = keys[index]
-                if key is None or not storable[index]:
-                    local.append(index)
-                    continue
-                began = time.monotonic()
-                try:
-                    # submit() encodes the unit before touching any state, so
-                    # a non-remotable unit (map payload, non-JSON-able config)
-                    # rejects cleanly here, at one encode per unit.
-                    self.coordinator.submit(
-                        units[index],
-                        key,
-                        fingerprints[index],
-                        on_record=remote_callback(index),
-                    )
-                except ProtocolError:
-                    local.append(index)
-                    continue
-                self._dispatch_seconds.observe(time.monotonic() - began)
-                self._counters.submissions.inc()
-                remote_keys.append(key)
-            pending = local
-
-        use_pool = self.dispatch == "pool" and self.jobs > 1 and len(pending) > 1
+        use_pool = self.jobs > 1 and len(pending) > 1
         pooled = [i for i in pending if use_pool and storable[i]]
         in_process = [i for i in pending if not (use_pool and storable[i])]
         if pooled:
             self._dispatch(units, pooled, keys, fingerprints, deliver, pool=True)
         if in_process:
             self._dispatch(units, in_process, keys, fingerprints, deliver, pool=False)
-        if remote_keys:
-            assert self.coordinator is not None
-            self.coordinator.wait(remote_keys)
         if consume is not None:
             return []
         return [record for record in records if record is not None]
@@ -1427,11 +1315,11 @@ class SweepExecutor:
 # --------------------------------------------------------------------------- #
 # The ambient override (how --jobs reaches experiments' inner loops).
 # --------------------------------------------------------------------------- #
-#: Context-local rather than a plain module global so that in-process remote
-#: workers (threads running :func:`execute_unit` while the main thread holds
-#: an :func:`execution_override`) neither see the main thread's executor nor
-#: race its install/restore.  Pool workers are separate processes and start
-#: from the default (``None``) either way.
+#: Context-local rather than a plain module global so that a thread running
+#: :func:`execute_unit` while another holds an :func:`execution_override`
+#: neither sees that thread's executor nor races its install/restore.  Pool
+#: workers are separate processes and start from the default (``None``)
+#: either way.
 _EXECUTOR: ContextVar[Optional[SweepExecutor]] = ContextVar(
     "repro_exec_executor", default=None
 )

@@ -133,89 +133,6 @@ class FaultPlan:
         return fault
 
 
-#: Transport fault kinds a :class:`TransportFaultPlan` can select.
-TRANSPORT_FAULT_KINDS = ("drop", "slow", "dup_push")
-
-
-@dataclass(frozen=True)
-class TransportFaultPlan:
-    """Deterministic fault schedule for the remote push path.
-
-    The HTTP analogue of :class:`FaultPlan`: a pure function of a unit's
-    content hash and the push attempt number, so the same plan drops, delays
-    and duplicates the same pushes in every process and on every run.  The
-    coordinator's idempotent push handling is what the chaos suite pins
-    down with these: a sweep completed under transport faults must merge
-    bit-for-bit identical to a fault-free run.
-
-    Attributes
-    ----------
-    drop_rate:
-        Probability that a push's *response* is lost: the worker performs
-        the push, discards the answer, and retries — exercising the
-        coordinator's byte-equal duplicate acceptance.
-    slow_rate:
-        Probability that the worker sleeps :attr:`slow_seconds` before
-        pushing — long enough (with a short lease TTL) for another worker
-        to steal the lease and double-run the unit.
-    dup_push_rate:
-        Probability that the worker pushes the record twice back to back.
-    slow_seconds:
-        Sleep duration of a ``"slow"`` fault.
-    salt:
-        Extra hash input so distinct plans fault distinct push subsets.
-    max_faulted_submissions:
-        Push attempts ``0 .. max_faulted_submissions-1`` of a unit are
-        eligible to fault; later ones never do, so retried pushes converge.
-    """
-
-    drop_rate: float = 0.0
-    slow_rate: float = 0.0
-    dup_push_rate: float = 0.0
-    slow_seconds: float = 0.5
-    salt: int = 0
-    max_faulted_submissions: int = 1
-
-    def __post_init__(self) -> None:
-        for name in ("drop_rate", "slow_rate", "dup_push_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        total = self.drop_rate + self.slow_rate + self.dup_push_rate
-        if total > 1.0:
-            raise ValueError(f"fault rates must sum to <= 1, got {total}")
-        if self.slow_seconds < 0:
-            raise ValueError(f"slow_seconds must be >= 0, got {self.slow_seconds}")
-        if self.max_faulted_submissions < 0:
-            raise ValueError(
-                f"max_faulted_submissions must be >= 0, got {self.max_faulted_submissions}"
-            )
-
-    def fault_for(self, token: str, submission: int) -> Optional[str]:
-        """The transport fault for push attempt ``submission`` of ``token``.
-
-        Returns one of :data:`TRANSPORT_FAULT_KINDS` or ``None``; the same
-        arguments always return the same answer, in any process.  The hash
-        input carries a ``transport`` tag so a :class:`FaultPlan` and a
-        transport plan sharing a salt fault independent subsets.
-        """
-        if submission >= self.max_faulted_submissions:
-            return None
-        digest = hashlib.sha256(
-            f"transport:{self.salt}:{token}:{submission}".encode("utf-8")
-        ).digest()
-        u = int.from_bytes(digest[:8], "big") / 2**64
-        threshold = 0.0
-        for kind, rate in zip(
-            TRANSPORT_FAULT_KINDS,
-            (self.drop_rate, self.slow_rate, self.dup_push_rate),
-        ):
-            threshold += rate
-            if u < threshold:
-                return kind
-        return None
-
-
 def corrupt_record(record: dict[str, Any]) -> dict[str, Any]:
     """A truncated copy of ``record``: the last entry of every trial-shaped
     list is dropped, so the record no longer matches its unit's trial count.

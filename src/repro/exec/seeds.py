@@ -123,16 +123,6 @@ class SeedStreamSpec:
             "children_spawned": self.children_spawned,
         }
 
-    @classmethod
-    def from_json(cls, payload: dict[str, Any]) -> "SeedStreamSpec":
-        """Inverse of :meth:`as_json`."""
-        return cls(
-            entropy=_entropy_from_json(payload["entropy"]),
-            spawn_key=tuple(int(k) for k in payload["spawn_key"]),
-            pool_size=int(payload["pool_size"]),
-            children_spawned=int(payload["children_spawned"]),
-        )
-
 
 def _jsonable_entropy(entropy: Any) -> Any:
     """Entropy as JSON builtins (int, or list of ints)."""
@@ -143,9 +133,3 @@ def _jsonable_entropy(entropy: Any) -> Any:
     if isinstance(entropy, Sequence):
         return [int(e) for e in entropy]
     raise TypeError(f"unsupported entropy type {type(entropy)!r}")
-
-
-def _entropy_from_json(entropy: Any) -> Any:
-    if isinstance(entropy, list):
-        return [int(e) for e in entropy]
-    return entropy if entropy is None else int(entropy)

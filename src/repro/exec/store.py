@@ -21,10 +21,6 @@ Hardening (what a store tolerates without poisoning a resume):
   can lose the tail of the group (records not yet replaced, or replaced but
   not yet directory-synced across a power loss); a resume simply re-executes
   the missing units, exactly as it would after N interrupted ``put`` calls.
-* Reads are fronted by a small in-memory **LRU cache** of parsed documents
-  (record files are immutable once written, so the cache can never go
-  stale; quarantine and re-put invalidate the entry).  Resume- and
-  dedup-heavy runs stop re-parsing the same records from disk.
 * An unparseable or schema-invalid record file is **quarantined** — renamed
   to ``<key>.corrupt-<ns>`` so it never shadows the key again and stays on
   disk for forensics — and reported as a miss, so the unit simply
@@ -41,15 +37,11 @@ import json
 import os
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from repro.obs.metrics import Counter
-
-#: Default number of parsed record documents the read cache retains.
-DEFAULT_CACHE_RECORDS = 256
 
 
 class StoreStats:
@@ -115,26 +107,12 @@ class StoreStats:
 
 
 class ResultStore:
-    """Directory of completed work-unit records, keyed by content hash.
+    """Directory of completed work-unit records, keyed by content hash."""
 
-    ``cache_records`` bounds the in-memory LRU read cache (``0`` disables
-    it).  Cached entries are parsed record documents; because record files
-    are immutable once written (existing records are only ever read), a
-    cached entry can only be invalidated by :meth:`quarantine` or an
-    explicit re-``put`` — both of which update the cache.
-    """
-
-    def __init__(
-        self, directory: Union[str, Path], cache_records: int = DEFAULT_CACHE_RECORDS
-    ) -> None:
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.stats = StoreStats()
-        #: LRU hits served without touching disk (diagnostic, not a metric).
-        self.cache_hits = 0
-        self._cache: OrderedDict[str, dict[str, Any]] = OrderedDict()
-        self._cache_limit = max(0, int(cache_records))
-        self._cache_lock = threading.Lock()
         # Lazily-created pool for overlapping slow-device fsyncs in
         # ``put_many``; never spawned while the store sits on fast storage.
         self._fsync_pool: Optional[ThreadPoolExecutor] = None
@@ -161,30 +139,25 @@ class ResultStore:
         the unit re-executes, but the file is left in place — it is a valid
         record, just not *this* unit's.
         """
-        document = self._cache_get(key)
-        if document is None:
-            path = self.path_for(key)
-            if not path.exists():
-                self.stats.misses += 1
-                return None
-            try:
-                with path.open("r", encoding="utf-8") as handle:
-                    document = json.load(handle)
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                self.quarantine(key)
-                self.stats.misses += 1
-                return None
-            if (
-                not isinstance(document, dict)
-                or not isinstance(document.get("record"), dict)
-                or not isinstance(document.get("fingerprint"), dict)
-            ):
-                self.quarantine(key)
-                self.stats.misses += 1
-                return None
-            self._cache_put(key, document)
-        else:
-            self.cache_hits += 1
+        path = self.path_for(key)
+        if not path.exists():
+            self.stats.misses += 1
+            return None
+        try:
+            with path.open("r", encoding="utf-8") as handle:
+                document = json.load(handle)
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+            self.quarantine(key)
+            self.stats.misses += 1
+            return None
+        if (
+            not isinstance(document, dict)
+            or not isinstance(document.get("record"), dict)
+            or not isinstance(document.get("fingerprint"), dict)
+        ):
+            self.quarantine(key)
+            self.stats.misses += 1
+            return None
         if fingerprint is not None and not _fingerprints_match(
             document["fingerprint"], fingerprint
         ):
@@ -194,29 +167,6 @@ class ResultStore:
         self.stats.hits += 1
         return document["record"]
 
-    # -- read-cache internals ------------------------------------------------ #
-    def _cache_get(self, key: str) -> Optional[dict[str, Any]]:
-        if self._cache_limit == 0:
-            return None
-        with self._cache_lock:
-            document = self._cache.get(key)
-            if document is not None:
-                self._cache.move_to_end(key)
-            return document
-
-    def _cache_put(self, key: str, document: dict[str, Any]) -> None:
-        if self._cache_limit == 0:
-            return
-        with self._cache_lock:
-            self._cache[key] = document
-            self._cache.move_to_end(key)
-            while len(self._cache) > self._cache_limit:
-                self._cache.popitem(last=False)
-
-    def _cache_drop(self, key: str) -> None:
-        with self._cache_lock:
-            self._cache.pop(key, None)
-
     def quarantine(self, key: str) -> Optional[Path]:
         """Move ``key``'s record file aside as ``<key>.corrupt-<ns>``.
 
@@ -224,7 +174,6 @@ class ResultStore:
         satisfy a lookup again (only ``*.json`` files are records).  Returns
         the quarantine path, or ``None`` if the file vanished underneath us.
         """
-        self._cache_drop(key)
         path = self.path_for(key)
         target = path.with_name(f"{key}.corrupt-{time.time_ns()}")
         try:
@@ -273,7 +222,7 @@ class ResultStore:
         """
         if not items:
             return []
-        staged: list[tuple[str, Path, Path, str, Any]] = []
+        staged: list[tuple[Path, Path, Any]] = []
         paths: list[Path] = []
         try:
             for key, record, fingerprint in items:
@@ -282,20 +231,17 @@ class ResultStore:
                 text = json.dumps(document, default=_jsonable_fallback)
                 tmp = path.with_name(path.name + ".tmp")
                 handle = tmp.open("w", encoding="utf-8")
-                staged.append((key, path, tmp, text, handle))
+                staged.append((path, tmp, handle))
                 handle.write(text)
                 handle.write("\n")
                 handle.flush()
-            self._flush_handles([entry[4] for entry in staged])
-            for key, path, tmp, text, handle in staged:
+            self._flush_handles([handle for _, _, handle in staged])
+            for path, tmp, handle in staged:
                 handle.close()
                 os.replace(tmp, path)
-                # The cached entry is the round-tripped document, so a cache
-                # hit is byte for byte what a disk read would parse.
-                self._cache_put(key, json.loads(text))
                 paths.append(path)
         finally:
-            for _, _, _, _, handle in staged:
+            for _, _, handle in staged:
                 if not handle.closed:
                     handle.close()
         _fsync_directory(self.directory)
@@ -339,18 +285,6 @@ class ResultStore:
 
     def __len__(self) -> int:
         return len(self.keys())
-
-
-def fingerprints_match(stored: dict[str, Any], expected: dict[str, Any]) -> bool:
-    """Whether two unit fingerprints denote the same unit.
-
-    The comparison is canonical-JSON equality with the ``stored`` side
-    already JSON-round-tripped (tuples became lists, int keys became
-    strings) — the exact check :meth:`ResultStore.get` applies to stored
-    records.  The remote coordinator uses the same predicate to verify a
-    pushed record's fingerprint server-side before it may touch the store.
-    """
-    return _fingerprints_match(stored, expected)
 
 
 def _fingerprints_match(stored: dict[str, Any], expected: dict[str, Any]) -> bool:

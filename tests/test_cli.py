@@ -117,6 +117,12 @@ class TestJobsFlag:
         chunked_out = capsys.readouterr().out
         assert plain_out == pooled_out == chunked_out
 
+    def test_dispatch_follows_jobs(self):
+        from repro.exec import SweepExecutor
+
+        assert SweepExecutor(jobs=1).dispatch == "inline"
+        assert SweepExecutor(jobs=2).dispatch == "pool"
+
     def test_executor_override_is_restored_after_run(self):
         from repro.exec import current_executor
 

@@ -5,19 +5,22 @@ Two layers below the backend-equivalence property suites:
 * **kernel parity** — every provider's apply/labels kernels must equal
   the numpy references exactly (positions bit-for-bit, labels up to the
   partition).  The pure-python provider always runs, so the kernel *logic*
-  is pinned even on hosts with neither numba nor a C toolchain; whatever
-  compiled provider is active is exercised through the same oracle.
+  is pinned even on hosts without a C toolchain; whatever compiled
+  provider is active is exercised through the same oracle.
 * **provider selection** — the ``REPRO_COMPILED_PROVIDER`` probe: graceful
   unavailability (``auto`` keeps resolving to ``batched``, explicit
-  ``compiled`` fails with an actionable error), the one-time no-numba
-  warning, and the ``BlockDrawStepper.next_draws`` stream-alignment
+  ``compiled`` fails with an actionable error), the cc provider's kernel
+  cache, and the ``BlockDrawStepper.next_draws`` stream-alignment
   contract the compiled drivers rely on.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import shutil
 import threading
-import warnings
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.compiled
-from repro.compiled import api, kernels_py
+from repro.compiled import _cc, api, kernels_py
 from repro.connectivity.batched import batched_visibility_labels
 from repro.core.config import BroadcastConfig
 from repro.core.protocol import flood_informed_batch
@@ -566,7 +569,7 @@ class TestProviderSelection:
         provider_env("none")
         assert not repro.compiled.available()
         assert repro.compiled.provider_name() is None
-        with pytest.raises(RuntimeError, match=r"\[compiled\]"):
+        with pytest.raises(RuntimeError, match="REPRO_COMPILED_PROVIDER=none"):
             repro.compiled.require_ops()
         # ``auto`` quietly keeps resolving to batched ...
         config = BroadcastConfig(n_nodes=49, n_agents=4, max_steps=30)
@@ -604,22 +607,61 @@ class TestProviderSelection:
         with pytest.raises(ValueError, match="REPRO_COMPILED_PROVIDER"):
             repro.compiled.require_ops()
 
-    def test_cc_fallback_warns_once_about_missing_numba(self, provider_env):
-        try:
-            import numba  # noqa: F401
 
-            pytest.skip("numba is installed; the no-numba warning cannot fire")
-        except ImportError:
-            pass
-        provider_env("auto")
-        if repro.compiled.provider_name() != "cc":
-            pytest.skip("no C toolchain on this host")
-        repro.compiled.reset_probe()
-        with pytest.warns(RuntimeWarning, match="bundled"):
-            repro.compiled.require_ops()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            repro.compiled.require_ops()  # second call: silent
+@pytest.mark.skipif(
+    repro.compiled.provider_name() != "cc", reason="no C toolchain on this host"
+)
+class TestCcKernelCache:
+    """Stale builds of other source hashes are pruned; builds in use are not."""
+
+    TWO_DAYS = 2 * 24 * 3600
+
+    def _file(self, directory, name, age=0.0):
+        path = directory / name
+        path.write_text("stand-in")
+        stamp = time.time() - age
+        os.utime(path, (stamp, stamp))
+        return path
+
+    def test_a_build_prunes_other_hashes_unused_for_a_day(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_COMPILED_CACHE", str(tmp_path))
+        stale = [
+            self._file(tmp_path, f"repro_kernels_0123456789abcdef.{ext}", self.TWO_DAYS)
+            for ext in ("c", "so")
+        ]
+        fresh = [
+            self._file(tmp_path, f"repro_kernels_fedcba9876543210.{ext}") for ext in ("c", "so")
+        ]
+        # A concurrent builder's mkstemp output, however old, is not a cached build.
+        building = self._file(tmp_path, "tmpq8z1w3rk.so", self.TWO_DAYS)
+        _cc._build_library()
+        assert not any(path.exists() for path in stale)
+        assert all(path.exists() for path in fresh) and building.exists()
+        current = _cc._library_path()
+        assert current.exists() and current.with_suffix(".c").exists()
+
+        # A load refreshes the build's mtime, so a tree in use never looks stale.
+        stamp = time.time() - self.TWO_DAYS
+        os.utime(current, (stamp, stamp))
+        _cc._build_library()
+        assert time.time() - current.stat().st_mtime < 3600
+
+    def test_a_build_removed_before_dlopen_is_built_again(self, tmp_path, monkeypatch):
+        built = _cc._library_path()
+        monkeypatch.setenv("REPRO_COMPILED_CACHE", str(tmp_path))
+        shutil.copy(built, _cc._library_path())
+        real_cdll = ctypes.CDLL
+        loads = []
+
+        def pruned_first(name, *args, **kwargs):
+            if not loads:
+                os.unlink(name)  # a concurrent prune wins the race to dlopen
+            loads.append(name)
+            return real_cdll(name, *args, **kwargs)
+
+        monkeypatch.setattr(_cc.ctypes, "CDLL", pruned_first)
+        assert _cc._build_library() is not None
+        assert len(loads) == 2 and _cc._library_path().exists()
 
 
 # --------------------------------------------------------------------------- #

@@ -19,11 +19,10 @@ from repro.exec import (
     FaultPlan,
     RetryPolicy,
     SweepExecutor,
-    TransportFaultPlan,
     execution_override,
     map_replications,
 )
-from repro.exec.faults import FAULT_KINDS, TRANSPORT_FAULT_KINDS, corrupt_record
+from repro.exec.faults import FAULT_KINDS, corrupt_record
 
 from tests.strategies import max_examples
 
@@ -135,68 +134,6 @@ class TestFaultPlan:
         assert mangled["extra"] == 7
         assert record["values"] == [1.0, 2.0]  # original untouched
         assert corrupt_record({"trials": [1, 2, 3]})["trials"] == [1, 2]
-
-
-# --------------------------------------------------------------------------- #
-# TransportFaultPlan (the HTTP push-path analogue)
-# --------------------------------------------------------------------------- #
-class TestTransportFaultPlan:
-    def test_deterministic_across_instances(self):
-        kwargs = dict(drop_rate=0.3, slow_rate=0.3, dup_push_rate=0.3, salt=5)
-        first = TransportFaultPlan(**kwargs)
-        second = TransportFaultPlan(**kwargs)
-        keys = [f"{i:032x}" for i in range(64)]
-        verdicts = [first.fault_for(k, 0) for k in keys]
-        assert verdicts == [second.fault_for(k, 0) for k in keys]
-        assert set(verdicts) <= set(TRANSPORT_FAULT_KINDS) | {None}
-
-    def test_rates_partition_pushes(self):
-        plan = TransportFaultPlan(drop_rate=0.5, dup_push_rate=0.5)
-        verdicts = {plan.fault_for(f"{i:032x}", 0) for i in range(128)}
-        assert verdicts == {"drop", "dup_push"}  # rates sum to 1: every push faults
-
-    def test_zero_plan_never_faults(self):
-        plan = TransportFaultPlan()
-        assert all(plan.fault_for(f"{i:032x}", 0) is None for i in range(32))
-
-    def test_retried_pushes_converge(self):
-        plan = TransportFaultPlan(drop_rate=1.0, max_faulted_submissions=1)
-        assert plan.fault_for("k", 0) == "drop"
-        assert plan.fault_for("k", 1) is None  # the retry goes through clean
-
-    def test_salt_selects_distinct_subsets(self):
-        keys = [f"{i:032x}" for i in range(256)]
-        a = TransportFaultPlan(drop_rate=0.5, salt=1)
-        b = TransportFaultPlan(drop_rate=0.5, salt=2)
-        assert [a.fault_for(k, 0) for k in keys] != [b.fault_for(k, 0) for k in keys]
-
-    def test_independent_of_process_fault_plan(self):
-        # A FaultPlan and a TransportFaultPlan sharing a salt must fault
-        # independent subsets (the hash input carries a "transport" tag).
-        keys = [f"{i:032x}" for i in range(256)]
-        process = FaultPlan(crash_rate=0.5, salt=3)
-        transport = TransportFaultPlan(drop_rate=0.5, salt=3)
-        process_hits = [process.fault_for(k, 0) is not None for k in keys]
-        transport_hits = [transport.fault_for(k, 0) is not None for k in keys]
-        assert process_hits != transport_hits
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TransportFaultPlan(drop_rate=-0.1)
-        with pytest.raises(ValueError):
-            TransportFaultPlan(drop_rate=0.6, slow_rate=0.6)
-        with pytest.raises(ValueError):
-            TransportFaultPlan(slow_seconds=-1.0)
-        with pytest.raises(ValueError):
-            TransportFaultPlan(max_faulted_submissions=-1)
-
-    @settings(max_examples=max_examples(50), deadline=None)
-    @given(
-        st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.integers(0, 2**31), st.integers(0, 3)
-    )
-    def test_fault_for_is_a_pure_function(self, drop, slow, salt, submission):
-        plan = TransportFaultPlan(drop_rate=drop, slow_rate=slow, salt=salt)
-        assert plan.fault_for("abc", submission) == plan.fault_for("abc", submission)
 
 
 # --------------------------------------------------------------------------- #

@@ -10,6 +10,8 @@ are interchangeable.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,8 +78,10 @@ class TestSeedStreamSpec:
     @settings(max_examples=max_examples(30), deadline=None)
     @given(seed=seeds)
     def test_json_roundtrip(self, seed):
-        spec = SeedStreamSpec.from_seed(seed)
-        assert SeedStreamSpec.from_json(spec.as_json()) == spec
+        # The JSON form is hashed into unit keys and stored with every
+        # record, whose fingerprint check compares it after a JSON round trip.
+        form = SeedStreamSpec.from_seed(seed).as_json()
+        assert json.loads(json.dumps(form)) == form
 
     @settings(max_examples=max_examples(10), deadline=None)
     @given(

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
 import repro
 
 
@@ -11,8 +18,25 @@ class TestPublicAPI:
         assert repro.__version__.count(".") == 2
 
     def test_all_exports_exist(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        modules = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if not info.name.endswith("__main__")
+        ]
+        exporting = [module for module in modules if hasattr(module, "__all__")]
+        assert {"repro", "repro.exec", "repro.compiled"} <= {m.__name__ for m in exporting}
+        for module in exporting:
+            for name in module.__all__:
+                assert hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_import_leaves_the_http_stack_unloaded(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = "import sys, repro; print(sorted({'http.server', 'http.client'} & set(sys.modules)))"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
     def test_quickstart_flow(self):
         config = repro.BroadcastConfig(n_nodes=144, n_agents=8, radius=0.0)
