@@ -24,7 +24,7 @@ The subpackages are organised as follows:
 * :mod:`repro.baselines` — comparison models from the Related Work section;
 * :mod:`repro.theory` — closed-form bounds used as oracles;
 * :mod:`repro.analysis`, :mod:`repro.workloads`, :mod:`repro.experiments` —
-  the measurement and reproduction harness (experiments E1–E16).
+  the measurement and reproduction harness (experiments E1–E17).
 """
 
 from repro.core import (

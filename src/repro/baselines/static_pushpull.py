@@ -11,12 +11,15 @@ network with flooding".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.util.rng import RandomState, default_rng
 from repro.util.validation import check_positive_int
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,9 @@ def push_pull_rounds(
     neighbour (learning the rumor if that neighbour is informed).
 
     Isolated nodes can never be informed; in that case the run stops at
-    ``max_rounds`` and is reported as incomplete.
+    ``max_rounds`` and is reported as incomplete.  ``graph`` needs only the
+    ``number_of_nodes``, ``nodes`` and ``neighbors`` methods of a
+    ``networkx.Graph``.
     """
     n_nodes = graph.number_of_nodes()
     check_positive_int(n_nodes, "graph.number_of_nodes()")

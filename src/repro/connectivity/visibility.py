@@ -9,12 +9,15 @@ is both exact and faster than the general path.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-import networkx as nx
 
 from repro.connectivity.spatial_hash import neighbor_pairs
 from repro.connectivity.unionfind import UnionFind
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def effective_radius(radius: float) -> int:
@@ -156,8 +159,12 @@ def visibility_graph(
     """The visibility graph as a ``networkx.Graph`` (one node per agent).
 
     Primarily intended as a test oracle and for small-scale inspection; the
-    simulation core uses :func:`visibility_components` directly.
+    simulation core uses :func:`visibility_components` directly.  Needs
+    ``networkx``, which is a test-oracle dependency, not one of the
+    package's own.
     """
+    import networkx as nx
+
     positions = np.asarray(positions, dtype=np.int64)
     graph = nx.Graph()
     graph.add_nodes_from(range(positions.shape[0]))

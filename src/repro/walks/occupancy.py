@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.grid.lattice import Grid2D
 from repro.mobility.kernels import StepRule
@@ -33,8 +32,11 @@ def chi_square_uniformity(counts: np.ndarray) -> tuple[float, float]:
     """Chi-square statistic and p-value of the counts against uniformity.
 
     A large p-value (e.g. > 0.01) means the observed occupancy is consistent
-    with agents being placed uniformly at random.
+    with agents being placed uniformly at random.  Needs ``scipy``, which is
+    a test-oracle dependency, not one of the package's own.
     """
+    from scipy import stats
+
     counts = np.asarray(counts, dtype=np.float64)
     if counts.size < 2:
         raise ValueError("at least two cells are required for a chi-square test")
@@ -89,7 +91,8 @@ def stationarity_check(
     ``steps // samples`` further steps the node occupancy is tested against
     the uniform distribution.  For the paper's lazy kernel the distribution is
     stationary, so all p-values should be well above zero; a kernel that (for
-    example) piles agents up at the boundary fails immediately.
+    example) piles agents up at the boundary fails immediately.  Needs
+    ``scipy``, through :func:`chi_square_uniformity`.
     """
     n_walkers = check_positive_int(n_walkers, "n_walkers")
     steps = check_positive_int(steps, "steps")

@@ -9,7 +9,56 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
+
+#: Runs the four perfbench workloads' paths with scipy and networkx blocked:
+#: neither is among the package's dependencies, only the helpers that name
+#: one in their docstrings may need it.
+WITHOUT_TEST_ORACLES = '''
+import sys, tempfile
+sys.modules["scipy"] = sys.modules["networkx"] = None
+import numpy as np
+import repro
+from repro.analysis.sweep import ParameterSweep
+from repro.connectivity import visibility_graph
+from repro.core import BroadcastConfig
+from repro.exec import SweepExecutor
+from repro.grid import Grid2D
+from repro.walks import chi_square_uniformity, stationarity_check
+
+for eid in repro.available_experiments():
+    repro.run_experiment(eid, scale="tiny", seed=0).render()
+for radius in (0.0, 0.5, 2.0):
+    config = BroadcastConfig(n_nodes=256, n_agents=8, radius=radius, max_steps=400)
+    repro.run_broadcast_replications(config, 2, seed=0)
+sweep = ParameterSweep("n_agents", [4, 6], {"n_nodes": 64, "radius": 0.0})
+with tempfile.TemporaryDirectory() as store:
+    with SweepExecutor(jobs=1, store=store) as executor:
+        executor.run_sweep(sweep, lambda point: BroadcastConfig(**point.as_kwargs()), 2, seed=0)
+for helper in (
+    lambda: chi_square_uniformity(np.ones(4)),
+    lambda: stationarity_check(Grid2D(4), n_walkers=4, steps=1, rng=0),
+    lambda: visibility_graph(np.zeros((2, 2), dtype=np.int64), 1),
+):
+    try:
+        helper()
+    except ModuleNotFoundError:
+        continue
+    raise AssertionError("a test-oracle helper ran without its package")
+print("ok")
+'''
+
+
+def run_python(source: str) -> str:
+    """Stdout of ``source`` run in a fresh interpreter that imports this tree."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", source], capture_output=True, text=True, env=env, check=True
+    )
+    return result.stdout.strip()
 
 
 class TestPublicAPI:
@@ -29,14 +78,20 @@ class TestPublicAPI:
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
 
+    @pytest.mark.filterwarnings(r"ignore:Support for `\[tool\.setuptools\]`")
+    def test_package_metadata_reads_this_version(self):
+        pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+        root = Path(repro.__file__).resolve().parents[2]
+        config = pyprojecttoml.read_configuration(root / "pyproject.toml")
+        assert config["project"]["version"] == repro.__version__
+
     def test_import_leaves_the_http_stack_unloaded(self):
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        probe = "import sys, repro; print(sorted({'http.server', 'http.client'} & set(sys.modules)))"
-        result = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
-        )
-        assert result.stdout.strip() == "[]"
+        unloaded = {"http.server", "http.client", "scipy", "networkx"}
+        probe = f"import sys, repro; print(sorted({unloaded!r} & set(sys.modules)))"
+        assert run_python(probe) == "[]"
+
+    def test_runs_without_scipy_or_networkx(self):
+        assert run_python(WITHOUT_TEST_ORACLES) == "ok"
 
     def test_quickstart_flow(self):
         config = repro.BroadcastConfig(n_nodes=144, n_agents=8, radius=0.0)
