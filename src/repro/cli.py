@@ -123,8 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "'batched', 'compiled' (native hot kernels from the bundled C "
         "provider; error if a config does not support it or no provider "
         "is available), or 'auto' (the fastest supported backend); results "
-        "are bit-for-bit identical across backends; default: each config's "
-        "own choice",
+        "are bit-for-bit identical across backends (default: auto)",
     )
     run_parser.add_argument(
         "--lease-ttl",
@@ -168,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "'recompute' rebuilds the visibility graph each step, 'incremental' "
         "maintains it across steps, 'auto' picks the faster engine per "
         "config; results are bit-for-bit identical either way "
-        "(default: each config's own choice)",
+        "(default: auto)",
     )
     run_parser.add_argument("--json", metavar="PATH", help="also write the report(s) as JSON")
     run_parser.set_defaults(func=_cmd_run)

@@ -309,7 +309,7 @@ def _run_batched(
             ]
         else:
             conn = None
-        counts, done = process.step_batch(bstate, conn, rngs, active, t)
+        counts, done = process.step_batch(bstate, conn, active, t)
         step_trials.append(active)
         step_counts.append(counts)
         t += 1

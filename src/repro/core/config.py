@@ -70,21 +70,11 @@ class BroadcastConfig:
         Whether to track the rightmost informed position (used by E6).
     record_coverage:
         Whether to track the set of nodes visited by informed agents (T_C).
-    backend:
-        Replication backend: ``"serial"`` runs one simulation per trial,
-        ``"batched"`` advances all replications as one vectorised system,
-        ``"compiled"`` runs the batched loop with native hot kernels
-        (requires a :mod:`repro.compiled` provider) — all bit-for-bit
-        identical — and ``"auto"`` (default) picks the fastest backend the
-        configuration and host support.  See :mod:`repro.core.batched` and
-        ``docs/COMPILED.md``.
-    connectivity:
-        Connectivity engine for the per-step component labelling:
-        ``"recompute"`` rebuilds the visibility graph from scratch each
-        step, ``"incremental"`` maintains it across steps
-        (:mod:`repro.connectivity.incremental`; bit-for-bit identical
-        results), ``"auto"`` (default) picks the incremental engine where
-        it is the faster choice.
+
+    A config describes the experiment, not how it runs: the replication
+    backend and the connectivity engine are arguments of the runners
+    (:func:`repro.core.runner.run_broadcast_replications`), all of them
+    bit-for-bit identical.
     """
 
     n_nodes: int
@@ -96,15 +86,11 @@ class BroadcastConfig:
     mobility_kwargs: Mapping[str, Any] = field(default_factory=dict)
     record_frontier: bool = False
     record_coverage: bool = False
-    backend: str = "auto"
-    connectivity: str = "auto"
 
     def __post_init__(self) -> None:
         check_positive_int(self.n_nodes, "n_nodes")
         check_positive_int(self.n_agents, "n_agents")
         check_non_negative(self.radius, "radius")
-        check_backend(self.backend)
-        check_connectivity(self.connectivity)
         if self.n_agents < 1:
             raise ValidationError("n_agents must be at least 1")
         if self.source is not None:
@@ -137,15 +123,11 @@ class GossipConfig:
     max_steps: Optional[int] = None
     mobility: str = "random_walk"
     mobility_kwargs: Mapping[str, Any] = field(default_factory=dict)
-    backend: str = "auto"
-    connectivity: str = "auto"
 
     def __post_init__(self) -> None:
         check_positive_int(self.n_nodes, "n_nodes")
         check_positive_int(self.n_agents, "n_agents")
         check_non_negative(self.radius, "radius")
-        check_backend(self.backend)
-        check_connectivity(self.connectivity)
         if self.max_steps is not None:
             check_positive_int(self.max_steps, "max_steps")
 

@@ -4,8 +4,9 @@ All headline quantities of the paper are "with high probability" statements,
 so every experiment is replicated with independent random streams and the
 harness reports means, medians and bootstrap confidence intervals.
 
-Replications can be executed by two interchangeable backends selected via
-the ``backend`` argument (or the config's ``backend`` field):
+Replications can be executed by interchangeable backends selected via the
+``backend`` argument (else the active :func:`backend_override`, else
+``"auto"``):
 
 * ``"serial"`` — one trial at a time, on the serial face of the run's
   process kernel (:func:`repro.dissemination.kernels.run_process_serial`);
@@ -248,10 +249,10 @@ def backend_override(backend: Optional[str]) -> Iterator[None]:
     """Force every replication run in the ``with`` block onto ``backend``.
 
     This is how the command line's ``--backend`` flag reaches experiments
-    that build their configs internally: the override takes precedence over
-    each config's ``backend`` field (but not over an explicit ``backend``
+    that build their configs internally: the override takes the place of
+    ``"auto"``, the default request (but not of an explicit ``backend``
     argument passed to a ``run_*_replications`` call).  ``None`` is a no-op;
-    ``"auto"`` re-enables per-config auto-selection.  As with an explicit
+    ``"auto"`` re-enables per-run auto-selection.  As with an explicit
     argument, forcing ``"batched"`` onto an unsupported configuration raises
     rather than silently falling back — use ``"auto"`` to pick the batched
     path only where it applies.
@@ -267,15 +268,6 @@ def backend_override(backend: Optional[str]) -> Iterator[None]:
         _BACKEND_OVERRIDE = previous
 
 
-def current_backend_override() -> Optional[str]:
-    """The backend forced by an enclosing :func:`backend_override`, if any.
-
-    Exposed for runners outside this module (e.g. the dissemination
-    process-kernel runner) that must honour the CLI's ``--backend`` flag.
-    """
-    return _BACKEND_OVERRIDE
-
-
 #: Process-wide connectivity override installed by :func:`connectivity_override`.
 _CONNECTIVITY_OVERRIDE: Optional[str] = None
 
@@ -286,10 +278,10 @@ def connectivity_override(connectivity: Optional[str]) -> Iterator[None]:
 
     Mirrors :func:`backend_override`: this is how the command line's
     ``--connectivity`` flag reaches experiments that build their configs
-    internally.  The override takes precedence over each config's
-    ``connectivity`` field (but not over an explicit ``connectivity``
-    argument passed to a ``run_*_replications`` call).  ``None`` is a no-op;
-    ``"auto"`` re-enables per-config auto-selection.
+    internally.  The override takes the place of ``"auto"``, the default
+    request (but not of an explicit ``connectivity`` argument passed to a
+    ``run_*_replications`` call).  ``None`` is a no-op; ``"auto"``
+    re-enables per-run auto-selection.
     """
     global _CONNECTIVITY_OVERRIDE
     if connectivity is not None:
@@ -302,9 +294,23 @@ def connectivity_override(connectivity: Optional[str]) -> Iterator[None]:
         _CONNECTIVITY_OVERRIDE = previous
 
 
-def current_connectivity_override() -> Optional[str]:
-    """The engine forced by an enclosing :func:`connectivity_override`, if any."""
-    return _CONNECTIVITY_OVERRIDE
+def requested_pair(
+    backend: Optional[str] = None, connectivity: Optional[str] = None
+) -> tuple[str, str]:
+    """The validated ``(backend, connectivity)`` request of a run.
+
+    Each is the explicit argument if given, else the active
+    :func:`backend_override` / :func:`connectivity_override`, else
+    ``"auto"``; :func:`auto_pair` resolves what is left at ``"auto"``.
+    """
+    if backend is None:
+        backend = _BACKEND_OVERRIDE
+    if connectivity is None:
+        connectivity = _CONNECTIVITY_OVERRIDE
+    return (
+        check_backend(backend if backend is not None else "auto"),
+        check_connectivity(connectivity if connectivity is not None else "auto"),
+    )
 
 
 #: The numpy backends (serial, batched) keep the incremental engine below
@@ -386,23 +392,17 @@ def resolve_pair(
     """The ``(backend, connectivity)`` pair a run of ``config`` executes.
 
     Each request is the explicit argument if given, else the active
-    :func:`backend_override` / :func:`connectivity_override`, else the
-    config's field; :func:`auto_pair` resolves whatever is left at
-    ``"auto"``, with the ``fused_r0`` of the kernel the config runs on.
+    :func:`backend_override` / :func:`connectivity_override`, else
+    ``"auto"`` (:func:`requested_pair`); :func:`auto_pair` resolves whatever
+    is left at ``"auto"``, with the ``fused_r0`` of the kernel the config
+    runs on.
     Only configurations the batched backend supports resolve to batched
     or compiled.  An explicit ``"batched"``/``"compiled"`` request for an
     unsupported configuration (or, for ``"compiled"``, a host without any
     provider) raises when the runner is invoked, rather than silently
     falling back.
     """
-    if backend is None:
-        backend = _BACKEND_OVERRIDE
-    if connectivity is None:
-        connectivity = _CONNECTIVITY_OVERRIDE
-    backend = check_backend(backend if backend is not None else config.backend)
-    connectivity = check_connectivity(
-        connectivity if connectivity is not None else config.connectivity
-    )
+    backend, connectivity = requested_pair(backend, connectivity)
     batchable, fused_r0 = True, False
     if backend == "auto":
         from repro.core.batched import supports_batched
@@ -420,8 +420,8 @@ def resolve_backend(
 ) -> str:
     """The backend (``"serial"``, ``"batched"`` or ``"compiled"``) a run executes.
 
-    The backend half of :func:`resolve_pair`, with ``backend`` overriding
-    the config's field.
+    The backend half of :func:`resolve_pair`, with ``backend`` as the
+    explicit request.
     """
     return resolve_pair(config, backend)[0]
 
@@ -431,9 +431,9 @@ def resolve_connectivity(
 ) -> str:
     """The engine (``"recompute"`` or ``"incremental"``) a run executes.
 
-    The connectivity half of :func:`resolve_pair`, with ``connectivity``
-    overriding the config's field: ``"auto"`` depends on the backend the
-    run resolves to (see :func:`auto_pair`).  Both engines produce
+    The connectivity half of :func:`resolve_pair`, with ``connectivity`` as
+    the explicit request: ``"auto"`` depends on the backend the run resolves
+    to (see :func:`auto_pair`).  Both engines produce
     bit-for-bit identical simulation results, so the choice is purely a
     performance knob.
     """
@@ -461,10 +461,10 @@ def run_broadcast_replications(
     """Run ``n_replications`` broadcast simulations and summarise ``T_B``.
 
     ``backend`` selects ``"serial"``, ``"batched"``, ``"compiled"`` or
-    ``"auto"`` execution (default: the config's ``backend`` field); all
-    backends produce bit-for-bit identical results for identical seeds.
-    ``connectivity`` selects ``"recompute"``, ``"incremental"`` or ``"auto"`` component
-    labelling the same way (default: the config's ``connectivity`` field);
+    ``"auto"`` execution (default: the active :func:`backend_override`,
+    else ``"auto"``); all backends produce bit-for-bit identical results for
+    identical seeds.  ``connectivity`` selects ``"recompute"``,
+    ``"incremental"`` or ``"auto"`` component labelling the same way;
     engines too are bit-for-bit interchangeable.
 
     ``rng_streams`` supplies one explicit generator per trial in place of
@@ -496,9 +496,9 @@ def run_gossip_replications(
     """Run ``n_replications`` gossip simulations and summarise ``T_G``.
 
     ``backend`` selects ``"serial"``, ``"batched"``, ``"compiled"`` or
-    ``"auto"`` execution (default: the config's ``backend`` field); all
-    backends produce bit-for-bit identical results for identical seeds.
-    ``connectivity``,
+    ``"auto"`` execution (default: the active :func:`backend_override`,
+    else ``"auto"``); all backends produce bit-for-bit identical results for
+    identical seeds.  ``connectivity``,
     ``rng_streams`` and the executor interception behave as in
     :func:`run_broadcast_replications`.  The trials are
     :class:`~repro.dissemination.kernels.GossipProcess` runs.

@@ -78,7 +78,8 @@ class BroadcastSimulation:
         configuration is instantiated.
     connectivity:
         Resolved connectivity engine (``"recompute"``, ``"incremental"`` or
-        ``"auto"``); ``None`` resolves the config's ``connectivity`` field.
+        ``"auto"``); ``None`` takes the active
+        :func:`~repro.core.runner.connectivity_override`, else ``"auto"``.
         ``"auto"`` resolves as for the serial backend (see
         :func:`repro.core.runner.auto_pair`).
         Both engines produce bit-for-bit identical results — see

@@ -31,7 +31,6 @@ def multi_walk_cover_time(
     max_steps: int,
     rng: RandomState | int | None = None,
     rule: StepRule = "lazy",
-    record_curve_every: int = 1,
 ) -> CoverTimeResult:
     """Measure the cover time of ``n_walkers`` independent walks on ``grid``.
 
@@ -43,14 +42,8 @@ def multi_walk_cover_time(
         Number of independent walks, started at uniformly random nodes.
     max_steps:
         Horizon after which the run is abandoned (result marked incomplete).
-    record_curve_every:
-        Subsampling interval of the coverage curve (1 = every step).
+    rule:
+        The walks' step rule, ``"lazy"`` (the paper's) or ``"simple"``.
     """
-    process = CoverProcess(
-        grid.side,
-        n_walkers,
-        max_steps,
-        rule=rule,
-        record_curve_every=record_curve_every,
-    )
+    process = CoverProcess(grid.side, n_walkers, max_steps, rule=rule)
     return run_process_serial(process, default_rng(rng))

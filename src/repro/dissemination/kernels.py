@@ -38,9 +38,11 @@ every batched entry point consumes each trial's generator in exactly the
 order the serial ``step`` would — including the *state-dependent* draws of
 the Frog model (only active agents move, so each trial draws ``n_active``
 proposals) and the two-population predator–prey draws (predators first, then
-the surviving preys).  ``backend="serial"`` and ``backend="batched"`` thus
-return bit-for-bit identical results for identical seeds, verified per
-kernel by ``tests/test_properties_dissemination.py``.
+the surviving preys), which both read per-trial draw tapes
+(:class:`~repro.mobility.kernels.TapeStepper`) through a moving mask.
+``backend="serial"`` and ``backend="batched"`` thus return bit-for-bit
+identical results for identical seeds, verified per kernel by
+``tests/test_properties_dissemination.py``.
 """
 
 from __future__ import annotations
@@ -54,13 +56,7 @@ import numpy as np
 from repro.connectivity.spatial_hash import neighbor_pairs
 from repro.connectivity.visibility import effective_radius, visibility_components
 from repro.core.batched import regroup_curves
-from repro.core.config import (
-    BroadcastConfig,
-    GossipConfig,
-    check_backend,
-    check_connectivity,
-    default_max_steps,
-)
+from repro.core.config import BroadcastConfig, GossipConfig, default_max_steps
 from repro.core.gossip import GossipResult
 from repro.core.metrics import CoverageTracker, FrontierTracker, InformedCurve
 from repro.core.protocol import (
@@ -73,15 +69,14 @@ from repro.core.runner import (
     ReplicationSummary,
     auto_pair,
     check_rng_streams,
-    current_backend_override,
-    current_connectivity_override,
+    requested_pair,
     resolve_pair,
     summarise_values,
 )
 from repro.core.simulation import BroadcastResult
 from repro.grid.lattice import Grid2D
 from repro.mobility import make_mobility
-from repro.mobility.kernels import StepRule, apply_lazy_choices, lazy_step
+from repro.mobility.kernels import StepRule, TapeStepper, lazy_step
 from repro.mobility.random_walk import RandomWalkMobility
 from repro.obs.metrics import step_loop_instruments
 from repro.util.rng import RandomState, SeedLike, spawn_rngs
@@ -268,16 +263,17 @@ class ProcessKernel(abc.ABC):
         self,
         bstate: Any,
         conn: Any,
-        rngs: Sequence[RandomState],
         active: np.ndarray,
         t: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance the active trials by one step.
 
-        Returns ``(counts, done)``: the per-trial curve value recorded for
-        this step and the mask of trials whose stopping condition was hit at
-        time ``t`` (their result fields must be written into the batch
-        state's full-``R`` arrays before returning).
+        Motion reads each trial's generator through the batch state's
+        stepper, made by :meth:`init_batch`.  Returns ``(counts, done)``:
+        the per-trial curve value recorded for this step and the mask of
+        trials whose stopping condition was hit at time ``t`` (their result
+        fields must be written into the batch state's full-``R`` arrays
+        before returning).
         """
 
     def compact(self, bstate: Any, keep: np.ndarray) -> None:
@@ -388,15 +384,17 @@ class FrogState(ProcessState):
 class _FrogBatch:
     """Batched state of the Frog model (hot arrays compacted to active trials)."""
 
-    __slots__ = ("positions", "active_mask", "activation_time", "final_active", "choice")
+    __slots__ = ("positions", "active_mask", "stepper", "activation_time", "final_active")
 
-    def __init__(self, positions: np.ndarray, active_mask: np.ndarray) -> None:
+    def __init__(
+        self, positions: np.ndarray, active_mask: np.ndarray, stepper: TapeStepper
+    ) -> None:
         n_trials = positions.shape[0]
         self.positions = positions
         self.active_mask = active_mask
+        self.stepper = stepper
         self.activation_time = np.full(n_trials, -1, dtype=np.int64)
         self.final_active = np.full(n_trials, -1, dtype=np.int64)
-        self.choice = np.zeros(positions.shape[:2], dtype=np.int64)
 
 
 class FrogProcess(ProcessKernel):
@@ -405,11 +403,11 @@ class FrogProcess(ProcessKernel):
     ``k`` agents are placed uniformly and one source agent is active (drawn
     from the trial's generator when not fixed, after the positions: the
     legacy serial simulator's draw order).  Only *active* (informed) agents
-    move; activation floods through the components of ``G_t(r)``.  Motion
-    is masked kernel stepping: each trial draws exactly ``n_active`` lazy
-    proposals (the serial draw), scattered into a batch-wide choice tensor
-    whose inactive entries are the "stay" proposal, then applied with one
-    :func:`~repro.mobility.kernels.apply_lazy_choices` pass.
+    move; activation floods through the components of ``G_t(r)``.  Batched
+    motion runs on per-trial lazy draw tapes
+    (:class:`~repro.mobility.kernels.TapeStepper`) with the active agents as
+    the moving mask, so each trial reads exactly its serial ``n_active``
+    proposals.
     """
 
     name = "frog"
@@ -501,13 +499,12 @@ class FrogProcess(ProcessKernel):
         mask = np.zeros((n_trials, self.n_agents), dtype=bool)
         for trial, rng in enumerate(rngs):
             positions[trial], mask[trial] = self._draw_trial(rng)
-        return _FrogBatch(positions, mask)
+        return _FrogBatch(positions, mask, TapeStepper(self.grid, rngs, "lazy", self.n_agents))
 
     def step_batch(
         self,
         bstate: _FrogBatch,
         conn: np.ndarray,
-        rngs: Sequence[RandomState],
         active: np.ndarray,
         t: int,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -517,15 +514,7 @@ class FrogProcess(ProcessKernel):
         done = counts == self.n_agents
         bstate.activation_time[active[done]] = t
         bstate.final_active[active[done]] = self.n_agents
-        # Masked kernel stepping: trial i draws exactly its serial n_active
-        # proposals; inactive agents get proposal 0 ("stay").
-        choice = bstate.choice[: active.size]
-        choice[:] = 0
-        for row, trial in enumerate(active):
-            n_active = int(counts[row])
-            if n_active:
-                choice[row, informed[row]] = rngs[trial].integers(0, 5, size=n_active)
-        bstate.positions = apply_lazy_choices(self.grid, bstate.positions, choice)
+        bstate.positions = bstate.stepper.step(bstate.positions, active, informed)
         return counts, done
 
     def compact(self, bstate: _FrogBatch, keep: np.ndarray) -> None:
@@ -572,15 +561,15 @@ class PredatorPreyState(ProcessState):
 class _PredatorPreyBatch:
     """Batched state of the predator–prey system."""
 
-    __slots__ = ("positions", "alive", "extinction_time", "preys_remaining", "choice")
+    __slots__ = ("positions", "alive", "stepper", "extinction_time", "preys_remaining")
 
-    def __init__(self, positions: np.ndarray, n_preys: int) -> None:
+    def __init__(self, positions: np.ndarray, n_preys: int, stepper: TapeStepper) -> None:
         n_trials = positions.shape[0]
         self.positions = positions
         self.alive = np.ones((n_trials, n_preys), dtype=bool)
+        self.stepper = stepper
         self.extinction_time = np.full(n_trials, -1, dtype=np.int64)
         self.preys_remaining = np.full(n_trials, -1, dtype=np.int64)
-        self.choice = np.zeros(positions.shape[:2], dtype=np.int64)
 
 
 class PredatorPreyProcess(ProcessKernel):
@@ -592,7 +581,10 @@ class PredatorPreyProcess(ProcessKernel):
     within the capture radius — a *direct-pair* predicate, so at ``r >= 1``
     the kernel consumes raw pairs; below ``r = 1`` (effective radius 0)
     co-location components coincide with direct pairs and the kernel runs
-    on labels (and hence on the incremental connectivity engine).
+    on labels (and hence on the incremental connectivity engine).  Batched
+    motion reads per-trial lazy draw tapes
+    (:class:`~repro.mobility.kernels.TapeStepper`) in the serial order: the
+    predators, then the living preys when ``preys_move``.
     """
 
     name = "predator_prey"
@@ -723,13 +715,13 @@ class PredatorPreyProcess(ProcessKernel):
         for trial, rng in enumerate(rngs):
             positions[trial, :kp] = self.grid.random_positions(kp, rng)
             positions[trial, kp:] = self.grid.random_positions(self.n_preys, rng)
-        return _PredatorPreyBatch(positions, self.n_preys)
+        stepper = TapeStepper(self.grid, rngs, "lazy", self.n_points)
+        return _PredatorPreyBatch(positions, self.n_preys, stepper)
 
     def step_batch(
         self,
         bstate: _PredatorPreyBatch,
         conn: Any,
-        rngs: Sequence[RandomState],
         active: np.ndarray,
         t: int,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -745,15 +737,11 @@ class PredatorPreyProcess(ProcessKernel):
         done = counts == 0
         bstate.extinction_time[active[done]] = t
         bstate.preys_remaining[active[done]] = 0
-        choice = bstate.choice[: active.size]
-        choice[:] = 0
-        for row, trial in enumerate(active):
-            rng = rngs[trial]
-            choice[row, :kp] = rng.integers(0, 5, size=kp)
-            n_alive = int(counts[row])
-            if self.preys_move and n_alive:
-                choice[row, kp:][bstate.alive[row]] = rng.integers(0, 5, size=n_alive)
-        bstate.positions = apply_lazy_choices(self.grid, bstate.positions, choice)
+        moving = np.zeros((active.size, self.n_points), dtype=bool)
+        moving[:, :kp] = True
+        if self.preys_move:
+            moving[:, kp:] = bstate.alive
+        bstate.positions = bstate.stepper.step(bstate.positions, active, moving)
         return counts, done
 
     def compact(self, bstate: _PredatorPreyBatch, keep: np.ndarray) -> None:
@@ -856,8 +844,8 @@ class CoverProcess(ProcessKernel):
     No connectivity input at all: each step moves every walk (via the
     mobility kernel's loop-persistent batch stepper — block pre-drawn lazy
     choices, or per-trial draw tapes for the ``simple`` rule) and marks the
-    nodes now occupied.  The coverage curve is recorded every
-    ``record_curve_every`` steps, exactly like the legacy loop.
+    nodes now occupied.  The coverage curve holds the number of covered
+    nodes at every time from ``t = 0``, so an index into it is a time.
     """
 
     name = "cover"
@@ -870,12 +858,10 @@ class CoverProcess(ProcessKernel):
         n_walkers: int,
         max_steps: int,
         rule: StepRule = "lazy",
-        record_curve_every: int = 1,
     ) -> None:
         self.side = check_positive_int(side, "side")
         self.n_walkers = check_positive_int(n_walkers, "n_walkers")
         self.max_steps = check_positive_int(max_steps, "max_steps")
-        self.record_curve_every = check_positive_int(record_curve_every, "record_curve_every")
         if rule not in ("lazy", "simple"):
             raise ValueError(f"rule must be 'lazy' or 'simple', got {rule!r}")
         self.rule: StepRule = rule
@@ -899,7 +885,6 @@ class CoverProcess(ProcessKernel):
                 "n_walkers": self.n_walkers,
                 "max_steps": self.max_steps,
                 "rule": self.rule,
-                "record_curve_every": self.record_curve_every,
             },
         }
 
@@ -917,13 +902,9 @@ class CoverProcess(ProcessKernel):
         state.positions = self._mobility.step(state.positions, rng)
         state.n_steps += 1
         state.visited[self._node_ids(state.positions)] = True
-        t = state.n_steps
-        if t % self.record_curve_every == 0:
-            state.curve.append(int(np.count_nonzero(state.visited)))
+        state.curve.append(int(np.count_nonzero(state.visited)))
         if state.cover_time < 0 and bool(state.visited.all()):
-            state.cover_time = t
-            if t % self.record_curve_every != 0:
-                state.curve.append(int(np.count_nonzero(state.visited)))
+            state.cover_time = state.n_steps
 
     def stopped(self, state: CoverState) -> bool:
         return state.cover_time >= 0
@@ -963,7 +944,6 @@ class CoverProcess(ProcessKernel):
         self,
         bstate: _CoverBatch,
         conn: Any,
-        rngs: Sequence[RandomState],
         active: np.ndarray,
         t: int,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -987,32 +967,20 @@ class CoverProcess(ProcessKernel):
     def build_results(
         self, bstate: _CoverBatch, curves: list[np.ndarray], n_steps: np.ndarray
     ) -> list[CoverTimeResult]:
-        every = self.record_curve_every
-        results = []
-        for trial in range(bstate.cover_time.shape[0]):
-            cover_time = int(bstate.cover_time[trial])
-            steps = int(n_steps[trial])
-            counts = curves[trial]
-            # The serial loop records every ``every``-th step plus the (off-
-            # interval) completion step; the same selection as one index mask.
-            select = np.arange(1, steps + 1) % every == 0
-            if cover_time > 0 and cover_time % every != 0:
-                select[cover_time - 1] = True
-            curve = np.concatenate(
-                ([np.int64(bstate.count0[trial])], counts[select])
-            ).astype(np.int64, copy=False)
-            results.append(
-                CoverTimeResult(
-                    n_nodes=self.n_nodes,
-                    n_walkers=self.n_walkers,
-                    cover_time=cover_time,
-                    completed=cover_time >= 0,
-                    n_steps=steps,
-                    fraction_covered=float(bstate.final_count[trial] / self.n_nodes),
-                    coverage_curve=curve,
-                )
+        return [
+            CoverTimeResult(
+                n_nodes=self.n_nodes,
+                n_walkers=self.n_walkers,
+                cover_time=int(bstate.cover_time[trial]),
+                completed=bool(bstate.cover_time[trial] >= 0),
+                n_steps=int(n_steps[trial]),
+                fraction_covered=float(bstate.final_count[trial] / self.n_nodes),
+                coverage_curve=np.concatenate(
+                    ([np.int64(bstate.count0[trial])], curves[trial])
+                ).astype(np.int64, copy=False),
             )
-        return results
+            for trial in range(bstate.cover_time.shape[0])
+        ]
 
 
 # --------------------------------------------------------------------------- #
@@ -1250,7 +1218,6 @@ class BroadcastProcess(_ConfigProcess):
         self,
         bstate: _BroadcastBatch,
         conn: np.ndarray,
-        rngs: Sequence[RandomState],
         active: np.ndarray,
         t: int,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -1437,7 +1404,6 @@ class GossipProcess(_ConfigProcess):
         self,
         bstate: _GossipBatch,
         conn: np.ndarray,
-        rngs: Sequence[RandomState],
         active: np.ndarray,
         t: int,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -1517,21 +1483,17 @@ def resolve_process_pair(
     :func:`repro.core.runner.resolve_pair`.  The others mirror it: each
     request is the explicit argument if given, else the active
     :func:`~repro.core.runner.backend_override` /
-    :func:`~repro.core.runner.connectivity_override`, else ``"auto"``, and
-    the one policy :func:`~repro.core.runner.auto_pair` resolves it (every
+    :func:`~repro.core.runner.connectivity_override`, else ``"auto"``
+    (:func:`~repro.core.runner.requested_pair`), and the one policy
+    :func:`~repro.core.runner.auto_pair` resolves it (every
     such kernel implements the batched face, so ``auto`` never lands on
     serial).  Pair- and connectivity-free kernels have no label engine to
     maintain, so for them both engines are the same computation.
     """
     if isinstance(process, _ConfigProcess):
         return resolve_pair(process.config, backend, connectivity)
-    if backend is None:
-        backend = current_backend_override()
-    if connectivity is None:
-        connectivity = current_connectivity_override()
     return auto_pair(
-        check_backend(backend if backend is not None else "auto"),
-        check_connectivity(connectivity if connectivity is not None else "auto"),
+        *requested_pair(backend, connectivity),
         process.radius,
         labels=process.needs == "labels",
         fused_r0=process.fused_r0,

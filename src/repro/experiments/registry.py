@@ -87,10 +87,12 @@ def run_experiment(
 
     ``backend`` (``"serial"``, ``"batched"``, ``"compiled"`` or ``"auto"``)
     forces every replication run inside the experiment onto that backend via
-    :func:`repro.core.runner.backend_override`; ``None`` keeps each config's
-    own choice.  Backends are bit-for-bit interchangeable (``"compiled"``
-    requires a :mod:`repro.compiled` provider on the host).  ``connectivity`` (``"recompute"``, ``"incremental"`` or
-    ``"auto"``) does the same for the component-labelling engine via
+    :func:`repro.core.runner.backend_override`; ``None`` leaves each run at
+    ``"auto"``, the fastest backend its configuration and host support.
+    Backends are bit-for-bit interchangeable (``"compiled"`` requires a
+    :mod:`repro.compiled` provider on the host).  ``connectivity``
+    (``"recompute"``, ``"incremental"`` or ``"auto"``) does the same for
+    the component-labelling engine via
     :func:`repro.core.runner.connectivity_override`; engines are bit-for-bit
     interchangeable, so this is purely a performance knob.
 

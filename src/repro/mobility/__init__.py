@@ -16,10 +16,10 @@ the works the paper compares against:
   of an :class:`~repro.grid.obstacles.ObstacleGrid` (mobility barriers).
 
 Every model is a *kernel* in the sense of :mod:`repro.mobility.kernels`: it
-exposes both per-trial ``step`` and vectorised ``step_batch`` /
-``batch_stepper`` entry points that consume each trial's random stream in
-the identical order, so the serial and batched replication backends return
-bit-for-bit identical results for every model.
+exposes a per-trial ``step`` and a loop-persistent ``batch_stepper`` that
+consume each trial's random stream in the identical order, so the serial and
+batched replication backends return bit-for-bit identical results for every
+model.
 """
 
 from repro.mobility.base import MobilityModel

@@ -8,12 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.grid.lattice import Grid2D
-from repro.mobility.kernels import (
-    BatchStepper,
-    MobilityState,
-    PerTrialStepper,
-    _check_batch_positions,
-)
+from repro.mobility.kernels import BatchStepper, MobilityState, PerTrialStepper
 from repro.util.rng import RandomState
 
 
@@ -26,19 +21,17 @@ class MobilityModel(abc.ABC):
     created by :meth:`init_state`, so one model instance can drive any number
     of concurrent trials.
 
-    Every model is a *batch-aware kernel*: it exposes both the per-trial
-    ``step(positions, rng, state)`` and the vectorised
-    ``step_batch(positions, rngs, states)`` over an ``(R, k, 2)`` tensor of
-    ``R`` independent trials, plus :meth:`batch_stepper` for loop-persistent
-    batched stepping (see :mod:`repro.mobility.kernels`).  All batched entry
-    points consume each trial's generator in exactly the order ``step``
-    would, so a batched trial reproduces its serial counterpart bit for bit
-    — the contract the ``backend="batched"`` replication engine relies on.
+    Every model is a *batch-aware kernel*: it exposes the per-trial
+    ``step(positions, rng, state)`` and :meth:`batch_stepper`, a
+    loop-persistent stepper over an ``(R, k, 2)`` tensor of ``R``
+    independent trials (see :mod:`repro.mobility.kernels`).  The stepper
+    consumes each trial's generator in exactly the order ``step`` would, so
+    a batched trial reproduces its serial counterpart bit for bit — the
+    contract the ``backend="batched"`` replication engine relies on.
     """
 
     def __init__(self, grid: Grid2D) -> None:
         self._grid = grid
-        self._shared_state: Optional[MobilityState] = None
 
     @property
     def grid(self) -> Grid2D:
@@ -60,8 +53,8 @@ class MobilityModel(abc.ABC):
         """Draw a fresh per-trial auxiliary state (default: none).
 
         Stateful models (e.g. the waypoint model) override this; the caller
-        owns the returned object and passes it back to every ``step`` /
-        ``step_batch`` call of that trial.
+        owns the returned object and passes it back to every ``step`` call
+        of that trial.
         """
         return None
 
@@ -70,15 +63,6 @@ class MobilityModel(abc.ABC):
     ) -> list[Optional[MobilityState]]:
         """One :meth:`init_state` per replication, in trial order."""
         return [self.init_state(n_agents, rng) for rng in rngs]
-
-    def reset(self, n_agents: int, rng: RandomState) -> None:
-        """Re-draw the model-held fallback state.
-
-        Compatibility shim for callers that treat the model as stateful and
-        call ``step`` without an explicit state; new code should carry the
-        state returned by :meth:`init_state` instead.
-        """
-        self._shared_state = self.init_state(n_agents, rng)
 
     # ------------------------------------------------------------------ #
     # Stepping
@@ -93,31 +77,9 @@ class MobilityModel(abc.ABC):
         """Return the positions after one movement step.
 
         Must not mutate ``positions`` in place.  ``state`` is the trial's
-        auxiliary state from :meth:`init_state`; stateful models fall back to
-        the model-held state (re-drawing it if absent or sized for a
-        different agent count) when ``state`` is None.
+        auxiliary state from :meth:`init_state`; a stateful model raises
+        ``TypeError`` without it.
         """
-
-    def step_batch(
-        self,
-        positions: np.ndarray,
-        rngs: Sequence[RandomState],
-        states: Optional[Sequence[Optional[MobilityState]]] = None,
-    ) -> np.ndarray:
-        """Advance ``R`` independent trials by one step each.
-
-        ``positions`` has shape ``(R, k, 2)`` with one generator (and, for
-        stateful models, one state) per trial.  The default implementation
-        loops over trials calling :meth:`step`, which is always
-        stream-equivalent; models whose draws are fixed-size override it
-        with a vectorised version.
-        """
-        positions = _check_batch_positions(positions, rngs)
-        states = self._check_states(positions.shape[0], states)
-        out = np.empty_like(positions)
-        for trial, rng in enumerate(rngs):
-            out[trial] = self.step(positions[trial], rng, states[trial])
-        return out
 
     def batch_stepper(
         self,
@@ -127,10 +89,10 @@ class MobilityModel(abc.ABC):
     ) -> BatchStepper:
         """A loop-persistent batched stepper for a replication run.
 
-        Unlike the one-shot :meth:`step_batch`, the returned object may
-        amortise generator calls across steps (block pre-drawing) while
-        preserving per-trial stream equivalence.  The default wraps
-        :meth:`step` in a :class:`~repro.mobility.kernels.PerTrialStepper`.
+        The returned object may amortise generator calls across steps
+        (block pre-drawing) while preserving per-trial stream equivalence.
+        The default wraps :meth:`step` in a
+        :class:`~repro.mobility.kernels.PerTrialStepper`.
         """
         return PerTrialStepper(self, rngs, self._check_states(len(rngs), states))
 

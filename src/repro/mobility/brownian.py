@@ -21,7 +21,6 @@ from repro.mobility.kernels import (
     BlockDrawStepper,
     MobilityState,
     NoDrawStepper,
-    _check_batch_positions,
 )
 from repro.util.rng import RandomState
 from repro.util.validation import check_non_negative
@@ -30,9 +29,9 @@ from repro.util.validation import check_non_negative
 class BrownianMobility(MobilityModel):
     """Rounded-Gaussian displacement of standard deviation ``sigma`` per step.
 
-    The per-step draw is one fixed-size Gaussian array per trial, so batched
-    stepping pre-draws per-trial blocks and applies the rounding/reflection
-    to the whole batch at once.
+    The per-step draw is one fixed-size Gaussian array per trial, so the
+    batch stepper pre-draws per-trial blocks and applies the
+    rounding/reflection to the whole batch at once.
     """
 
     def __init__(self, grid: Grid2D, sigma: float = 1.0) -> None:
@@ -58,21 +57,6 @@ class BrownianMobility(MobilityModel):
         if self._sigma == 0:
             return positions.copy()
         return self._apply(positions, rng.normal(0.0, self._sigma, size=positions.shape))
-
-    def step_batch(
-        self,
-        positions: np.ndarray,
-        rngs: Sequence[RandomState],
-        states: Optional[Sequence[Optional[MobilityState]]] = None,
-    ) -> np.ndarray:
-        positions = _check_batch_positions(positions, rngs)
-        self._check_states(positions.shape[0], states)
-        if self._sigma == 0:
-            return positions.copy()
-        displacement = np.empty(positions.shape, dtype=np.float64)
-        for trial, rng in enumerate(rngs):
-            displacement[trial] = rng.normal(0.0, self._sigma, size=positions.shape[1:])
-        return self._apply(positions, displacement)
 
     def batch_stepper(
         self,

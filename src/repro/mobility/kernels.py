@@ -1,22 +1,20 @@
 """Batch-aware stepping machinery shared by all mobility models.
 
 This module is the *kernel layer* of the mobility package: it owns the
-primitive step rules of the paper's random walks (:func:`lazy_step`,
-:func:`simple_step` and their batched variants, which :mod:`repro.walks`
-re-exports) and the machinery that lets one mobility model drive both
-execution backends:
+primitive step rules of the paper's random walks (:func:`lazy_step` and
+:func:`simple_step`, which :mod:`repro.walks` re-exports) and the machinery
+that lets one mobility model drive both execution backends:
 
 * **serial** — ``model.step(positions, rng, state)`` advances one trial;
-* **batched** — ``model.step_batch(positions, rngs, states)`` advances an
-  ``(R, k, 2)`` tensor of ``R`` independent trials in one call, and
-  ``model.batch_stepper(...)`` returns a loop-persistent
-  :class:`BatchStepper` that may amortise generator calls by pre-drawing
-  per-trial blocks.
+* **batched** — ``model.batch_stepper(...)`` returns a loop-persistent
+  :class:`BatchStepper` that advances an ``(R, k, 2)`` tensor of ``R``
+  independent trials each step, and may amortise generator calls by
+  pre-drawing per-trial blocks.
 
 The contract that makes the backends interchangeable is *stream equivalence*:
-every batched entry point must consume each trial's generator in exactly the
-order the serial ``step`` would, so a batched trial reproduces its serial
-counterpart bit for bit.  Bulk numpy draws preserve this property — e.g.
+a batch stepper must consume each trial's generator in exactly the order the
+serial ``step`` would, so a batched trial reproduces its serial counterpart
+bit for bit.  Bulk numpy draws preserve this property — e.g.
 ``rng.integers(0, 5, size=(block, k))`` yields the same values as ``block``
 successive draws of size ``k`` — which is what :class:`BlockDrawStepper`
 exploits.  The lazy and obstacle walks draw their blocks as int32: numpy
@@ -28,7 +26,8 @@ after the draw are unchanged, and the block is half the size.  The serial
 :data:`BLOCK_BYTES` bytes; this bounds both the block buffer and the spare
 that :meth:`BlockDrawStepper.prefetch` fills.  :class:`TapeStepper` gives
 each trial its own cursor into such a block, for walks whose draws per step
-differ between trials.
+differ between trials: the simple walk's redraws, and the Section-4
+processes that move only some of their walkers.
 
 Per-trial auxiliary state (e.g. waypoints) lives in explicit
 :class:`MobilityState` objects created by ``model.init_state`` rather than on
@@ -147,57 +146,6 @@ def apply_masked_choices(
     return np.where(allowed[..., None], proposed, positions)
 
 
-def lazy_step_batch(
-    grid: Grid2D, positions: np.ndarray, rngs: Sequence[RandomState]
-) -> np.ndarray:
-    """Advance a batch of replications by one *lazy* step each.
-
-    Parameters
-    ----------
-    grid:
-        The lattice shared by every replication.
-    positions:
-        Integer array of shape ``(R, k, 2)``: the positions of ``R``
-        independent replications.
-    rngs:
-        One generator per replication.  Each trial draws exactly the numbers
-        :func:`lazy_step` would draw from the same generator, so a batched
-        trial reproduces its serial counterpart bit for bit.
-    """
-    positions = _check_batch_positions(positions, rngs)
-    n_trials, k = positions.shape[:2]
-    choice = np.empty((n_trials, k), dtype=np.int64)
-    for i, rng in enumerate(rngs):
-        choice[i] = rng.integers(0, 5, size=k)
-    return apply_lazy_choices(grid, positions, choice)
-
-
-def simple_step_batch(
-    grid: Grid2D, positions: np.ndarray, rngs: Sequence[RandomState]
-) -> np.ndarray:
-    """Advance a batch of replications by one *simple* step each.
-
-    The rejection loop of :func:`simple_step` consumes a data-dependent
-    number of draws per trial, so trials are stepped one generator at a time
-    (still vectorised over the ``k`` agents) to preserve bit-for-bit
-    agreement with the serial backend.
-    """
-    positions = _check_batch_positions(positions, rngs)
-    out = np.empty_like(positions)
-    for i, rng in enumerate(rngs):
-        out[i] = simple_step(grid, positions[i], rng)
-    return out
-
-
-def _check_batch_positions(positions: np.ndarray, rngs: Sequence) -> np.ndarray:
-    positions = np.asarray(positions, dtype=np.int64)
-    if positions.ndim != 3 or positions.shape[2] != 2:
-        raise ValueError(f"positions must have shape (R, k, 2), got {positions.shape}")
-    if len(rngs) != positions.shape[0]:
-        raise ValueError(f"expected {positions.shape[0]} generators, got {len(rngs)}")
-    return positions
-
-
 # --------------------------------------------------------------------------- #
 # Per-trial auxiliary state
 # --------------------------------------------------------------------------- #
@@ -207,8 +155,8 @@ class MobilityState:
     Models whose dynamics need more than the positions array (e.g. the
     waypoint model) return one of these from
     :meth:`repro.mobility.base.MobilityModel.init_state`; the simulation (one
-    object per trial) carries it and passes it back to every ``step`` /
-    ``step_batch`` call.  Keeping the state off the model instance is what
+    object per trial) carries it and passes it back to every ``step`` call,
+    and a batch stepper holds one per trial.  Keeping the state off the model instance is what
     lets a single model object drive many concurrent trials — the batched
     backend holds one state per replication.
     """
@@ -278,7 +226,9 @@ class TapeStepper(BatchStepper):
     :func:`simple_step` would draw call by call.  Unlike
     :class:`BlockDrawStepper`'s one cursor for the whole batch, every trial
     keeps its own cursor, so the simple walk's rejection redraws (a
-    data-dependent number of draws per step) batch bit for bit as well.
+    data-dependent number of draws per step) batch bit for bit as well, and
+    so do processes that move only some walkers (the ``moving`` mask of
+    :meth:`step`).
 
     A tape holds :data:`BLOCK_STEPS` steps of ``n_walkers`` proposals, and at
     most :data:`BLOCK_BYTES` bytes, per trial; a refill keeps a trial's
@@ -337,10 +287,21 @@ class TapeStepper(BatchStepper):
         outside = (proposed < 0) | (proposed >= self._grid.side)
         return outside[..., 0] | outside[..., 1]
 
-    def step(self, positions: np.ndarray, active: np.ndarray) -> np.ndarray:
+    def step(
+        self, positions: np.ndarray, active: np.ndarray, moving: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Advance the active trials by one step of the rule.
+
+        ``moving``, an ``(A, n_walkers)`` mask, moves only its True walkers:
+        they read the tape in walker order, as one serial step of just those
+        walkers would draw, and the others stay put.
+        """
+        choice = self._read(active, moving)
+        if moving is not None:
+            choice = np.where(moving, choice, 0)  # proposal 0 is "stay"
         if self._rule == "lazy":
-            return apply_lazy_choices(self._grid, positions, self._read(active))
-        moved = positions + PROPOSALS.take(self._read(active), axis=0)
+            return apply_lazy_choices(self._grid, positions, choice)
+        moved = positions + PROPOSALS.take(choice, axis=0)
         # The simple walk redraws each off-grid proposal, walkers in order.
         pending = self._off_grid(moved)
         while pending.any():

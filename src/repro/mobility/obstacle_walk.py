@@ -25,7 +25,6 @@ from repro.mobility.kernels import (
     BatchStepper,
     BlockDrawStepper,
     MobilityState,
-    _check_batch_positions,
     apply_masked_choices,
 )
 from repro.util.rng import RandomState
@@ -69,20 +68,6 @@ class ObstacleWalkMobility(MobilityModel):
     ) -> np.ndarray:
         positions = np.asarray(positions, dtype=np.int64)
         choice = rng.integers(0, 5, size=positions.shape[0])
-        return apply_masked_choices(self._grid.side, self._free_mask, positions, choice)
-
-    def step_batch(
-        self,
-        positions: np.ndarray,
-        rngs: Sequence[RandomState],
-        states: Optional[Sequence[Optional[MobilityState]]] = None,
-    ) -> np.ndarray:
-        positions = _check_batch_positions(positions, rngs)
-        self._check_states(positions.shape[0], states)
-        n_trials, k = positions.shape[:2]
-        choice = np.empty((n_trials, k), dtype=np.int64)
-        for trial, rng in enumerate(rngs):
-            choice[trial] = rng.integers(0, 5, size=k)
         return apply_masked_choices(self._grid.side, self._free_mask, positions, choice)
 
     def batch_stepper(

@@ -14,10 +14,8 @@ from repro.mobility.kernels import (
     MobilityState,
     StepRule,
     TapeStepper,
-    _check_batch_positions,
     apply_lazy_choices,
     lazy_step,
-    lazy_step_batch,
     simple_step,
 )
 from repro.util.rng import RandomState
@@ -56,20 +54,6 @@ class RandomWalkMobility(MobilityModel):
         if self._rule == "lazy":
             return lazy_step(self._grid, positions, rng)
         return simple_step(self._grid, positions, rng)
-
-    def step_batch(
-        self,
-        positions: np.ndarray,
-        rngs: Sequence[RandomState],
-        states: Optional[Sequence[Optional[MobilityState]]] = None,
-    ) -> np.ndarray:
-        if self._rule != "lazy":
-            # The simple rule's rejection loop consumes a data-dependent
-            # number of draws, so trials step one generator at a time.
-            return super().step_batch(positions, rngs, states)
-        positions = _check_batch_positions(positions, rngs)
-        self._check_states(positions.shape[0], states)
-        return lazy_step_batch(self._grid, positions, rngs)
 
     def batch_stepper(
         self,

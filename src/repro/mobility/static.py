@@ -7,12 +7,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.mobility.base import MobilityModel
-from repro.mobility.kernels import (
-    BatchStepper,
-    MobilityState,
-    NoDrawStepper,
-    _check_batch_positions,
-)
+from repro.mobility.kernels import BatchStepper, MobilityState, NoDrawStepper
 from repro.util.rng import RandomState
 
 
@@ -26,16 +21,6 @@ class StaticMobility(MobilityModel):
         state: Optional[MobilityState] = None,
     ) -> np.ndarray:
         return np.asarray(positions, dtype=np.int64).copy()
-
-    def step_batch(
-        self,
-        positions: np.ndarray,
-        rngs: Sequence[RandomState],
-        states: Optional[Sequence[Optional[MobilityState]]] = None,
-    ) -> np.ndarray:
-        positions = _check_batch_positions(positions, rngs)
-        self._check_states(positions.shape[0], states)
-        return positions.copy()
 
     def batch_stepper(
         self,

@@ -20,11 +20,7 @@ import numpy as np
 
 from repro.grid.lattice import Grid2D
 from repro.mobility.base import MobilityModel
-from repro.mobility.kernels import (
-    BatchStepper,
-    MobilityState,
-    _check_batch_positions,
-)
+from repro.mobility.kernels import BatchStepper, MobilityState
 from repro.util.rng import RandomState
 
 
@@ -67,23 +63,16 @@ class RandomWaypointMobility(MobilityModel):
         """Draw a fresh waypoint for every agent."""
         return WaypointState(self._grid.random_positions(n_agents, rng))
 
-    def _resolve_state(
-        self, k: int, rng: RandomState, state: Optional[MobilityState]
-    ) -> WaypointState:
-        """Explicit state if given, else the (lazily drawn) model-held one."""
-        if state is not None:
-            if not isinstance(state, WaypointState):
-                raise TypeError(f"expected WaypointState, got {type(state).__name__}")
-            if state.n_agents != k:
-                raise ValueError(
-                    f"state holds waypoints for {state.n_agents} agents, positions for {k}"
-                )
-            return state
-        shared = self._shared_state
-        if not isinstance(shared, WaypointState) or shared.n_agents != k:
-            shared = self.init_state(k, rng)
-            self._shared_state = shared
-        return shared
+    @staticmethod
+    def _check_state(k: int, state: Optional[MobilityState]) -> WaypointState:
+        """The trial's state from :meth:`init_state`, checked against ``k`` agents."""
+        if not isinstance(state, WaypointState):
+            raise TypeError(f"expected WaypointState, got {type(state).__name__}")
+        if state.n_agents != k:
+            raise ValueError(
+                f"state holds waypoints for {state.n_agents} agents, positions for {k}"
+            )
+        return state
 
     def step(
         self,
@@ -92,7 +81,7 @@ class RandomWaypointMobility(MobilityModel):
         state: Optional[MobilityState] = None,
     ) -> np.ndarray:
         positions = np.asarray(positions, dtype=np.int64)
-        state = self._resolve_state(positions.shape[0], rng, state)
+        state = self._check_state(positions.shape[0], state)
         waypoints = state.waypoints
         new_positions = _move_towards(positions, waypoints)
 
@@ -107,24 +96,16 @@ class RandomWaypointMobility(MobilityModel):
             state.waypoints = waypoints
         return new_positions
 
-    def step_batch(
-        self,
-        positions: np.ndarray,
-        rngs: Sequence[RandomState],
-        states: Optional[Sequence[Optional[MobilityState]]] = None,
-    ) -> np.ndarray:
-        positions = _check_batch_positions(positions, rngs)
-        states = self._check_states(positions.shape[0], states)
-        stepper = _WaypointBatchStepper(self._grid, rngs, states)
-        return stepper.step(positions, np.arange(positions.shape[0]))
-
     def batch_stepper(
         self,
         n_agents: int,
         rngs: Sequence[RandomState],
         states: Optional[Sequence[Optional[MobilityState]]] = None,
     ) -> BatchStepper:
-        return _WaypointBatchStepper(self._grid, rngs, self._check_states(len(rngs), states))
+        states = self._check_states(len(rngs), states)
+        return _WaypointBatchStepper(
+            self._grid, rngs, [self._check_state(n_agents, state) for state in states]
+        )
 
 
 class _WaypointBatchStepper(BatchStepper):
@@ -137,20 +118,11 @@ class _WaypointBatchStepper(BatchStepper):
     """
 
     def __init__(
-        self,
-        grid: Grid2D,
-        rngs: Sequence[RandomState],
-        states: Sequence[Optional[MobilityState]],
+        self, grid: Grid2D, rngs: Sequence[RandomState], states: list[WaypointState]
     ) -> None:
         self._grid = grid
         self._rngs = list(rngs)
-        self._states: list[WaypointState] = []
-        for trial, state in enumerate(states):
-            if not isinstance(state, WaypointState):
-                raise TypeError(
-                    f"trial {trial}: expected WaypointState, got {type(state).__name__}"
-                )
-            self._states.append(state)
+        self._states = states
 
     def step(self, positions: np.ndarray, active: np.ndarray) -> np.ndarray:
         waypoints = np.stack([self._states[trial].waypoints for trial in active])

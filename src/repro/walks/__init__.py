@@ -6,12 +6,7 @@ single-walk utilities (hitting times, range, displacement) and the pairwise
 meeting experiments that validate Lemma 3.
 """
 
-from repro.mobility.kernels import (
-    lazy_step,
-    lazy_step_batch,
-    simple_step,
-    simple_step_batch,
-)
+from repro.mobility.kernels import lazy_step, simple_step
 from repro.walks.walkers import WalkEngine
 from repro.walks.single import (
     walk_trajectory,
@@ -32,9 +27,7 @@ from repro.walks.occupancy import (
 __all__ = [
     "WalkEngine",
     "lazy_step",
-    "lazy_step_batch",
     "simple_step",
-    "simple_step_batch",
     "walk_trajectory",
     "hitting_time",
     "visit_within",

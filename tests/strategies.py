@@ -186,7 +186,6 @@ def process_kernels(draw):
         draw(st.integers(1, 6)),
         max_steps,
         rule=draw(st.sampled_from(["lazy", "simple"])),
-        record_curve_every=draw(st.sampled_from([1, 3])),
     )
 
 

@@ -155,11 +155,8 @@ def test_explicit_requests_win():
     assert resolve_pair(config, "compiled", "incremental") == ("compiled", "incremental")
     wide = BroadcastConfig(n_nodes=100, n_agents=4, radius=2.5)
     assert resolve_pair(wide, "batched") == ("batched", "recompute")
-    fields = BroadcastConfig(
-        n_nodes=100, n_agents=4, radius=1.0, backend="batched", connectivity="recompute"
-    )
-    assert resolve_pair(fields) == ("batched", "recompute")
-    assert resolve_pair(fields, "serial", "incremental") == ("serial", "incremental")
+    assert resolve_pair(config, "batched", "recompute") == ("batched", "recompute")
+    assert resolve_pair(config, "serial", "incremental") == ("serial", "incremental")
 
 
 def test_explicit_compiled_follows_the_compiled_column():
@@ -178,7 +175,9 @@ def test_label_process_recompute_request_keeps_compiled():
 
 
 def test_overrides_beat_config_fields_not_arguments():
-    config = BroadcastConfig(n_nodes=100, n_agents=4, radius=1.0, backend="serial")
+    """An override takes the place of the default ``"auto"`` request, never
+    of an explicit argument."""
+    config = BroadcastConfig(n_nodes=100, n_agents=4, radius=1.0)
     with backend_override("batched"):
         assert resolve_pair(config) == ("batched", "incremental")
         assert resolve_pair(config, "serial")[0] == "serial"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import BroadcastConfig, GossipConfig, default_max_steps
+from repro.core.runner import requested_pair, resolve_pair
 from repro.util.validation import ValidationError
 
 
@@ -89,16 +90,39 @@ class TestGossipConfig:
 
 
 class TestConnectivityField:
+    """The connectivity engine is a request of the run, not a config field."""
+
     def test_defaults_to_auto(self):
-        assert BroadcastConfig(n_nodes=100, n_agents=4).connectivity == "auto"
-        assert GossipConfig(n_nodes=100, n_agents=4).connectivity == "auto"
+        assert requested_pair() == ("auto", "auto")
+        for config in (
+            BroadcastConfig(n_nodes=100, n_agents=4),
+            GossipConfig(n_nodes=100, n_agents=4),
+        ):
+            assert resolve_pair(config) == resolve_pair(config, "auto", "auto")
 
     def test_explicit_modes_accepted(self):
+        config = BroadcastConfig(n_nodes=100, n_agents=4)
         for mode in ("auto", "recompute", "incremental"):
-            assert BroadcastConfig(n_nodes=100, n_agents=4, connectivity=mode).connectivity == mode
+            assert requested_pair(connectivity=mode)[1] == mode
+        for mode in ("recompute", "incremental"):
+            assert resolve_pair(config, connectivity=mode)[1] == mode
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValidationError):
-            BroadcastConfig(n_nodes=100, n_agents=4, connectivity="magic")
+            resolve_pair(BroadcastConfig(n_nodes=100, n_agents=4), connectivity="magic")
         with pytest.raises(ValidationError):
-            GossipConfig(n_nodes=100, n_agents=4, connectivity="magic")
+            resolve_pair(GossipConfig(n_nodes=100, n_agents=4), connectivity="magic")
+
+
+def test_described_specs_name_neither_backend_nor_connectivity():
+    """Unit keys hash the described spec, and must not depend on how a run executes."""
+    from repro.dissemination.kernels import BroadcastProcess, GossipProcess
+    from repro.exec.units import describe_payload
+
+    for process in (
+        BroadcastProcess(BroadcastConfig(n_nodes=100, n_agents=4)),
+        GossipProcess(GossipConfig(n_nodes=100, n_agents=4)),
+    ):
+        described = describe_payload(process.spec)["kwargs"]["config"]
+        assert "backend" not in described
+        assert "connectivity" not in described

@@ -14,6 +14,7 @@ from repro.core.batched import (
 from repro.core.config import BroadcastConfig, GossipConfig
 from repro.core.runner import (
     ReplicationSummary,
+    backend_override,
     replicate,
     resolve_backend,
     run_broadcast_replications,
@@ -125,7 +126,6 @@ class TestGossipReplications:
 class TestBackendSeam:
     def test_auto_resolves_to_fastest_for_paper_model(self):
         config = BroadcastConfig(n_nodes=144, n_agents=8)
-        assert config.backend == "auto"
         assert resolve_backend(config) == _auto_fast()
         # The fused r = 0 driver runs broadcasts only; gossip at r = 0 is
         # fastest on batched x incremental, with or without a provider.
@@ -184,14 +184,13 @@ class TestBackendSeam:
         assert resolve_backend(config) == "batched"
 
     def test_argument_overrides_config_backend(self):
-        config = BroadcastConfig(n_nodes=144, n_agents=8, backend="serial")
-        assert resolve_backend(config) == "serial"
-        assert resolve_backend(config, backend="batched") == "batched"
-        assert resolve_backend(config, backend="auto") == _auto_fast()
+        config = BroadcastConfig(n_nodes=144, n_agents=8)
+        with backend_override("serial"):
+            assert resolve_backend(config) == "serial"
+            assert resolve_backend(config, backend="batched") == "batched"
+            assert resolve_backend(config, backend="auto") == _auto_fast()
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValidationError):
-            BroadcastConfig(n_nodes=144, n_agents=8, backend="gpu")
         config = BroadcastConfig(n_nodes=144, n_agents=8)
         with pytest.raises(ValidationError):
             resolve_backend(config, backend="gpu")

@@ -151,17 +151,18 @@ class TestBrownianMobility:
 class TestRandomWaypointMobility:
     def test_step_moves_at_most_one(self, small_grid, rng):
         model = RandomWaypointMobility(small_grid)
-        model.reset(50, rng)
+        state = model.init_state(50, rng)
         pts = small_grid.random_positions(50, rng)
-        new = model.step(pts, rng)
+        new = model.step(pts, rng, state)
         assert np.all(np.abs(new - pts).sum(axis=1) <= 1)
 
     def test_stays_inside_grid(self, rng):
         grid = Grid2D(6)
         model = RandomWaypointMobility(grid)
+        state = model.init_state(30, rng)
         pts = grid.random_positions(30, rng)
         for _ in range(60):
-            pts = model.step(pts, rng)
+            pts = model.step(pts, rng, state)
             assert np.all(grid.contains(pts))
 
     def test_progresses_towards_waypoint(self, rng):
@@ -174,11 +175,18 @@ class TestRandomWaypointMobility:
         assert manhattan_distance(pts[0], np.array([19, 19])) == 0
 
     def test_reset_on_size_mismatch(self, small_grid, rng):
+        # A trial of another agent count draws its own state; the model
+        # keeps none from the trial before.
         model = RandomWaypointMobility(small_grid)
-        model.reset(3, rng)
+        model.step(small_grid.random_positions(3, rng), rng, model.init_state(3, rng))
         pts = small_grid.random_positions(7, rng)
-        new = model.step(pts, rng)  # must silently re-reset for 7 agents
+        new = model.step(pts, rng, model.init_state(7, rng))
         assert new.shape == (7, 2)
+
+    def test_step_without_state_raises(self, small_grid, rng):
+        model = RandomWaypointMobility(small_grid)
+        with pytest.raises(TypeError, match="WaypointState"):
+            model.step(small_grid.random_positions(4, rng), rng)
 
 
 class TestObstacleWalkFactory:
@@ -258,6 +266,5 @@ class TestExplicitMobilityState:
 
         model = RandomWaypointMobility(small_grid)
         rngs = spawn_rngs(0, 3)
-        positions = np.stack([small_grid.random_positions(4, r) for r in rngs])
         with pytest.raises(ValueError, match="init_states"):
-            model.step_batch(positions, rngs)
+            model.batch_stepper(4, rngs)

@@ -145,47 +145,6 @@ class TestConnectivityOracles:
 
 
 # --------------------------------------------------------------------------- #
-# Batched stepping
-# --------------------------------------------------------------------------- #
-class TestBatchedStepping:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        side=st.integers(2, 12),
-        n_trials=st.integers(1, 5),
-        k=st.integers(1, 12),
-        rule=st.sampled_from(["lazy", "simple"]),
-        seed=st.integers(0, 2**31 - 1),
-        n_steps=st.integers(1, 8),
-    )
-    def test_step_batch_matches_per_trial_serial_steps(
-        self, side, n_trials, k, rule, seed, n_steps
-    ):
-        from repro.grid.lattice import Grid2D
-        from repro.util.rng import spawn_rngs
-        from repro.mobility.kernels import (
-            lazy_step,
-            lazy_step_batch,
-            simple_step,
-            simple_step_batch,
-        )
-
-        grid = Grid2D(side)
-        init = np.random.default_rng(seed).integers(0, side, size=(n_trials, k, 2))
-        batch_rngs = spawn_rngs(seed, n_trials)
-        serial_rngs = spawn_rngs(seed, n_trials)
-        step_batch = lazy_step_batch if rule == "lazy" else simple_step_batch
-        step = lazy_step if rule == "lazy" else simple_step
-
-        batched = init.copy()
-        serial = init.copy()
-        for _ in range(n_steps):
-            batched = step_batch(grid, batched, batch_rngs)
-            for trial in range(n_trials):
-                serial[trial] = step(grid, serial[trial], serial_rngs[trial])
-        assert np.array_equal(batched, serial)
-
-
-# --------------------------------------------------------------------------- #
 # Batched flooding
 # --------------------------------------------------------------------------- #
 class TestBatchedFlooding:
@@ -317,40 +276,6 @@ class TestKernelStepping:
         k=st.integers(1, 10),
         name=st.sampled_from(MOBILITY_NAMES),
         seed=st.integers(0, 2**31 - 1),
-        n_steps=st.integers(1, 8),
-    )
-    def test_step_batch_matches_per_trial_serial_steps(
-        self, side, n_trials, k, name, seed, n_steps
-    ):
-        from repro.util.rng import spawn_rngs
-
-        model, _, _ = _make_model(name, side)
-        init_rngs = spawn_rngs(seed, n_trials)
-        batch_rngs = spawn_rngs(seed, n_trials)
-        serial_rngs = spawn_rngs(seed, n_trials)
-        init = np.stack(
-            [model.initial_positions(k, rng) for rng in init_rngs]
-        )
-        batch_states = model.init_states(k, batch_rngs)
-        serial_states = model.init_states(k, serial_rngs)
-
-        batched = init.copy()
-        serial = init.copy()
-        for _ in range(n_steps):
-            batched = model.step_batch(batched, batch_rngs, batch_states)
-            for trial in range(n_trials):
-                serial[trial] = model.step(
-                    serial[trial], serial_rngs[trial], serial_states[trial]
-                )
-        assert np.array_equal(batched, serial)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        side=st.integers(4, 12),
-        n_trials=st.integers(1, 5),
-        k=st.integers(1, 10),
-        name=st.sampled_from(MOBILITY_NAMES),
-        seed=st.integers(0, 2**31 - 1),
         n_steps=st.integers(1, 12),
     )
     def test_batch_stepper_matches_per_trial_serial_steps(
@@ -422,6 +347,55 @@ class TestKernelStepping:
             batched = stepper.step(batched, active)
             for trial in active:
                 serial[trial] = serial_step(grid, serial[trial], serial_rngs[trial])
+            assert np.array_equal(batched, serial[active])
+
+    @pytest.mark.property
+    @settings(max_examples=max_examples(25), deadline=None)
+    @given(
+        side=st.integers(2, 12),
+        n_trials=st.integers(1, 6),
+        k=st.integers(1, 6),
+        rule=st.sampled_from(["lazy", "simple"]),
+        seed=st.integers(0, 2**31 - 1),
+        n_steps=st.integers(1, 300),
+        data=st.data(),
+    )
+    def test_tape_stepper_moving_mask_steps_only_the_movers(
+        self, side, n_trials, k, rule, seed, n_steps, data
+    ):
+        """Under a moving mask, each trial's masked walkers take exactly the
+        serial step of those walkers alone and the others stay put, over
+        all-False and all-True rows, tape refills and active-trial compaction."""
+        from repro.grid.lattice import Grid2D
+        from repro.mobility.kernels import TapeStepper, lazy_step, simple_step
+        from repro.util.rng import spawn_rngs
+
+        grid = Grid2D(side)
+        serial_step = lazy_step if rule == "lazy" else simple_step
+        init = np.stack([grid.random_positions(k, rng) for rng in spawn_rngs(seed, n_trials)])
+        serial_rngs = spawn_rngs(seed + 1, n_trials)
+        stepper = TapeStepper(grid, spawn_rngs(seed + 1, n_trials), rule, n_walkers=k)
+        leave_at = data.draw(
+            st.lists(st.integers(0, n_steps), min_size=n_trials, max_size=n_trials)
+        )
+        masks = np.random.default_rng(seed + 2)
+
+        active = np.arange(n_trials)
+        batched = init.copy()
+        serial = init.copy()
+        for step_no in range(n_steps):
+            stay = np.array([leave_at[trial] > step_no for trial in active], dtype=bool)
+            batched, active = batched[stay], active[stay]
+            # Each row moves none, about half or all of its walkers.
+            share = masks.choice([0.0, 0.5, 1.0], size=(active.size, 1))
+            moving = masks.random((active.size, k)) < share
+            batched = stepper.step(batched, active, moving)
+            for row, trial in enumerate(active):
+                movers = moving[row]
+                if movers.any():
+                    serial[trial, movers] = serial_step(
+                        grid, serial[trial, movers], serial_rngs[trial]
+                    )
             assert np.array_equal(batched, serial[active])
 
 
