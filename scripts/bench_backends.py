@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark the serial vs batched vs compiled replication backends.
 
-Eight modes:
+Seven modes:
 
 * default — times ``run_broadcast_replications`` on a fixed
   replication-heavy workload (64 replications of a broadcast on an
@@ -38,15 +38,10 @@ Eight modes:
   first so the timings measure steady state; the warmup (C-build) time is
   recorded separately as ``compile_seconds``.  Requires a
   :mod:`repro.compiled` provider (the bundled C kernels).
-* ``--streaming`` — measures buffered vs streaming replication aggregation
-  over a multi-point sweep (wall clock and tracemalloc peak memory, with the
-  scalar statistics asserted to agree) and writes the record to
-  ``BENCH_PR8.json``: the seventh point of the trajectory, demonstrating the
-  O(1)-per-sweep-point memory of ``aggregate="streaming"``.
 * ``--throughput`` — measures dispatch-layer throughput (work units per
   second) on a many-tiny-units sweep across the inline and pool dispatch
   modes at pool chunks of 1/8/32 units (``--pool-chunk``) and writes the
-  record to ``BENCH_PR10.json``: the eighth point of the trajectory,
+  record to ``BENCH_PR10.json``: the seventh point of the trajectory,
   demonstrating group-committed store writes and chunk-amortized pool
   dispatch.
 * ``--check FILE`` — perf-regression gate: re-runs the workload family of a
@@ -67,7 +62,6 @@ Usage::
     PYTHONPATH=src python scripts/bench_backends.py --connectivity   # full PR4 workload
     PYTHONPATH=src python scripts/bench_backends.py --dissemination  # full PR5 workload
     PYTHONPATH=src python scripts/bench_backends.py --compiled       # full PR7 workload
-    PYTHONPATH=src python scripts/bench_backends.py --streaming      # full PR8 workload
     PYTHONPATH=src python scripts/bench_backends.py --quick          # smoke test
     PYTHONPATH=src python scripts/bench_backends.py --quick --check BENCH_PR3.json
 """
@@ -82,7 +76,6 @@ import shutil
 import sys
 import tempfile
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -908,107 +901,6 @@ def run_compiled(quick: bool = False, seed: int = 2024) -> dict:
     return record
 
 
-def streaming_workload(quick: bool = False) -> dict:
-    """The multi-point sweep the ``--streaming`` mode aggregates two ways.
-
-    Enough replications per point (with frontier/informed curves buffered by
-    the default path) that the retained per-trial data dominates the
-    buffered peak, making the memory comparison meaningful.
-    """
-    if quick:
-        return {
-            "n_nodes": 16 * 16,
-            "agent_counts": [4, 8],
-            "n_replications": 16,
-            "max_steps": 400,
-            "chunk_size": 4,
-        }
-    return {
-        "n_nodes": 32 * 32,
-        "agent_counts": [8, 16, 32, 64],
-        "n_replications": 64,
-        "max_steps": 2000,
-        "chunk_size": 8,
-    }
-
-
-def _sweep_with_aggregate(
-    workload: dict, seed: int, aggregate: str
-) -> tuple[list, float, int]:
-    """One full ``run_sweep`` pass; returns (rows, seconds, tracemalloc peak)."""
-    from repro.analysis.sweep import ParameterSweep
-
-    sweep = ParameterSweep(
-        parameter="n_agents", values=workload["agent_counts"], fixed={}
-    )
-    def factory(point) -> BroadcastConfig:
-        return BroadcastConfig(
-            n_nodes=workload["n_nodes"],
-            n_agents=point.value,
-            radius=0.0,
-            max_steps=workload["max_steps"],
-        )
-    tracemalloc.start()
-    start = time.perf_counter()
-    with SweepExecutor(
-        jobs=1, chunk_size=workload["chunk_size"], aggregate=aggregate
-    ) as executor:
-        rows = executor.run_sweep(
-            sweep, factory, workload["n_replications"], seed, label="streaming-bench"
-        )
-    elapsed = time.perf_counter() - start
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return rows, elapsed, peak
-
-
-def run_streaming(quick: bool = False, seed: int = 2024) -> dict:
-    """Benchmark buffered vs streaming sweep aggregation and return the record.
-
-    Streaming must reproduce the buffered scalar statistics (counts exactly,
-    means to floating-point tolerance) while retaining far less memory —
-    ``memory_ratio`` (buffered peak / streaming peak) is the headline the
-    ``--check`` gate guards.
-    """
-    workload = streaming_workload(quick)
-    buffered_rows, buffered_seconds, buffered_peak = _sweep_with_aggregate(
-        workload, seed, "buffered"
-    )
-    streaming_rows, streaming_seconds, streaming_peak = _sweep_with_aggregate(
-        workload, seed, "streaming"
-    )
-    for (point, summary, _), (_, streaming_summary, results) in zip(
-        buffered_rows, streaming_rows
-    ):
-        if results != []:
-            raise AssertionError("streaming sweep materialised per-trial results")
-        if summary.n_completed != streaming_summary.n_completed:
-            raise AssertionError(
-                f"k={point.value}: streaming completion count diverged"
-            )
-        if summary.n_completed and not np.isclose(
-            summary.mean, streaming_summary.mean, rtol=1e-9
-        ):
-            raise AssertionError(f"k={point.value}: streaming mean diverged")
-    record = {
-        "benchmark": "streaming_aggregation_memory",
-        "workload": {**workload, "seed": seed},
-        "buffered_seconds": buffered_seconds,
-        "streaming_seconds": streaming_seconds,
-        "buffered_peak_bytes": buffered_peak,
-        "streaming_peak_bytes": streaming_peak,
-        "memory_ratio": buffered_peak / streaming_peak if streaming_peak else float("inf"),
-        "statistics_agree": True,
-    }
-    record.update(_environment())
-    print(
-        f"buffered : {buffered_seconds:7.2f} s   peak {buffered_peak / 1e6:8.2f} MB\n"
-        f"streaming: {streaming_seconds:7.2f} s   peak {streaming_peak / 1e6:8.2f} MB\n"
-        f"memory ratio {record['memory_ratio']:5.2f}x  (statistics agree)"
-    )
-    return record
-
-
 def throughput_workload(quick: bool = False) -> dict:
     """The many-tiny-units sweep the ``--throughput`` mode times.
 
@@ -1306,16 +1198,6 @@ def check_against(record_path: Path, quick: bool, tolerance: float, seed: int) -
                     failures.append(
                         f"compiled/{name} speedup regressed: {got:.2f}x < {floor:.2f}x"
                     )
-    elif kind == "streaming_aggregation_memory":
-        measured = run_streaming(quick=quick, seed=seed)
-        floor = committed["memory_ratio"] * tolerance
-        got = measured["memory_ratio"]
-        print(f"streaming memory ratio: measured {got:.2f}x, floor {floor:.2f}x")
-        if got < floor:
-            failures.append(
-                f"streaming aggregation memory ratio regressed: "
-                f"{got:.2f}x < {floor:.2f}x"
-            )
     elif kind == "sweep_throughput_batching":
         measured = run_throughput(quick=quick, seed=seed)
         floor = committed["pool_chunk_speedup"] * tolerance
@@ -1373,13 +1255,6 @@ def main(argv: list[str] | None = None) -> dict:
         "BENCH_PR7.json)",
     )
     parser.add_argument(
-        "--streaming",
-        action="store_true",
-        help="run the buffered-vs-streaming aggregation comparison on a "
-        "multi-point sweep (wall clock + tracemalloc peak memory; default "
-        "output: repo-root BENCH_PR8.json)",
-    )
-    parser.add_argument(
         "--throughput",
         action="store_true",
         help="run the dispatch-throughput comparison (inline, and pool at "
@@ -1425,13 +1300,13 @@ def main(argv: list[str] | None = None) -> dict:
     if args.check is not None:
         if (
             args.matrix or args.jobs_matrix or args.connectivity
-            or args.dissemination or args.compiled or args.streaming
-            or args.throughput or args.output
+            or args.dissemination or args.compiled or args.throughput
+            or args.output
         ):
             parser.error(
                 "--check re-runs the workload family of the given record; it "
                 "cannot be combined with --matrix/--jobs-matrix/--connectivity/"
-                "--dissemination/--compiled/--streaming/--throughput or --output"
+                "--dissemination/--compiled/--throughput or --output"
             )
         failures = check_against(
             args.check, quick=args.quick, tolerance=args.check_tolerance, seed=args.seed
@@ -1445,12 +1320,12 @@ def main(argv: list[str] | None = None) -> dict:
 
     exclusive = [
         args.matrix, args.jobs_matrix, args.connectivity, args.dissemination,
-        args.compiled, args.streaming, args.throughput,
+        args.compiled, args.throughput,
     ]
     if sum(exclusive) > 1:
         parser.error(
             "--matrix, --jobs-matrix, --connectivity, --dissemination, "
-            "--compiled, --streaming and --throughput are mutually exclusive"
+            "--compiled and --throughput are mutually exclusive"
         )
     if any(exclusive):
         mode = (
@@ -1464,7 +1339,7 @@ def main(argv: list[str] | None = None) -> dict:
             if args.dissemination
             else "--compiled"
             if args.compiled
-            else "--streaming" if args.streaming else "--throughput"
+            else "--throughput"
         )
         ignored = {
             "--n-nodes": args.n_nodes != 10_000,
@@ -1489,8 +1364,6 @@ def main(argv: list[str] | None = None) -> dict:
         record = run_dissemination(quick=args.quick, seed=args.seed)
     elif args.compiled:
         record = run_compiled(quick=args.quick, seed=args.seed)
-    elif args.streaming:
-        record = run_streaming(quick=args.quick, seed=args.seed)
     elif args.throughput:
         record = run_throughput(quick=args.quick, seed=args.seed)
     elif args.quick:
@@ -1514,8 +1387,6 @@ def main(argv: list[str] | None = None) -> dict:
     if output is None and not args.quick:
         if args.throughput:
             name = "BENCH_PR10.json"
-        elif args.streaming:
-            name = "BENCH_PR8.json"
         elif args.compiled:
             name = "BENCH_PR7.json"
         elif args.dissemination:

@@ -126,25 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "are bit-for-bit identical across backends (default: auto)",
     )
     run_parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="seconds a claimed work unit may go without a heartbeat before "
-        "its lease expires and another executor sharing the --resume store "
-        "may steal it (default: 60)",
-    )
-    run_parser.add_argument(
-        "--aggregate",
-        choices=("buffered", "streaming"),
-        default="buffered",
-        help="replication aggregation: 'buffered' (default) keeps every "
-        "per-trial value and result in memory; 'streaming' folds unit "
-        "records into mergeable moment/quantile accumulators as they "
-        "complete (O(1) memory per sweep point; per-trial records still "
-        "reach a --resume store; summaries expose scalar statistics only)",
-    )
-    run_parser.add_argument(
         "--metrics-file",
         metavar="PATH",
         default=None,
@@ -203,7 +184,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     executor = SweepExecutor.from_options(
         jobs=args.jobs, chunk_size=args.chunk_size, store=args.resume,
         retries=args.retries, unit_timeout=args.unit_timeout,
-        aggregate=args.aggregate, lease_ttl=args.lease_ttl,
         pool_chunk=args.pool_chunk,
     )
     logging_context = (

@@ -21,7 +21,6 @@ from repro.core.protocol import (
 from repro.core.metrics import FrontierTracker, CoverageTracker, InformedCurve
 from repro.core.runner import (
     ReplicationSummary,
-    StreamingReplicationSummary,
     backend_override,
     resolve_backend,
     run_broadcast_replications,
@@ -32,8 +31,6 @@ from repro.core.batched import (
     run_broadcast_replications_batched,
     run_gossip_replications_batched,
     supports_batched,
-    supports_batched_broadcast,
-    supports_batched_gossip,
 )
 
 __all__ = [
@@ -52,7 +49,6 @@ __all__ = [
     "CoverageTracker",
     "InformedCurve",
     "ReplicationSummary",
-    "StreamingReplicationSummary",
     "summarise_values",
     "backend_override",
     "resolve_backend",
@@ -61,6 +57,4 @@ __all__ = [
     "run_broadcast_replications_batched",
     "run_gossip_replications_batched",
     "supports_batched",
-    "supports_batched_broadcast",
-    "supports_batched_gossip",
 ]

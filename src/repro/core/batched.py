@@ -125,10 +125,6 @@ def supports_batched(config: BroadcastConfig | GossipConfig) -> bool:
     return True
 
 
-#: The per-runner names of the one check, kept for callers of ``repro.core``.
-supports_batched_broadcast = supports_batched_gossip = supports_batched
-
-
 def run_broadcast_replications_batched(
     config: BroadcastConfig,
     n_replications: int,

@@ -42,12 +42,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.analysis.statistics import ReplicationAggregate
 
 from repro.connectivity.visibility import effective_radius
 from repro.core.config import (
@@ -113,100 +110,8 @@ class ReplicationSummary:
         return float(vals.max()) if vals.size else float("nan")
 
 
-class StreamingReplicationSummary:
-    """The :class:`ReplicationSummary` face over a streaming aggregate.
-
-    Exposes the same scalar statistics (``mean``, ``median``, ``std``,
-    ``min``, ``max``, ``n_replications``, ``n_completed``,
-    ``completion_rate``) computed from a mergeable
-    :class:`~repro.analysis.statistics.ReplicationAggregate` instead of a
-    buffered value array.  ``median`` is a sketch quantile, accurate to the
-    sketch's relative accuracy; counts, min and max are exact.  The
-    per-trial arrays were never materialised — that is the point of
-    streaming — so :attr:`values` and :attr:`completed_values` raise.
-    """
-
-    def __init__(self, aggregate: "ReplicationAggregate") -> None:
-        self._aggregate = aggregate
-
-    @property
-    def aggregate(self) -> "ReplicationAggregate":
-        """The underlying mergeable aggregate."""
-        return self._aggregate
-
-    @property
-    def n_replications(self) -> int:
-        return self._aggregate.n_total
-
-    @property
-    def n_completed(self) -> int:
-        return self._aggregate.n_completed
-
-    @property
-    def completion_rate(self) -> float:
-        return self._aggregate.completion_rate
-
-    @property
-    def mean(self) -> float:
-        return self._aggregate.mean
-
-    @property
-    def median(self) -> float:
-        return self._aggregate.median
-
-    @property
-    def std(self) -> float:
-        return self._aggregate.std
-
-    @property
-    def min(self) -> float:
-        return self._aggregate.min
-
-    @property
-    def max(self) -> float:
-        return self._aggregate.max
-
-    @property
-    def values(self) -> np.ndarray:
-        raise RuntimeError(
-            "per-trial values are not kept under aggregate='streaming'; "
-            "use the scalar statistics, or rerun with the default buffered "
-            "aggregation (per-trial records also remain in the result store "
-            "when one is configured)"
-        )
-
-    @property
-    def completed_values(self) -> np.ndarray:
-        raise RuntimeError(
-            "per-trial values are not kept under aggregate='streaming'; "
-            "use the scalar statistics, or rerun with the default buffered "
-            "aggregation (per-trial records also remain in the result store "
-            "when one is configured)"
-        )
-
-
-def summarise_values(
-    values: Sequence[float], aggregate: str = "buffered"
-) -> ReplicationSummary | StreamingReplicationSummary:
-    """Build a replication summary from raw values (``-1`` = incomplete).
-
-    ``aggregate="buffered"`` (default) keeps the value array and returns the
-    classic :class:`ReplicationSummary` — bit-for-bit the historical
-    behaviour.  ``aggregate="streaming"`` folds the values through a
-    mergeable :class:`~repro.analysis.statistics.ReplicationAggregate` and
-    returns the :class:`StreamingReplicationSummary` face instead.
-    """
-    if aggregate not in ("buffered", "streaming"):
-        raise ValueError(
-            f"aggregate must be 'buffered' or 'streaming', got {aggregate!r}"
-        )
-    if aggregate == "streaming":
-        from repro.analysis.statistics import ReplicationAggregate
-
-        total = ReplicationAggregate()
-        for value in values:
-            total.add(float(value))
-        return StreamingReplicationSummary(total)
+def summarise_values(values: Sequence[float]) -> ReplicationSummary:
+    """Build a replication summary from raw values (``-1`` = incomplete)."""
     arr = np.asarray(list(values), dtype=np.float64)
     return ReplicationSummary(
         values=arr,

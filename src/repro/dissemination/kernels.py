@@ -828,7 +828,6 @@ class _CoverBatch:
         count: np.ndarray,
         stepper: Any,
     ) -> None:
-        n_trials = positions.shape[0]
         self.positions = positions
         self.visited = visited
         self.count = count
@@ -1498,18 +1497,6 @@ def resolve_process_pair(
         labels=process.needs == "labels",
         fused_r0=process.fused_r0,
     )
-
-
-def resolve_process_backend(process: ProcessKernel, backend: Optional[str] = None) -> str:
-    """The backend half of :func:`resolve_process_pair`."""
-    return resolve_process_pair(process, backend)[0]
-
-
-def resolve_process_connectivity(
-    process: ProcessKernel, connectivity: Optional[str] = None
-) -> str:
-    """The connectivity half of :func:`resolve_process_pair`."""
-    return resolve_process_pair(process, connectivity=connectivity)[1]
 
 
 def run_process_replications(

@@ -29,11 +29,9 @@ resume semantics and the fault-tolerance layer.
 """
 
 from repro.exec.executor import (
-    AGGREGATES,
     ExecutionReport,
     RetryPolicy,
     SweepExecutor,
-    check_aggregate,
     current_executor,
     execute_unit,
     execution_override,
@@ -53,9 +51,7 @@ from repro.exec.units import (
 )
 
 __all__ = [
-    "AGGREGATES",
     "ExecutionReport",
-    "check_aggregate",
     "FaultInjectionError",
     "FaultPlan",
     "LeaseTable",

@@ -56,7 +56,6 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.statistics import ReplicationAggregate
 from repro.exec.faults import FaultPlan, corrupt_record
 from repro.exec.leases import DEFAULT_LEASE_TTL, LeaseTable
 from repro.exec.seeds import SeedStreamSpec
@@ -81,18 +80,6 @@ START_METHOD_ENV = "REPRO_EXEC_START_METHOD"
 #: Consecutive pool rebuilds (with no completed unit in between) after which
 #: the executor stops trusting the pool and degrades to in-process execution.
 POOL_FAILURE_LIMIT = 3
-
-#: Record-merging styles an executor supports.
-AGGREGATES = ("buffered", "streaming")
-
-
-def check_aggregate(aggregate: str) -> str:
-    """Validate an ``aggregate`` choice (``"buffered"`` or ``"streaming"``)."""
-    if aggregate not in AGGREGATES:
-        raise ValueError(
-            f"aggregate must be one of {AGGREGATES}, got {aggregate!r}"
-        )
-    return aggregate
 
 
 def _init_pool_worker(jobs: int) -> None:
@@ -434,36 +421,6 @@ def _merge_process_records(
     return summarise_values(values), results
 
 
-class _StreamingFold:
-    """Folds each unit's record into a per-unit aggregate as it completes.
-
-    Per-unit partials are merged *in unit order* when a span is read back —
-    never in completion order — so the streaming summary is deterministic
-    for any worker count, chunking or completion interleaving (and, because
-    the sketch merge is exact and Chan's moment merge is order-fixed here,
-    identical across runs).  Memory is one small aggregate per unit instead
-    of every per-trial value and result object.
-    """
-
-    def __init__(self) -> None:
-        self._partials: dict[int, ReplicationAggregate] = {}
-
-    def __call__(self, index: int, record: Mapping[str, Any]) -> None:
-        aggregate = ReplicationAggregate()
-        for value in record["values"]:
-            aggregate.add(float(value))
-        self._partials[index] = aggregate
-
-    def merged(self, start: int, stop: int) -> ReplicationAggregate:
-        """The units ``[start, stop)`` merged in unit order."""
-        total = ReplicationAggregate()
-        for index in range(start, stop):
-            partial = self._partials.get(index)
-            if partial is not None:
-                total.merge(partial)
-        return total
-
-
 # --------------------------------------------------------------------------- #
 # The executor
 # --------------------------------------------------------------------------- #
@@ -499,16 +456,6 @@ class SweepExecutor:
     lease_ttl:
         Seconds a claimed unit may go without a heartbeat before another
         executor may steal it (only meaningful with a store).
-    aggregate:
-        ``"buffered"`` (default) merges unit records into the classic
-        ``(ReplicationSummary, results)`` shapes, holding every per-trial
-        value and result in memory.  ``"streaming"`` folds each record into
-        a mergeable :class:`~repro.analysis.statistics.ReplicationAggregate`
-        the moment the unit completes and drops the record, so a sweep point
-        costs O(1) memory; the high-level entry points then return a
-        :class:`~repro.core.runner.StreamingReplicationSummary` and an empty
-        results list.  Per-trial records still reach the result store, and
-        the default path is bit-for-bit unchanged.
     pool_chunk:
         Units per submitted pool task (default ``1``, the classic
         one-future-per-unit dispatch).  Larger values amortize the
@@ -528,7 +475,6 @@ class SweepExecutor:
         retry: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
-        aggregate: str = "buffered",
         pool_chunk: int = 1,
     ) -> None:
         if jobs < 1:
@@ -545,7 +491,6 @@ class SweepExecutor:
         self.retry = retry if retry is not None else RetryPolicy()
         self.fault_plan = fault_plan
         self.lease_ttl = float(lease_ttl)
-        self.aggregate = check_aggregate(aggregate)
         self.leases: Optional[LeaseTable] = None
         if self.store is not None:
             self.leases = LeaseTable(self.store.directory / "leases", ttl=self.lease_ttl)
@@ -588,28 +533,22 @@ class SweepExecutor:
         store: Optional[ResultStore | str] = None,
         retries: int = 0,
         unit_timeout: Optional[float] = None,
-        aggregate: str = "buffered",
-        lease_ttl: Optional[float] = None,
         pool_chunk: Optional[int] = None,
     ) -> Optional["SweepExecutor"]:
         """An executor when any option departs from the defaults, else ``None``.
 
         The single activation rule behind ``--jobs`` / ``--resume`` /
         ``--chunk-size`` / ``--retries`` / ``--unit-timeout`` /
-        ``--aggregate`` / ``--pool-chunk``: all-default options mean "keep
-        the classic in-process path" (``None`` composes with
-        :func:`execution_override` as a true no-op).
-        ``aggregate="streaming"`` alone activates an in-process executor,
-        since streaming needs the unit machinery.
+        ``--pool-chunk``: all-default options mean "keep the classic
+        in-process path" (``None`` composes with :func:`execution_override`
+        as a true no-op).
         """
-        check_aggregate(aggregate)
         if (
             jobs == 1
             and chunk_size is None
             and store is None
             and retries == 0
             and unit_timeout is None
-            and aggregate == "buffered"
             and pool_chunk in (None, 1)
         ):
             return None
@@ -618,8 +557,6 @@ class SweepExecutor:
             chunk_size=chunk_size,
             store=store,
             retry=RetryPolicy.from_options(retries=retries, unit_timeout=unit_timeout),
-            aggregate=aggregate,
-            lease_ttl=lease_ttl if lease_ttl is not None else DEFAULT_LEASE_TTL,
             pool_chunk=pool_chunk if pool_chunk is not None else 1,
         )
 
@@ -717,11 +654,7 @@ class SweepExecutor:
         ]
 
     # -- execution ---------------------------------------------------------- #
-    def run_units(
-        self,
-        units: Sequence[WorkUnit],
-        consume: Optional[Callable[[int, dict[str, Any]], None]] = None,
-    ) -> list[dict[str, Any]]:
+    def run_units(self, units: Sequence[WorkUnit]) -> list[dict[str, Any]]:
         """Execute (or load) every unit; records are returned in unit order.
 
         Units whose key is already in the store are loaded from disk (after
@@ -731,21 +664,8 @@ class SweepExecutor:
         executor's :class:`RetryPolicy`; worker crashes rebuild the pool and
         requeue its in-flight units; units leased to a concurrent executor
         are awaited (or stolen once the lease expires).
-
-        ``consume``, when given, receives each unit's record exactly once as
-        ``consume(index, record)`` the moment it becomes available (in
-        completion order, NOT unit order) and the record is dropped instead
-        of retained — the streaming-aggregation memory bound — and the call
-        returns an empty list.  A consumer needing unit order must bucket by
-        ``index`` itself (see ``_StreamingFold``).
         """
         records: list[Optional[dict[str, Any]]] = [None] * len(units)
-
-        def deliver(index: int, record: dict[str, Any]) -> None:
-            if consume is not None:
-                consume(index, record)
-            else:
-                records[index] = record
         # Picklability gates both pool dispatch and the store: an unpicklable
         # payload (e.g. a closure) has no faithful content fingerprint — its
         # captured state is invisible to the unit key — so it must neither
@@ -781,7 +701,7 @@ class SweepExecutor:
             if stored is not None:
                 self._counters.store_hits.inc()
                 emit_progress("unit_store_hit", label=units[index].label, key=key)
-                deliver(index, stored)
+                records[index] = stored
             else:
                 pending.append(index)
 
@@ -789,11 +709,9 @@ class SweepExecutor:
         pooled = [i for i in pending if use_pool and storable[i]]
         in_process = [i for i in pending if not (use_pool and storable[i])]
         if pooled:
-            self._dispatch(units, pooled, keys, fingerprints, deliver, pool=True)
+            self._dispatch(units, pooled, keys, fingerprints, records, pool=True)
         if in_process:
-            self._dispatch(units, in_process, keys, fingerprints, deliver, pool=False)
-        if consume is not None:
-            return []
+            self._dispatch(units, in_process, keys, fingerprints, records, pool=False)
         return [record for record in records if record is not None]
 
     # -- the dispatcher: one unit lifecycle for pool, in-process and degraded - #
@@ -803,7 +721,7 @@ class SweepExecutor:
         indices: Sequence[int],
         keys: Sequence[Optional[str]],
         fingerprints: Sequence[Optional[dict[str, Any]]],
-        deliver: Callable[[int, dict[str, Any]], None],
+        records: list[Optional[dict[str, Any]]],
         pool: bool,
     ) -> None:
         """Claim → execute → validate → complete every unit in ``indices``.
@@ -815,7 +733,7 @@ class SweepExecutor:
         re-checks the store (another executor may have finished the unit
         since the caller's store check); a fresh record must match the
         unit's trial count before it is group-committed, its lease released
-        and the record delivered.  The :class:`RetryPolicy` applies per
+        and the record stored in ``records`` at the unit's index.  The :class:`RetryPolicy` applies per
         unit: retries with backoff, pool timeouts, and crash requeues that
         consume no attempt.
         """
@@ -840,7 +758,7 @@ class SweepExecutor:
         def store_hit(index: int, record: dict[str, Any]) -> None:
             self._counters.store_hits.inc()
             emit_progress("unit_store_hit", label=units[index].label, key=keys[index])
-            deliver(index, record)
+            records[index] = record
 
         def claim(index: int) -> bool:
             """Take ``index``'s lease; False if it is blocked or already stored."""
@@ -934,7 +852,7 @@ class SweepExecutor:
                 )
                 for index, record, seconds in completions:
                     self._unit_seconds.observe(seconds)
-                    deliver(index, record)
+                    records[index] = record
                     emit_progress("unit_completed", unit=tokens[index])
                 completed_since_rebuild = True
             for index, error in failed:
@@ -1080,22 +998,6 @@ class SweepExecutor:
         return future
 
     # -- shared completion / recovery helpers ------------------------------- #
-    def _run_streaming(self, units: Sequence[WorkUnit]) -> tuple[Any, list[Any]]:
-        """Run ``units`` folding each record into a streaming aggregate.
-
-        Records are consumed (never buffered) and merged in unit order, so
-        the summary matches any worker count or completion interleaving.
-        Per-trial result objects are not materialised — streaming callers
-        get a :class:`~repro.core.runner.StreamingReplicationSummary` and an
-        empty results list (the per-trial records are still on disk when a
-        store is configured).
-        """
-        from repro.core.runner import StreamingReplicationSummary
-
-        fold = _StreamingFold()
-        self.run_units(units, consume=fold)
-        return StreamingReplicationSummary(fold.merged(0, len(units))), []
-
     def _load_stored(
         self,
         unit: WorkUnit,
@@ -1212,8 +1114,6 @@ class SweepExecutor:
             backend=backend,
             connectivity=connectivity,
         )
-        if self.aggregate == "streaming":
-            return self._run_streaming(units)
         return _merge_process_records(process, self.run_units(units))
 
     def run_sweep(
@@ -1264,15 +1164,6 @@ class SweepExecutor:
             )
             spans.append((len(units), len(units) + len(point_units), process))
             units.extend(point_units)
-        if self.aggregate == "streaming":
-            from repro.core.runner import StreamingReplicationSummary
-
-            fold = _StreamingFold()
-            self.run_units(units, consume=fold)
-            return [
-                (point, StreamingReplicationSummary(fold.merged(start, stop)), [])
-                for point, (start, stop, _process) in zip(points, spans)
-            ]
         records = self.run_units(units)
         return [
             (point, *_merge_process_records(process, records[start:stop]))

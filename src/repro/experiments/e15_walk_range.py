@@ -44,7 +44,6 @@ def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:
     side = workload["side"]
     lengths = list(workload["lengths"])
     trials = workload["trials"]
-    grid = Grid2D(side)
     rngs = spawn_rngs(seed, len(lengths))
 
     rows: list[ExperimentRow] = []

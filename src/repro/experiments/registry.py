@@ -81,7 +81,6 @@ def run_experiment(
     chunk_size: int | None = None,
     retries: int = 0,
     unit_timeout: float | None = None,
-    aggregate: str = "buffered",
 ) -> ExperimentReport:
     """Run the experiment with the given id at the given scale.
 
@@ -106,21 +105,12 @@ def run_experiment(
     retried run still reports bit-for-bit identical results.  The defaults
     (``1``/``None``/``None``/``0``/``None``) keep the classic in-process
     path; either way the report is bit-for-bit identical.
-
-    ``aggregate="streaming"`` folds replication records into mergeable
-    streaming accumulators instead of buffering per-trial values and result
-    objects (O(1) memory per sweep point; see ``docs/OBSERVABILITY.md``).
-    Summaries then expose scalar statistics only — experiments that read the
-    raw per-trial arrays raise a clear error under streaming, so it is
-    strictly opt-in; the default ``"buffered"`` path is bit-for-bit
-    unchanged.
     """
     module = _module_for(experiment_id)
     runner: Callable[..., ExperimentReport] = module.run
     executor = SweepExecutor.from_options(
         jobs=jobs, chunk_size=chunk_size, store=resume,
         retries=retries, unit_timeout=unit_timeout,
-        aggregate=aggregate,
     )
     with backend_override(backend), connectivity_override(connectivity), \
             execution_override(executor):

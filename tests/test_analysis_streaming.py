@@ -1,14 +1,12 @@
-"""Streaming aggregation: mergeable moments, quantile sketch, executor path.
+"""The mergeable accumulators of :mod:`repro.analysis.statistics`.
 
-Property tests pin the contract that makes ``aggregate="streaming"`` safe
-to offer: folding values through :class:`StreamingMoments` /
-:class:`QuantileSketch` / :class:`ReplicationAggregate` under *any*
-chunking and merge order reproduces the buffered statistics (counts, min
-and max exactly; mean and variance up to floating-point associativity;
-quantiles within the sketch's relative accuracy).  The executor tests then
-show the streaming path through :class:`SweepExecutor` matches the
-buffered path at ``jobs`` 1 and 2, survives a store resume, and never
-materialises per-trial arrays.
+Property tests pin their contract: folding values through
+:class:`StreamingMoments` / :class:`QuantileSketch` /
+:class:`ReplicationAggregate` under *any* chunking and merge order
+reproduces the buffered statistics of
+:func:`~repro.core.runner.summarise_values` (counts, min and max exactly;
+mean and variance up to floating-point associativity; quantiles within the
+sketch's relative accuracy).
 """
 
 from __future__ import annotations
@@ -24,14 +22,7 @@ from repro.analysis.statistics import (
     ReplicationAggregate,
     StreamingMoments,
 )
-from repro.core import BroadcastConfig
-from repro.core.runner import (
-    ReplicationSummary,
-    StreamingReplicationSummary,
-    run_broadcast_replications,
-    summarise_values,
-)
-from repro.exec import SweepExecutor, execution_override
+from repro.core.runner import ReplicationSummary, summarise_values
 from tests.strategies import max_examples
 
 #: Finite, moderately-sized observations (keeps variance comparisons sane).
@@ -215,7 +206,7 @@ class TestReplicationAggregate:
 
 
 # --------------------------------------------------------------------------- #
-# summarise_values and the streaming summary face
+# summarise_values against the accumulators
 # --------------------------------------------------------------------------- #
 class TestSummariseValues:
     def test_buffered_default_unchanged(self):
@@ -227,106 +218,11 @@ class TestSummariseValues:
     def test_streaming_matches_buffered_statistics(self):
         values = [4.0, 9.0, -1.0, 16.0, 25.0]
         buffered = summarise_values(values)
-        streaming = summarise_values(values, aggregate="streaming")
-        assert isinstance(streaming, StreamingReplicationSummary)
-        assert streaming.n_replications == buffered.n_replications
+        streaming = ReplicationAggregate()
+        streaming.extend(values)
+        assert streaming.n_total == buffered.n_replications
         assert streaming.n_completed == buffered.n_completed
         assert streaming.min == float(buffered.completed_values.min())
         assert streaming.max == float(buffered.completed_values.max())
         assert streaming.mean == pytest.approx(buffered.mean, rel=1e-12)
         assert streaming.std == pytest.approx(buffered.std, rel=1e-9)
-
-    def test_streaming_summary_refuses_per_trial_arrays(self):
-        streaming = summarise_values([1.0, 2.0], aggregate="streaming")
-        with pytest.raises(RuntimeError, match="streaming"):
-            streaming.values
-        with pytest.raises(RuntimeError, match="streaming"):
-            streaming.completed_values
-
-    def test_unknown_aggregate_rejected(self):
-        with pytest.raises(ValueError):
-            summarise_values([1.0], aggregate="windowed")
-
-
-# --------------------------------------------------------------------------- #
-# SweepExecutor streaming path
-# --------------------------------------------------------------------------- #
-CONFIG = BroadcastConfig(n_nodes=49, n_agents=4, radius=0.0, max_steps=60)
-N_REPS = 6
-SEED = 21
-
-
-def _buffered_reference():
-    summary, _ = run_broadcast_replications(CONFIG, N_REPS, seed=SEED)
-    return summary
-
-
-def _streaming_run(jobs: int, store=None):
-    executor = SweepExecutor(
-        jobs=jobs, chunk_size=2, store=store, aggregate="streaming"
-    )
-    with executor, execution_override(executor):
-        summary, results = run_broadcast_replications(CONFIG, N_REPS, seed=SEED)
-    return summary, results, executor.execution_report()
-
-
-class TestExecutorStreaming:
-    def test_streaming_matches_buffered_at_jobs_1_and_2(self):
-        buffered = _buffered_reference()
-        for jobs in (1, 2):
-            streaming, results, _ = _streaming_run(jobs)
-            assert isinstance(streaming, StreamingReplicationSummary)
-            assert results == []  # per-trial results are not materialised
-            assert streaming.n_replications == buffered.n_replications
-            assert streaming.n_completed == buffered.n_completed
-            assert streaming.min == float(buffered.completed_values.min())
-            assert streaming.max == float(buffered.completed_values.max())
-            assert streaming.mean == pytest.approx(buffered.mean, rel=1e-12)
-            assert streaming.std == pytest.approx(buffered.std, rel=1e-9)
-
-    def test_worker_count_does_not_change_the_summary(self):
-        # Unit-order merging makes the streaming fold deterministic for any
-        # worker count — not just statistically close, but identical.
-        one, _, _ = _streaming_run(1)
-        two, _, _ = _streaming_run(2)
-        assert one.mean == two.mean
-        assert one.std == two.std
-        assert one.median == two.median
-        assert (one.n_completed, one.min, one.max) == (two.n_completed, two.min, two.max)
-
-    def test_streaming_resume_from_store(self, tmp_path):
-        first, _, first_report = _streaming_run(1, store=str(tmp_path))
-        assert first_report.executed > 0
-        resumed, _, report = _streaming_run(1, store=str(tmp_path))
-        assert report.executed == 0  # every unit came from the store
-        assert report.store_hits == first_report.executed
-        assert resumed.mean == first.mean and resumed.std == first.std
-        assert resumed.n_completed == first.n_completed
-
-    def test_run_sweep_streaming_matches_buffered_per_point(self):
-        from repro.analysis.sweep import ParameterSweep
-
-        sweep = ParameterSweep(parameter="n_agents", values=[3, 5], fixed={})
-        factory = lambda point: BroadcastConfig(
-            n_nodes=49, n_agents=point.value, radius=0.0, max_steps=60
-        )
-        with SweepExecutor(jobs=1, chunk_size=2) as executor:
-            buffered = executor.run_sweep(sweep, factory, N_REPS, SEED, label="s")
-        with SweepExecutor(jobs=1, chunk_size=2, aggregate="streaming") as executor:
-            streaming = executor.run_sweep(sweep, factory, N_REPS, SEED, label="s")
-        assert len(streaming) == len(buffered) == 2
-        for (point, summary, results), (bpoint, bsummary, _) in zip(streaming, buffered):
-            assert point.value == bpoint.value
-            assert results == []
-            assert isinstance(summary, StreamingReplicationSummary)
-            assert summary.n_completed == bsummary.n_completed
-            assert summary.mean == pytest.approx(bsummary.mean, rel=1e-12)
-
-    def test_from_options_streaming_alone_activates_an_executor(self):
-        assert SweepExecutor.from_options() is None
-        executor = SweepExecutor.from_options(aggregate="streaming")
-        assert executor is not None and executor.aggregate == "streaming"
-
-    def test_invalid_aggregate_rejected(self):
-        with pytest.raises(ValueError):
-            SweepExecutor(jobs=1, aggregate="windowed")

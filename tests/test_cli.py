@@ -123,6 +123,20 @@ class TestJobsFlag:
         assert SweepExecutor(jobs=1).dispatch == "inline"
         assert SweepExecutor(jobs=2).dispatch == "pool"
 
+    def test_only_a_non_default_option_builds_an_executor(self, tmp_path):
+        # All-default options keep the in-process path: no executor at all.
+        from repro.exec import SweepExecutor
+
+        assert SweepExecutor.from_options() is None
+        assert SweepExecutor.from_options(pool_chunk=1) is None
+        for option in (
+            {"jobs": 2}, {"chunk_size": 3}, {"store": str(tmp_path)},
+            {"retries": 1}, {"unit_timeout": 5.0}, {"pool_chunk": 4},
+        ):
+            executor = SweepExecutor.from_options(**option)
+            assert executor is not None, option
+            executor.close()
+
     def test_executor_override_is_restored_after_run(self):
         from repro.exec import current_executor
 
@@ -161,3 +175,14 @@ class TestConnectivityFlag:
 
         main(["run", "E4", "--scale", "tiny", "--connectivity", "recompute"])
         assert runner._CONNECTIVITY_OVERRIDE is None
+
+
+class TestRetiredFlags:
+    @pytest.mark.parametrize(
+        "flag", [["--aggregate", "streaming"], ["--lease-ttl", "5"]], ids=["aggregate", "lease-ttl"]
+    )
+    def test_retired_flag_is_a_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "E1", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

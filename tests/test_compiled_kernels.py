@@ -583,13 +583,13 @@ class TestProviderSelection:
     def test_none_pins_process_backend_to_batched(self, provider_env):
         from repro.dissemination.kernels import (
             make_process,
-            resolve_process_backend,
+            resolve_process_pair,
             run_process_replications,
         )
 
         provider_env("none")
         process = make_process("frog", n_nodes=49, n_agents=4, max_steps=40)
-        assert resolve_process_backend(process, "auto") == "batched"
+        assert resolve_process_pair(process, "auto")[0] == "batched"
         summary, _ = run_process_replications(process, 2, seed=0)
         assert summary.n_replications == 2
         with pytest.raises(RuntimeError, match="no compiled provider"):

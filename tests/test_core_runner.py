@@ -9,7 +9,6 @@ from repro.core.batched import (
     run_broadcast_replications_batched,
     run_gossip_replications_batched,
     supports_batched,
-    supports_batched_broadcast,
 )
 from repro.core.config import BroadcastConfig, GossipConfig
 from repro.core.runner import (
@@ -160,7 +159,7 @@ class TestBackendSeam:
             n_nodes=144, n_agents=8, mobility="obstacle_walk",
             mobility_kwargs={"domain": domain},
         )
-        assert supports_batched_broadcast(config)
+        assert supports_batched(config)
         assert resolve_backend(config) == _auto_fast()
 
     def test_auto_falls_back_to_serial_when_unsupported(self):
