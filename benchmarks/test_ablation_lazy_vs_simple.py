@@ -11,7 +11,6 @@ hygiene, not performance.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.config import BroadcastConfig

@@ -1,8 +1,8 @@
 """Compiled step-loop backend: beyond-numpy hot kernels, bit-for-bit.
 
 ``backend="compiled"`` runs the batched replication loop with the per-step
-hot kernels — mobility apply and component labelling, or, for ``r = 0``
-broadcasts, whole fused blocks of steps — executed by a *compiled provider*
+hot kernels — mobility apply and component labelling, or, for the
+``r_eff = 0`` processes, whole native blocks of steps — executed by a *compiled provider*
 instead of interpreted numpy, while consuming the identical per-trial RNG streams (all
 draws stay on the numpy generators; only the apply/labelling passes move).
 Results are therefore bit-for-bit identical to the serial and batched
@@ -11,8 +11,8 @@ backends, which the property suites verify trial for trial.
 Two providers, selected via ``REPRO_COMPILED_PROVIDER``:
 
 * ``cc`` — bundled C kernels built once with the host C compiler and bound
-  through ctypes (no third-party dependency), carrying the fused
-  multi-step broadcast driver;
+  through ctypes (no third-party dependency), carrying the native
+  multi-step block kinds;
 * ``python`` — the uncompiled reference kernels (test-only; never selected
   automatically and deliberately *not* counted as "available").
 
@@ -21,7 +21,7 @@ per process; :func:`available` never raises.  Setting
 ``REPRO_COMPILED_PROVIDER=none`` disables the backend outright (useful for
 exercising the fallback path).  All kernels are single-threaded by
 construction, so no thread-count pinning is needed for determinism.  The
-fused driver draws the next block on one helper thread while the kernel runs
+block loop draws the next block on one helper thread while the kernel runs
 the current one, where the process has a CPU to spare; each generator is
 still drawn by one thread at a time, in block order, so no value changes
 (:mod:`repro.compiled.driver`).

@@ -11,8 +11,8 @@ provider probe in :mod:`repro.compiled` treats as "provider unavailable".
 
 All kernels are single-threaded; determinism needs no environment pinning.
 ctypes releases the GIL around every native call, which is what lets the
-fused driver (:mod:`repro.compiled.driver`) draw the next block on a helper
-thread while ``repro_broadcast_r0_block`` runs the current one.
+block loop (:mod:`repro.compiled.driver`) draw the next block on a helper
+thread while a native block kind runs the current one.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def _prune_stale(current: Path) -> None:
                     pass
 
 
-#: The fused kernel's ``apply_kind`` per mobility kernel spec (0: static).
+#: The block kinds' ``apply_kind`` per mobility kernel spec (0: static).
 _BLOCK_KINDS = {"lazy": 1, "masked": 2, "brownian": 3}
 
 _I64 = ctypes.c_int64
@@ -165,6 +165,13 @@ _SIGNATURES = {
         _I64,
         (_I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR),
     ),
+    "repro_broadcast_r0_observed_block": (
+        _I64,
+        (_I64,) * 5 + (_PTR,) * 3 + (_I64,) + (_PTR,) * 3 + (_I64,) + (_PTR,) * 8,
+    ),
+    "repro_frog_r0_block": (_I64, (_I64,) * 4 + (_PTR, _I64) + (_PTR,) * 7),
+    "repro_predator_prey_r0_block": (_I64, (_I64,) * 6 + (_PTR, _I64) + (_PTR,) * 7),
+    "repro_cover_lazy_block": (_I64, (_I64,) * 4 + (_PTR, _I64) + (_PTR,) * 5),
     "repro_labels_batch": (_I64, (_I64, _I64, _PTR, ctypes.c_double, _PTR)),
 }
 
@@ -182,6 +189,76 @@ def _buffer(arr: np.ndarray) -> Any:
         if not arr.flags.c_contiguous:
             raise ValueError("kernel arrays must be C-contiguous") from None
         return arr.ctypes.data
+
+
+def _arg(arr: Optional[np.ndarray], shape: tuple, dtype: Any = None) -> Any:
+    """``_buffer(arr)`` once ``arr`` has ``shape`` and ``dtype``; ``None`` passes NULL.
+
+    ``dtype=None`` asks for one-byte entries: a bool mask or a uint8 table.
+    """
+    if arr is None:
+        return None
+    if arr.shape != shape or (arr.itemsize != 1 if dtype is None else arr.dtype != dtype):
+        raise ValueError(f"expected shape {shape} and dtype {dtype}, got {arr.shape} {arr.dtype}")
+    return _buffer(arr)
+
+
+def _draw_block(kernel: Optional[tuple], side: int, draws: Optional[np.ndarray], shape: tuple):
+    """The C arguments ``(apply_kind, free_mask, ichoice, fdisp, stride, arrays)`` of a block.
+
+    ``draws`` is the block of the mobility spec ``kernel`` (``None``: a
+    static model), ``shape`` its ``(A, steps, k)``.  A block of another
+    dtype or layout is copied; ``arrays`` keeps such copies alive until the
+    call.  A draw view's trials are contiguous but strided apart, which
+    ``from_buffer`` refuses, so the kernel gets the view's base address.
+    """
+    if kernel is None:
+        return 0, None, None, None, 0, ()
+    kind = _BLOCK_KINDS[kernel[0]]
+    expected = shape + ((2,) if kind == 3 else ())
+    if draws is None or draws.shape != expected:
+        raise ValueError(f"draws must have shape {expected}")
+    dtype = np.float64 if kind == 3 else np.int32
+    if (
+        draws.dtype != dtype
+        or not draws[:1].flags["C_CONTIGUOUS"]
+        or draws.strides[0] % draws.itemsize
+    ):
+        draws = np.ascontiguousarray(draws, dtype=dtype)
+    stride = draws.strides[0] // draws.itemsize
+    mask: Any = None
+    arrays: tuple = (draws,)
+    if kind == 2:
+        free_mask = np.ascontiguousarray(kernel[2], dtype=np.uint8)
+        if free_mask.size < side * side:
+            raise ValueError("the obstacle mask must cover side * side cells")
+        mask = _buffer(free_mask)
+        arrays += (free_mask,)
+    if kind == 3:
+        return kind, mask, None, draws.ctypes.data, stride, arrays
+    return kind, mask, draws.ctypes.data, None, stride, arrays
+
+
+def _tape_args(tape: np.ndarray, rows: np.ndarray, cursor: np.ndarray, steps: int, reads: int):
+    """The C arguments ``(tape, width, rows, cursor)`` of a tape kind's block.
+
+    A step reads at most ``reads`` proposals per trial, so a trial's row
+    must hold ``steps * reads`` unread ones past its cursor.
+    """
+    if tape.ndim != 2 or tape.dtype != np.int32 or cursor.shape != (tape.shape[0],):
+        raise ValueError("the tape must be an (R, width) int32 array with one cursor per row")
+    if rows.size and (
+        rows.min() < 0
+        or rows.max() >= tape.shape[0]
+        or cursor[rows].max() + steps * reads > tape.shape[1]
+    ):
+        raise ValueError("a block must read the rows of its tape's trials within the tape")
+    return (
+        _buffer(tape),
+        tape.shape[1],
+        _arg(rows, rows.shape, np.int64),
+        _arg(cursor, cursor.shape, np.int64),
+    )
 
 
 class CcOps:
@@ -254,7 +331,7 @@ class CcOps:
             raise MemoryError("repro_labels_batch could not allocate its scratch")
         return labels
 
-    # -- cc-only extension ------------------------------------------------ #
+    # -- cc-only native block kinds --------------------------------------- #
     def broadcast_r0_block(
         self,
         kernel: Optional[tuple],
@@ -279,47 +356,9 @@ class CcOps:
         """
         n_steps, n_trials = counts_out.shape
         k = informed.shape[1]
-        if (
-            positions.shape != (n_trials, k, 2)
-            or positions.dtype != np.int64
-            or informed.shape != (n_trials, k)
-            or informed.itemsize != 1
-            or done_at.shape != (n_trials,)
-            or done_at.dtype != np.int64
-            or counts_out.dtype != np.int64
-        ):
-            raise ValueError("positions, informed, done_at or counts_out: wrong shape or dtype")
-        if marks.dtype != np.uint8 or marks.size < side * side:
-            raise ValueError("marks must be a uint8 table of side * side cells")
-        # Pointer arguments: NULL unless the kernel spec reads them.
-        mask: Any = None
-        ichoice: Optional[int] = None
-        fdisp: Optional[int] = None
-        kind = stride = 0
-        if kernel is not None:
-            kind = _BLOCK_KINDS[kernel[0]]
-            expected = (n_trials, n_steps, k) + ((2,) if kind == 3 else ())
-            if draws is None or draws.shape != expected:
-                raise ValueError(f"draws must have shape {expected}")
-            dtype = np.float64 if kind == 3 else np.int32
-            if (
-                draws.dtype != dtype
-                or not draws[:1].flags["C_CONTIGUOUS"]
-                or draws.strides[0] % draws.itemsize
-            ):
-                draws = np.ascontiguousarray(draws, dtype=dtype)
-            stride = draws.strides[0] // draws.itemsize
-            # A draw view's trials are contiguous but strided apart, which
-            # from_buffer refuses: the kernel gets the view's base address.
-            if kind == 3:
-                fdisp = draws.ctypes.data
-            else:
-                ichoice = draws.ctypes.data
-            if kind == 2:
-                free_mask = np.ascontiguousarray(kernel[2], dtype=np.uint8)
-                if free_mask.size < side * side:
-                    raise ValueError("the obstacle mask must cover side * side cells")
-                mask = _buffer(free_mask)
+        kind, mask, ichoice, fdisp, stride, _arrays = _draw_block(
+            kernel, side, draws, (n_trials, n_steps, k)
+        )
         return self._lib.repro_broadcast_r0_block(
             n_trials,
             k,
@@ -330,9 +369,178 @@ class CcOps:
             ichoice,
             fdisp,
             stride,
-            _buffer(positions),
-            _buffer(informed),
-            _buffer(marks),
-            _buffer(done_at),
-            _buffer(counts_out),
+            _arg(positions, (n_trials, k, 2), np.int64),
+            _arg(informed, (n_trials, k)),
+            _arg(marks, (side * side,), np.uint8),
+            _arg(done_at, (n_trials,), np.int64),
+            _arg(counts_out, (n_steps, n_trials), np.int64),
+        )
+
+    def broadcast_r0_observed_block(
+        self,
+        kernel: Optional[tuple],
+        side: int,
+        draws: Optional[np.ndarray],
+        positions: np.ndarray,
+        informed: np.ndarray,
+        marks: np.ndarray,
+        t0: int,
+        broadcast_time: np.ndarray,
+        frontier: Optional[np.ndarray],
+        frontier_out: Optional[np.ndarray],
+        visited: Optional[np.ndarray],
+        n_visited: Optional[np.ndarray],
+        coverage_time: np.ndarray,
+        done_at: np.ndarray,
+        counts_out: np.ndarray,
+    ) -> int:
+        """:meth:`broadcast_r0_block` with the frontier and coverage observables.
+
+        ``frontier`` (A,) with its ``(steps, A)`` record ``frontier_out``,
+        and ``visited`` (A, side * side) with its counts ``n_visited`` (A,),
+        are advanced in place, or ``None`` when not recorded.
+        ``broadcast_time`` and ``coverage_time`` (A,) are times counted from
+        ``t0`` at the block's first step, or -1.  Returns the steps the
+        longest-running trial ran.
+        """
+        n_steps, n_trials = counts_out.shape
+        k = informed.shape[1]
+        per_trial = (n_trials,)
+        if (frontier is None) != (frontier_out is None) or (visited is None) != (n_visited is None):
+            raise ValueError("frontier needs frontier_out, and visited needs n_visited")
+        kind, mask, ichoice, fdisp, stride, _arrays = _draw_block(
+            kernel, side, draws, (n_trials, n_steps, k)
+        )
+        return self._lib.repro_broadcast_r0_observed_block(
+            n_trials,
+            k,
+            side,
+            n_steps,
+            kind,
+            mask,
+            ichoice,
+            fdisp,
+            stride,
+            _arg(positions, (n_trials, k, 2), np.int64),
+            _arg(informed, (n_trials, k)),
+            _arg(marks, (side * side,), np.uint8),
+            t0,
+            _arg(broadcast_time, per_trial, np.int64),
+            _arg(frontier, per_trial, np.int64),
+            _arg(frontier_out, (n_steps, n_trials), np.int64),
+            _arg(visited, (n_trials, side * side)),
+            _arg(n_visited, per_trial, np.int64),
+            _arg(coverage_time, per_trial, np.int64),
+            _arg(done_at, per_trial, np.int64),
+            _arg(counts_out, (n_steps, n_trials), np.int64),
+        )
+
+    def frog_r0_block(
+        self,
+        side: int,
+        tape: np.ndarray,
+        rows: np.ndarray,
+        cursor: np.ndarray,
+        positions: np.ndarray,
+        informed: np.ndarray,
+        marks: np.ndarray,
+        done_at: np.ndarray,
+        counts_out: np.ndarray,
+    ) -> int:
+        """Up to ``counts_out.shape[0]`` Frog-model steps at ``r = 0``, trial-major.
+
+        Row ``a`` of ``positions`` (A, k, 2) and ``informed`` (A, k) is
+        trial ``rows[a]``, whose informed agents move by the lazy proposals
+        of its ``tape`` row (an ``(R, width)`` int32 tape with one
+        ``cursor`` per row, advanced in place).  Returns the steps the
+        longest-running trial ran.
+        """
+        n_steps, n_trials = counts_out.shape
+        k = informed.shape[1]
+        return self._lib.repro_frog_r0_block(
+            n_trials,
+            k,
+            side,
+            n_steps,
+            *_tape_args(tape, rows, cursor, n_steps, k),
+            _arg(positions, (n_trials, k, 2), np.int64),
+            _arg(informed, (n_trials, k)),
+            _arg(marks, (side * side,), np.uint8),
+            _arg(done_at, (n_trials,), np.int64),
+            _arg(counts_out, (n_steps, n_trials), np.int64),
+        )
+
+    def predator_prey_r0_block(
+        self,
+        side: int,
+        n_predators: int,
+        preys_move: bool,
+        tape: np.ndarray,
+        rows: np.ndarray,
+        cursor: np.ndarray,
+        positions: np.ndarray,
+        alive: np.ndarray,
+        marks: np.ndarray,
+        done_at: np.ndarray,
+        counts_out: np.ndarray,
+    ) -> int:
+        """Up to ``counts_out.shape[0]`` predator–prey steps at ``r = 0``, trial-major.
+
+        ``positions`` (A, n_predators + m, 2) stacks each trial's predators
+        before its preys and ``alive`` (A, m) marks the living preys; the
+        tape arguments are :meth:`frog_r0_block`'s.  Returns the steps the
+        longest-running trial ran.
+        """
+        n_steps, n_trials = counts_out.shape
+        n_preys = alive.shape[1]
+        n_points = n_predators + n_preys
+        return self._lib.repro_predator_prey_r0_block(
+            n_trials,
+            n_predators,
+            n_preys,
+            side,
+            n_steps,
+            int(preys_move),
+            *_tape_args(tape, rows, cursor, n_steps, n_points),
+            _arg(positions, (n_trials, n_points, 2), np.int64),
+            _arg(alive, (n_trials, n_preys)),
+            _arg(marks, (side * side,), np.uint8),
+            _arg(done_at, (n_trials,), np.int64),
+            _arg(counts_out, (n_steps, n_trials), np.int64),
+        )
+
+    def cover_lazy_block(
+        self,
+        side: int,
+        draws: np.ndarray,
+        positions: np.ndarray,
+        visited: np.ndarray,
+        n_visited: np.ndarray,
+        done_at: np.ndarray,
+        counts_out: np.ndarray,
+    ) -> int:
+        """Up to ``counts_out.shape[0]`` steps of the lazy cover process, trial-major.
+
+        ``draws`` is the lazy walk's ``(A, steps, k)`` draw block; each
+        trial's ``visited`` row (A, side * side) and count ``n_visited``
+        (A,) are advanced in place.  Returns the steps the longest-running
+        trial ran.
+        """
+        n_steps, n_trials = counts_out.shape
+        k = positions.shape[1]
+        _kind, _mask, ichoice, _fdisp, stride, _arrays = _draw_block(
+            ("lazy", side), side, draws, (n_trials, n_steps, k)
+        )
+        return self._lib.repro_cover_lazy_block(
+            n_trials,
+            k,
+            side,
+            n_steps,
+            ichoice,
+            stride,
+            _arg(positions, (n_trials, k, 2), np.int64),
+            _arg(visited, (n_trials, side * side)),
+            _arg(n_visited, (n_trials,), np.int64),
+            _arg(done_at, (n_trials,), np.int64),
+            _arg(counts_out, (n_steps, n_trials), np.int64),
         )

@@ -2,8 +2,8 @@
 
 A *provider* is an object exposing the compiled kernel set at numpy level
 (``apply_lazy`` / ``apply_masked`` / ``apply_brownian`` / ``labels_batch``,
-plus the cc-only ``broadcast_r0_block`` extension flagged by
-``has_block_driver``).
+plus the cc-only native block kinds, ``broadcast_r0_block`` and its
+siblings, flagged by ``has_block_driver``).
 :class:`LoopOps` adapts a namespace of loop kernels with the
 :mod:`repro.compiled.kernels_py` signatures (the plain-Python reference
 module itself, the ``python`` provider) to that protocol; the cc provider
@@ -105,7 +105,7 @@ def accelerate_stepper(ops: Any, stepper: Any) -> Any:
 
     An obstacle spec's mask, a read-only bool array, is replaced by its
     C-contiguous uint8 copy, made once per run: the compiled apply of every
-    step and every block of the fused driver then read it unconverted.
+    step and every native block then read it unconverted.
     """
     kernel = getattr(stepper, "kernel", None)
     if not isinstance(stepper, BlockDrawStepper) or kernel is None:

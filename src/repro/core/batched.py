@@ -38,11 +38,15 @@ the property tests, for every built-in mobility model.
 
 The ``compiled`` flag (``backend="compiled"``) keeps this exact loop and
 draw order but routes the per-step hot kernels — the broadcast and gossip
-mobility applies and component labelling — through :mod:`repro.compiled`;
-for ``r = 0`` broadcasts with no observable and block-draw mobility the
-whole flood → record → complete → move iteration runs as fused multi-step
-native blocks
-(:func:`repro.compiled.driver.run_broadcast_r0_fused`).  Above ``r = 0`` the
+mobility applies and component labelling — through :mod:`repro.compiled`.
+A kernel with a native kind
+(:attr:`~repro.dissemination.kernels.ProcessKernel.native_kind`: the
+``r_eff = 0`` broadcast with or without its observables, the Frog model,
+predator–prey and the lazy cover process) leaves this loop altogether
+when the provider carries the kinds and its mobility draws in blocks or
+lazy tapes: its whole step iteration runs as multi-step native blocks on
+:func:`repro.compiled.driver.run_blocks`, which keeps the kernel's
+``initially_stopped``, ``compact`` and ``finalize``.  Above ``r = 0`` the
 incremental engine is the provider's stateless
 :class:`~repro.compiled.engine.CompiledDeltaEngine` (one compiled
 ``labels_batch`` call per step) under compiled and the
@@ -92,7 +96,7 @@ def regroup_curves(
 ) -> list[np.ndarray]:
     """Per-trial time series from ``(trials, counts)`` records in step order.
 
-    A record is one step's ``(active, counts)``, or a fused block's records
+    A record is one step's ``(active, counts)``, or a native block's records
     flattened into one pair.  One stable sort replaces the per-trial Python
     appends the hot loop would otherwise do at every step.
     """
@@ -220,10 +224,9 @@ def run_process_replications_batched(
     ``compiled`` swaps the labelling passes for the active
     :mod:`repro.compiled` provider's labels kernel or engine (raising when
     none is available) and hands the kernel the provider for its mobility
-    applies; a ``fused_r0`` kernel (a broadcast with no observable) whose
-    run the fused block driver supports runs every step there instead.  No
-    draw moves, so
-    results are again bit-for-bit identical.
+    applies; a kernel with a native kind whose run the native block loop
+    supports runs every step there instead.  No draw moves, so results are
+    again bit-for-bit identical.
     """
     return _run_batched(
         process, n_replications, seed,
@@ -251,17 +254,18 @@ def _run_batched(
     rngs = list(rng_streams) if rng_streams is not None else spawn_rngs(seed, n_replications)
     n_trials = n_replications
     bstate = process.init_batch(rngs, ops)
-    radius = effective_radius(process.radius)
     if (
         ops is not None
-        and process.fused_r0
-        and _fused_broadcast_usable(ops, radius, bstate.stepper, process.grid)
+        and process.native_kind is not None
+        and _native_block_usable(ops, bstate.stepper, process.grid)
     ):
-        # Whole-loop fused native path: flood -> record -> complete -> move
-        # runs block-at-a-time in the provider, bit-for-bit with the loop
-        # below (the pre-drawn mobility blocks come from the same stepper).
+        # The kernel's native kind runs whole blocks of steps per provider
+        # call, bit-for-bit with the loop below (the draws come from the
+        # same stepper, in the same order).
         step_trials, step_counts, n_steps = process.run_fused(ops, bstate)
         return _summarise(process, bstate, n_trials, step_trials, step_counts, n_steps)
+
+    radius = effective_radius(process.radius)
 
     labels_fn = _resolve_labels_fn(ops)
     engine = None
@@ -359,7 +363,7 @@ def _resolve_labels_fn(ops):
     return make_labels_fn(ops)
 
 
-def _fused_broadcast_usable(ops, radius: float, stepper, grid: Grid2D) -> bool:
-    from repro.compiled.driver import fused_broadcast_supported
+def _native_block_usable(ops, stepper, grid: Grid2D) -> bool:
+    from repro.compiled.driver import native_block_supported
 
-    return fused_broadcast_supported(ops, radius, stepper, grid.n_nodes)
+    return native_block_supported(ops, stepper, grid.n_nodes)

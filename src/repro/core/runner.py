@@ -2,7 +2,8 @@
 
 All headline quantities of the paper are "with high probability" statements,
 so every experiment is replicated with independent random streams and the
-harness reports means, medians and bootstrap confidence intervals.
+harness summarises each replicated value (:class:`ReplicationSummary`: its
+mean, median, spread and completion rate).
 
 Replications can be executed by interchangeable backends selected via the
 ``backend`` argument (else the active :func:`backend_override`, else
@@ -18,9 +19,8 @@ Replications can be executed by interchangeable backends selected via the
   is available on the host;
 * ``"auto"`` — the fastest backend the configuration and host support,
   resolved jointly with the connectivity engine by one policy
-  (:func:`auto_pair`): compiled when a provider is available (except a
-  label run at ``⌊r⌋ = 0`` that the fused driver does not take, which stays
-  batched), else batched, else serial.
+  (:func:`auto_pair`): compiled when a provider is available, else
+  batched, else serial.
 
 All backends consume identical per-trial random streams (derived with
 :func:`repro.util.rng.spawn_rngs`) and return bit-for-bit identical results,
@@ -232,7 +232,6 @@ def auto_pair(
     *,
     batchable: bool = True,
     labels: bool = True,
-    fused_r0: bool = False,
 ) -> tuple[str, str]:
     """The ``auto`` policy: resolve backend × connectivity as one pair.
 
@@ -242,24 +241,21 @@ def auto_pair(
     (:func:`~repro.connectivity.visibility.effective_radius`), to the
     fastest pair measured (with the bundled C provider):
 
-    ==================================  =========================  =========================
-    run                                 compiled provider          no provider
-    ==================================  =========================  =========================
-    fused-driver run, ``r_eff = 0``     compiled × incremental     batched × incremental
-    other label run, ``r_eff = 0``      batched × incremental      batched × incremental
-    ``r_eff = 1``                       compiled × incremental     batched × incremental
-    ``r_eff >= 2``                      compiled × incremental     batched × recompute
-    ==================================  =========================  =========================
+    ===================  =========================  =========================
+    run                  compiled provider          no provider
+    ===================  =========================  =========================
+    ``r_eff <= 1``       compiled × incremental     batched × incremental
+    ``r_eff >= 2``       compiled × incremental     batched × recompute
+    ===================  =========================  =========================
 
-    A *fused-driver run* is one whose kernel's ``fused_r0`` holds
-    (:attr:`~repro.dissemination.kernels.ProcessKernel.fused_r0`): a
-    broadcast with no frontier or coverage observable, which compiled runs
-    on the fused block driver.  Every other run that consumes labels at
-    ``r_eff = 0`` (gossip, an observed broadcast, the Section-4 label
-    kernels) would only swap the numpy same-cell engine for the compiled
-    labels kernel, which measured slower (docs/PERFORMANCE.md) — unless
-    recompute is requested, which compiled runs faster.  From ``r_eff = 1``
-    up the compiled engine
+    Under compiled, a kernel with a native kind
+    (:attr:`~repro.dissemination.kernels.ProcessKernel.native_kind`: every
+    ``r_eff = 0`` broadcast, the Frog model, predator–prey and the lazy
+    cover process) runs whole blocks of steps natively where its mobility
+    allows, which the batched loop decides at run time.  Gossip at
+    ``r_eff = 0`` has no kind; its compiled labels kernel measured no slower
+    than the numpy same-cell engine at E8's ``tiny``, ``small`` and
+    ``paper`` scales.  From ``r_eff = 1`` up the compiled engine
     (:class:`~repro.compiled.engine.CompiledDeltaEngine`, one compiled
     ``labels_batch`` call per step) beats every numpy engine.
     An unbatchable configuration (``batchable=False``) resolves ``auto`` to
@@ -274,8 +270,6 @@ def auto_pair(
         if not batchable:
             backend = "serial"
         elif not compiled_available():
-            backend = "batched"
-        elif labels and r_eff == 0 and not fused_r0 and connectivity != "recompute":
             backend = "batched"
         else:
             backend = "compiled"
@@ -299,8 +293,7 @@ def resolve_pair(
     Each request is the explicit argument if given, else the active
     :func:`backend_override` / :func:`connectivity_override`, else
     ``"auto"`` (:func:`requested_pair`); :func:`auto_pair` resolves whatever
-    is left at ``"auto"``, with the ``fused_r0`` of the kernel the config
-    runs on.
+    is left at ``"auto"``.
     Only configurations the batched backend supports resolve to batched
     or compiled.  An explicit ``"batched"``/``"compiled"`` request for an
     unsupported configuration (or, for ``"compiled"``, a host without any
@@ -308,16 +301,12 @@ def resolve_pair(
     falling back.
     """
     backend, connectivity = requested_pair(backend, connectivity)
-    batchable, fused_r0 = True, False
+    batchable = True
     if backend == "auto":
         from repro.core.batched import supports_batched
-        from repro.dissemination.kernels import BroadcastProcess, GossipProcess
 
         batchable = supports_batched(config)
-        if batchable:
-            kernel = BroadcastProcess if isinstance(config, BroadcastConfig) else GossipProcess
-            fused_r0 = kernel(config).fused_r0
-    return auto_pair(backend, connectivity, config.radius, batchable=batchable, fused_r0=fused_r0)
+    return auto_pair(backend, connectivity, config.radius, batchable=batchable)
 
 
 def resolve_backend(

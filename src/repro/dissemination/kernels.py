@@ -18,7 +18,10 @@ loop (:func:`run_process_serial`, here) and one batched loop
 (:func:`repro.core.batched.run_process_replications_batched`) drive every
 kernel: the paper's broadcast (:class:`BroadcastProcess`, Theorems 1-2) and
 gossip (:class:`GossipProcess`, Corollary 2) on any registered mobility
-model, and the Section-4 processes.
+model, and the Section-4 processes.  Under ``backend="compiled"`` a kernel
+with a :attr:`~ProcessKernel.native_kind` (every ``r_eff = 0`` process but
+gossip and the simple-walk cover) runs whole blocks of steps natively
+instead (:meth:`~ProcessKernel.run_fused`, :mod:`repro.compiled.driver`).
 
 The connectivity input is declared per kernel via ``needs``:
 
@@ -201,15 +204,17 @@ class ProcessKernel(abc.ABC):
         return "labels"
 
     @property
-    def fused_r0(self) -> bool:
-        """Whether the fused ``r = 0`` block driver may run this kernel (:meth:`run_fused`).
+    def native_kind(self) -> Optional[str]:
+        """The native block kind that runs this kernel under compiled (:meth:`run_fused`).
 
-        The one place that decides whether a run may fuse: the batched loop
-        hands a compiled run to the driver only when this holds (and the
-        driver supports its mobility), and ``auto`` resolves a label run at
-        ``⌊r⌋ = 0`` to compiled only when it holds.
+        ``None`` keeps every run on the per-step loop.  The batched loop
+        hands a compiled run to the native block loop
+        (:func:`repro.compiled.driver.run_blocks`) only when this is set and
+        the loop supports the run's mobility and grid
+        (:func:`~repro.compiled.driver.native_block_supported`).  Every kind
+        runs at ``r_eff = 0``.
         """
-        return False
+        return None
 
     @property
     @abc.abstractmethod
@@ -292,12 +297,12 @@ class ProcessKernel(abc.ABC):
     def run_fused(
         self, ops: Any, bstate: Any
     ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-        """Run every step on the fused block driver (``fused_r0`` kernels only).
+        """Run every step on the native block loop (kernels with a :attr:`native_kind`).
 
         Returns ``(step_trials, step_counts, n_steps)`` as the batched loop
         records them, with the result fields written into ``bstate``.
         """
-        raise NotImplementedError(f"process {self.name!r} has no fused driver")
+        raise NotImplementedError(f"process {self.name!r} has no native block kind")
 
 
 # --------------------------------------------------------------------------- #
@@ -523,6 +528,37 @@ class FrogProcess(ProcessKernel):
 
     def finalize(self, bstate: _FrogBatch, active: np.ndarray) -> None:
         bstate.final_active[active] = bstate.active_mask.sum(axis=1)
+
+    @property
+    def native_kind(self) -> Optional[str]:
+        return "frog_r0" if effective_radius(self.radius) == 0 else None
+
+    def run_fused(
+        self, ops: Any, bstate: _FrogBatch
+    ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+        from repro.compiled.driver import done_steps, run_blocks
+
+        marks = np.zeros(self.grid.n_nodes, dtype=np.uint8)
+
+        def block(draws, active, t, done_at, counts_out):
+            tape, cursor, _steps = draws
+            ran = ops.frog_r0_block(
+                self.grid.side,
+                tape,
+                active,
+                cursor,
+                bstate.positions,
+                bstate.active_mask,
+                marks,
+                done_at,
+                counts_out,
+            )
+            trials, times = done_steps(active, t, done_at)
+            bstate.activation_time[trials] = times
+            bstate.final_active[trials] = self.n_agents
+            return ran
+
+        return run_blocks(self, bstate, block)
 
     def build_results(
         self, bstate: _FrogBatch, curves: list[np.ndarray], n_steps: np.ndarray
@@ -751,6 +787,39 @@ class PredatorPreyProcess(ProcessKernel):
     def finalize(self, bstate: _PredatorPreyBatch, active: np.ndarray) -> None:
         bstate.preys_remaining[active] = bstate.alive.sum(axis=1)
 
+    @property
+    def native_kind(self) -> Optional[str]:
+        return "predator_prey_r0" if effective_radius(self.radius) == 0 else None
+
+    def run_fused(
+        self, ops: Any, bstate: _PredatorPreyBatch
+    ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+        from repro.compiled.driver import done_steps, run_blocks
+
+        marks = np.zeros(self.grid.n_nodes, dtype=np.uint8)
+
+        def block(draws, active, t, done_at, counts_out):
+            tape, cursor, _steps = draws
+            ran = ops.predator_prey_r0_block(
+                self.grid.side,
+                self.n_predators,
+                self.preys_move,
+                tape,
+                active,
+                cursor,
+                bstate.positions,
+                bstate.alive,
+                marks,
+                done_at,
+                counts_out,
+            )
+            trials, times = done_steps(active, t, done_at)
+            bstate.extinction_time[trials] = times
+            bstate.preys_remaining[trials] = 0
+            return ran
+
+        return run_blocks(self, bstate, block)
+
     def build_results(
         self, bstate: _PredatorPreyBatch, curves: list[np.ndarray], n_steps: np.ndarray
     ) -> list[PredatorPreyResult]:
@@ -963,6 +1032,34 @@ class CoverProcess(ProcessKernel):
     def finalize(self, bstate: _CoverBatch, active: np.ndarray) -> None:
         bstate.final_count[active] = bstate.count
 
+    @property
+    def native_kind(self) -> Optional[str]:
+        """The lazy walk's kind; the simple walk's redraws keep the per-step loop."""
+        return "cover_lazy" if self.rule == "lazy" else None
+
+    def run_fused(
+        self, ops: Any, bstate: _CoverBatch
+    ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+        from repro.compiled.driver import done_steps, run_blocks
+
+        def block(draws, active, t, done_at, counts_out):
+            ran = ops.cover_lazy_block(
+                self.side,
+                draws,
+                bstate.positions,
+                bstate.visited,
+                bstate.count,
+                done_at,
+                counts_out,
+            )
+            trials, times = done_steps(active, t, done_at)
+            # Serial loops count completed steps from 1; driver t is 0-based.
+            bstate.cover_time[trials] = times + 1
+            bstate.final_count[trials] = self.n_nodes
+            return ran
+
+        return run_blocks(self, bstate, block)
+
     def build_results(
         self, bstate: _CoverBatch, curves: list[np.ndarray], n_steps: np.ndarray
     ) -> list[CoverTimeResult]:
@@ -1145,8 +1242,9 @@ class BroadcastProcess(_ConfigProcess):
     observables (``record_frontier``, ``record_coverage``) run on both
     faces; a trial that records coverage stops once both the broadcast and
     the coverage are done (``T_B`` and ``T_C`` from one trajectory).  A
-    compiled batch with no observable and a block-draw mobility model at
-    ``⌊r⌋ = 0`` runs on the fused block driver (:meth:`run_fused`).
+    compiled batch at ``⌊r⌋ = 0`` with a block-draw or static mobility
+    model runs on the native block loop (:meth:`run_fused`), observables
+    included.
     """
 
     name = "broadcast"
@@ -1156,9 +1254,13 @@ class BroadcastProcess(_ConfigProcess):
     config_class = BroadcastConfig
 
     @property
-    def fused_r0(self) -> bool:
-        """The fused driver records neither observable, so it takes only runs without one."""
-        return not (self.config.record_frontier or self.config.record_coverage)
+    def native_kind(self) -> Optional[str]:
+        """The unobserved kind, or the kind that records the frontier and coverage."""
+        if effective_radius(self.radius) != 0:
+            return None
+        if self.config.record_frontier or self.config.record_coverage:
+            return "broadcast_r0_observed"
+        return "broadcast_r0"
 
     def _draw_source(self, rng: RandomState) -> int:
         source = self.config.source
@@ -1266,21 +1368,52 @@ class BroadcastProcess(_ConfigProcess):
     def run_fused(
         self, ops: Any, bstate: _BroadcastBatch
     ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-        from repro.compiled.driver import run_broadcast_r0_fused
+        from repro.compiled.driver import done_steps, records, run_blocks
 
-        n_trials = bstate.broadcast_time.shape[0]
-        step_trials, step_counts, broadcast_time, n_steps, n_informed = run_broadcast_r0_fused(
-            ops,
-            self.grid,
-            bstate.stepper,
-            bstate.positions,
-            bstate.informed,
-            n_trials,
-            self.horizon,
-        )
-        bstate.broadcast_time = broadcast_time
-        bstate.final_informed = n_informed
-        return step_trials, step_counts, n_steps
+        kernel = getattr(bstate.stepper, "kernel", None)
+        side = self.grid.side
+        marks = np.zeros(self.grid.n_nodes, dtype=np.uint8)
+
+        def unobserved(draws, active, t, done_at, counts_out):
+            ran = ops.broadcast_r0_block(
+                kernel, side, draws, bstate.positions, bstate.informed, marks, done_at, counts_out
+            )
+            trials, times = done_steps(active, t, done_at)
+            bstate.broadcast_time[trials] = times
+            return ran
+
+        def observed(draws, active, t, done_at, counts_out):
+            broadcast_time = bstate.broadcast_time[active]
+            coverage_time = bstate.coverage_time[active]
+            covered = bstate.visited is not None
+            frontier_out = None if bstate.frontier is None else np.full_like(counts_out, -1)
+            ran = ops.broadcast_r0_observed_block(
+                kernel,
+                side,
+                draws,
+                bstate.positions,
+                bstate.informed,
+                marks,
+                t,
+                broadcast_time,
+                bstate.frontier,
+                frontier_out,
+                bstate.visited,
+                bstate.count if covered else None,
+                coverage_time,
+                done_at,
+                counts_out,
+            )
+            bstate.broadcast_time[active] = broadcast_time
+            bstate.coverage_time[active] = coverage_time
+            if frontier_out is not None:
+                trials, values = records(active, frontier_out[:ran])
+                bstate.frontier_trials.append(trials)
+                bstate.frontier_values.append(values)
+            return ran
+
+        block = observed if self.native_kind == "broadcast_r0_observed" else unobserved
+        return run_blocks(self, bstate, block)
 
     def build_results(
         self, bstate: _BroadcastBatch, curves: list[np.ndarray], n_steps: np.ndarray
@@ -1492,10 +1625,7 @@ def resolve_process_pair(
     if isinstance(process, _ConfigProcess):
         return resolve_pair(process.config, backend, connectivity)
     return auto_pair(
-        *requested_pair(backend, connectivity),
-        process.radius,
-        labels=process.needs == "labels",
-        fused_r0=process.fused_r0,
+        *requested_pair(backend, connectivity), process.radius, labels=process.needs == "labels"
     )
 
 

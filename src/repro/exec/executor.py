@@ -86,8 +86,8 @@ def _init_pool_worker(jobs: int) -> None:
     """Pool-worker initializer: record this worker's share of the CPUs.
 
     ``jobs`` workers split the CPUs the executor's process may use, so a
-    worker counts on ``max(1, usable // jobs)`` of them, and the fused
-    driver starts its draw helper thread only where that share leaves a CPU
+    worker counts on ``max(1, usable // jobs)`` of them, and the native
+    block loop starts its draw helper thread only where that share leaves a CPU
     to spare (inline execution counts every usable CPU).  Module level, so
     that ``spawn`` workers can import it.
     """

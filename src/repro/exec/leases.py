@@ -10,7 +10,10 @@ directory of ``<unit-key>.lease`` files living beside the store, where
 * **heartbeat** touches the file's mtime while the owner is still working;
 * a lease whose mtime is older than the TTL is **expired** — its owner
   crashed or lost the unit — and may be *stolen* (atomically replaced) by
-  another executor, which requeues the unit;
+  another executor, which requeues the unit.  So may a lease whose owner
+  id (``<pid>-<uuid>``) names a process that no longer exists on this
+  host, at once: a rerun after its predecessor was killed need not wait
+  out the TTL;
 * **release** removes the file once the unit's record is safely in the
   store.
 
@@ -123,11 +126,12 @@ class LeaseTable:
 
     # -- claiming ----------------------------------------------------------- #
     def claim(self, key: str) -> bool:
-        """Try to take (or re-take, or steal-if-expired) the lease on ``key``.
+        """Try to take (or re-take, or steal) the lease on ``key``.
 
         Returns ``True`` when this table now owns the lease: a fresh claim,
         a re-claim of a lease it already holds, or a steal of an expired
-        one.  Returns ``False`` when another live owner holds it.
+        one or of one whose owner process is gone (:meth:`holder_gone`).
+        Returns ``False`` when another live owner holds it.
         """
         path = self.path_for(key)
         payload = json.dumps({"owner": self.owner, "claimed_at": time.time()})
@@ -151,15 +155,16 @@ class LeaseTable:
             if self.owns(key):
                 return True
             self._sweep_stale_temps()
-            # Only a lease whose mtime has outlived the TTL is stealable.  An
-            # unreadable payload with a live mtime is NOT: its writer may be
-            # alive (mid-write, or about to heartbeat), and treating corrupt
-            # as stealable is what let racing claimants both "win".
-            if not self.expired(key):
+            # Only a lease whose mtime has outlived the TTL, or whose owner
+            # process is gone, is stealable.  An unreadable payload with a
+            # live mtime is NOT: its writer may be alive (mid-write, or about
+            # to heartbeat), and treating corrupt as stealable is what let
+            # racing claimants both "win".
+            if not self.expired(key) and not self.holder_gone(key):
                 self.stats.conflicts += 1
                 return False
-            # Expired lease: steal it with an atomic replace, so concurrent
-            # stealers cannot interleave partial writes.
+            # Steal it with an atomic replace, so concurrent stealers cannot
+            # interleave partial writes.
             os.replace(tmp, path)
             tmp = None  # consumed by the rename
             self.stats.claims += 1
@@ -220,6 +225,26 @@ class LeaseTable:
             return str(document["owner"])
         except (OSError, ValueError, KeyError, TypeError):
             return None
+
+    def holder_gone(self, key: str) -> bool:
+        """Whether the lease's owner id names a process that no longer exists here.
+
+        The id is ``<pid>-<uuid>``, made on this host, the only topology.
+        An unreadable payload, an id without a PID, or a process that
+        exists (or may: another user's) counts as alive and keeps the TTL
+        rule.  A PID the host reused reads as alive too, which only delays
+        the steal to the TTL.
+        """
+        pid, _, _ = (self.holder(key) or "").partition("-")
+        if not pid.isdigit() or int(pid) <= 0:
+            return False
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, OverflowError):
+            return False
+        return False
 
     def owns(self, key: str) -> bool:
         """Whether this table currently holds the lease on ``key``."""

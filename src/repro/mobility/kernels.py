@@ -246,9 +246,30 @@ class TapeStepper(BatchStepper):
         self._rule = rule
         self._low = 0 if rule == "lazy" else 1
         self._walkers = np.arange(n_walkers)
-        block = max(1, min(BLOCK_STEPS, BLOCK_BYTES // (4 * n_walkers)))
-        self._tape = np.empty((len(self._rngs), block * n_walkers), dtype=np.int32)
+        self._block = max(1, min(BLOCK_STEPS, BLOCK_BYTES // (4 * n_walkers)))
+        self._tape = np.empty((len(self._rngs), self._block * n_walkers), dtype=np.int32)
         self._cursor = np.full(len(self._rngs), self._tape.shape[1], dtype=np.int64)
+
+    @property
+    def rule(self) -> StepRule:
+        """The step rule whose proposals the tapes hold."""
+        return self._rule
+
+    def top_up(self, trials: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Refill ``trials``' tapes for a native block; returns ``(tape, cursor, steps)``.
+
+        Each trial's tape then holds a whole tape of unread proposals, by
+        the refill rule of the per-step reads.  ``tape`` and ``cursor`` are
+        the stepper's own arrays, indexed by trial: a block reads trial
+        ``i``'s proposals from ``tape[i, cursor[i]:]`` in order and advances
+        ``cursor[i]`` past them.  A step reads at most one proposal per
+        walker, so a block of at most ``steps`` steps never reads past the
+        tape, and every value lands where the per-step reads would find it.
+        """
+        started = trials[self._cursor[trials] > 0]
+        if started.size:
+            self._refill(started)
+        return self._tape, self._cursor, self._block
 
     def _read(self, trials: np.ndarray, wanted: Optional[np.ndarray] = None) -> np.ndarray:
         """The next proposals of ``trials``: one per walker, or per True of ``wanted``.

@@ -12,7 +12,6 @@ bit.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -35,9 +34,12 @@ from repro.core.runner import (
 )
 from repro.core.simulation import BroadcastSimulation
 from repro.dissemination.kernels import (
+    BroadcastProcess,
+    CoverProcess,
     FrogProcess,
     PredatorPreyProcess,
     resolve_process_pair,
+    run_process_replications,
 )
 from repro.grid.obstacles import ObstacleGrid
 from repro.obs.metrics import global_registry
@@ -56,20 +58,18 @@ TABLE = {
         2.0: (("compiled", "incremental"), ("batched", "recompute")),
         4.0: (("compiled", "incremental"), ("batched", "recompute")),
     },
-    # Gossip and an observed broadcast: the fused r = 0 driver takes
-    # neither, and at r_eff = 0 the numpy same-cell engine beats the
-    # compiled labels kernel.
+    # Gossip and an observed broadcast: one rule for every batchable run.
     "gossip": {
-        0.0: (("batched", "incremental"), ("batched", "incremental")),
-        0.5: (("batched", "incremental"), ("batched", "incremental")),
+        0.0: (("compiled", "incremental"), ("batched", "incremental")),
+        0.5: (("compiled", "incremental"), ("batched", "incremental")),
         1.0: (("compiled", "incremental"), ("batched", "incremental")),
         1.5: (("compiled", "incremental"), ("batched", "incremental")),
         2.0: (("compiled", "incremental"), ("batched", "recompute")),
         4.0: (("compiled", "incremental"), ("batched", "recompute")),
     },
     "observed broadcast": {
-        0.0: (("batched", "incremental"), ("batched", "incremental")),
-        0.5: (("batched", "incremental"), ("batched", "incremental")),
+        0.0: (("compiled", "incremental"), ("batched", "incremental")),
+        0.5: (("compiled", "incremental"), ("batched", "incremental")),
         1.0: (("compiled", "incremental"), ("batched", "incremental")),
         1.5: (("compiled", "incremental"), ("batched", "incremental")),
         2.0: (("compiled", "incremental"), ("batched", "recompute")),
@@ -77,8 +77,8 @@ TABLE = {
     },
     # Frog: the same rule for every label process.
     "label process": {
-        0.0: (("batched", "incremental"), ("batched", "incremental")),
-        0.5: (("batched", "incremental"), ("batched", "incremental")),
+        0.0: (("compiled", "incremental"), ("batched", "incremental")),
+        0.5: (("compiled", "incremental"), ("batched", "incremental")),
         1.0: (("compiled", "incremental"), ("batched", "incremental")),
         1.5: (("compiled", "incremental"), ("batched", "incremental")),
         2.0: (("compiled", "incremental"), ("batched", "recompute")),
@@ -86,8 +86,8 @@ TABLE = {
     },
     # Predator-prey: co-location labels below r = 1, direct pairs from 1 up.
     "pair process": {
-        0.0: (("batched", "incremental"), ("batched", "incremental")),
-        0.5: (("batched", "incremental"), ("batched", "incremental")),
+        0.0: (("compiled", "incremental"), ("batched", "incremental")),
+        0.5: (("compiled", "incremental"), ("batched", "incremental")),
         1.0: (("compiled", "recompute"), ("batched", "recompute")),
         1.5: (("compiled", "recompute"), ("batched", "recompute")),
         2.0: (("compiled", "recompute"), ("batched", "recompute")),
@@ -263,11 +263,9 @@ def test_compiled_incremental_runs_the_compiled_engine(monkeypatch, connectivity
 
 @requires_compiled
 @pytest.mark.parametrize("observable", ["record_frontier", "record_coverage"])
-def test_observed_broadcast_never_reaches_the_fused_driver(monkeypatch, observable):
-    """The fused driver records no observable, so a broadcast that records
-    one runs the per-step loop under auto and under explicit compiled."""
-    from repro.dissemination.kernels import BroadcastProcess
-
+def test_observed_broadcast_takes_the_native_driver(monkeypatch, observable):
+    """A broadcast that records an observable runs on the native block loop
+    under auto and under explicit compiled, and equals serial."""
     calls = []
     original = BroadcastProcess.run_fused
 
@@ -276,15 +274,14 @@ def test_observed_broadcast_never_reaches_the_fused_driver(monkeypatch, observab
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(BroadcastProcess, "run_fused", spying)
-    plain = BroadcastConfig(n_nodes=64, n_agents=4, max_steps=400)
-    run_broadcast_replications(plain, 3, seed=2, backend="compiled")
-    assert calls == ([plain] if repro.compiled.require_ops().has_block_driver else [])
-    observed = dataclasses.replace(plain, **{observable: True})
+    has_driver = repro.compiled.require_ops().has_block_driver
+    observed = BroadcastConfig(n_nodes=64, n_agents=4, max_steps=400, **{observable: True})
+    assert BroadcastProcess(observed).native_kind == "broadcast_r0_observed"
     serial = run_broadcast_replications(observed, 3, seed=2, backend="serial")[1]
     for backend in (None, "compiled"):
         calls.clear()
         results = run_broadcast_replications(observed, 3, seed=2, backend=backend)[1]
-        assert calls == [], backend
+        assert calls == ([observed] if has_driver else []), backend
         assert _observed_outcome(results) == _observed_outcome(serial), backend
 
 
@@ -315,18 +312,18 @@ def _steps_total() -> float:
 def test_every_path_advances_the_step_counter(monkeypatch, radius):
     config = BroadcastConfig(n_nodes=144, n_agents=6, radius=radius, max_steps=400)
     fused_runs = []
-    original_fused = batched_module._fused_broadcast_usable
+    original_fused = batched_module._native_block_usable
 
     def spying(*args, **kwargs):
         usable = original_fused(*args, **kwargs)
         fused_runs.append(usable)
         return usable
 
-    monkeypatch.setattr(batched_module, "_fused_broadcast_usable", spying)
+    monkeypatch.setattr(batched_module, "_native_block_usable", spying)
     paths = [("serial", "recompute"), ("batched", "recompute"), ("batched", "incremental")]
     if repro.compiled.available():
-        # The labels kernel, then auto: the fused driver at 0.5, the
-        # compiled engine at 1.5.
+        # Explicit recompute, then auto: the native driver at 0.5 on both,
+        # the labels kernel and the compiled engine at 1.5.
         paths += [("compiled", "recompute"), ("compiled", "auto")]
     totals = set()
     for backend, connectivity in paths:
@@ -340,7 +337,57 @@ def test_every_path_advances_the_step_counter(monkeypatch, radius):
     assert len(totals) == 1
     if repro.compiled.available():
         has_driver = repro.compiled.require_ops().has_block_driver
-        assert fused_runs[-1] == (has_driver and radius < 1)
+        assert fused_runs == ([has_driver] * 2 if radius < 1 else [])
+
+
+def _phase_total(loop: str, phase: str) -> float:
+    return sum(
+        metric.value
+        for metric in global_registry().collect()
+        if metric.name == "repro_sim_phase_seconds_total"
+        and dict(metric.labels) == {"loop": loop, "phase": phase}
+    )
+
+
+#: kind -> a process whose compiled run takes it (tiny grids, horizons past
+#: one 128-step block).
+NATIVE_KINDS = {
+    "broadcast_r0": lambda: BroadcastProcess(
+        BroadcastConfig(n_nodes=64, n_agents=4, max_steps=300)
+    ),
+    "broadcast_r0_observed": lambda: BroadcastProcess(
+        BroadcastConfig(
+            n_nodes=64, n_agents=4, max_steps=300, record_frontier=True, record_coverage=True
+        )
+    ),
+    "frog_r0": lambda: FrogProcess(100, 4, max_steps=300),
+    "predator_prey_r0": lambda: PredatorPreyProcess(64, 2, 3, max_steps=300),
+    "cover_lazy": lambda: CoverProcess(6, 2, 300),
+}
+
+
+@requires_compiled
+@pytest.mark.parametrize("kind", list(NATIVE_KINDS))
+def test_every_native_kind_advances_the_step_counter(monkeypatch, kind):
+    """Each kind advances ``repro_sim_steps_total`` by the trial-steps its
+    blocks recorded and times its native calls in the ``kernel`` phase."""
+    process = NATIVE_KINDS[kind]()
+    assert process.native_kind == kind
+    ran = []
+    original = type(process).run_fused
+
+    def spying(self, *args, **kwargs):
+        ran.append(self.native_kind)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(process), "run_fused", spying)
+    loop = f"batched_{process.loop}"
+    steps, kernel = _steps_total(), _phase_total(loop, "kernel")
+    _summary, results = run_process_replications(process, 4, seed=5, backend="compiled")
+    assert ran == ([kind] if repro.compiled.require_ops().has_block_driver else [])
+    assert _steps_total() - steps == sum(result.n_steps for result in results)
+    if ran:
+        assert _phase_total(loop, "kernel") > kernel
 
 
 @requires_compiled
@@ -350,13 +397,13 @@ def test_fused_driver_table_limit_ignores_the_trial_count(monkeypatch):
     import repro.connectivity.incremental as incremental
 
     fused = []
-    usable = batched_module._fused_broadcast_usable
+    usable = batched_module._native_block_usable
 
     def spying(*args):
         fused.append(usable(*args))
         return fused[-1]
 
-    monkeypatch.setattr(batched_module, "_fused_broadcast_usable", spying)
+    monkeypatch.setattr(batched_module, "_native_block_usable", spying)
     has_driver = repro.compiled.require_ops().has_block_driver
     config = BroadcastConfig(n_nodes=64, n_agents=3, max_steps=300)
     serial = run_broadcast_replications(config, 5, seed=3, backend="serial")[1]

@@ -383,6 +383,40 @@ class TestBlockInputKinds:
                 call()
         assert block() == 4  # the same call on well-formed arrays runs
 
+    def test_native_kinds_refuse_reads_past_their_inputs(self):
+        """A tape kind may not read past a trial's tape, nor an observed
+        broadcast record its frontier without a record array."""
+        ops = _BLOCK_OPS
+        side, k, steps = 4, 3, 2
+        tape = np.zeros((2, steps * k), dtype=np.int32)
+        positions = np.zeros((2, k, 2), dtype=np.int64)
+        informed = np.ones((2, k), dtype=bool)
+        marks = np.zeros(side * side, dtype=np.uint8)
+
+        def per_trial():
+            return np.full(2, -1, dtype=np.int64)
+
+        def frog(n_steps=steps, rows=np.arange(2), cursor=np.zeros(2, dtype=np.int64)):
+            return ops.frog_r0_block(
+                side, tape, rows, cursor, positions.copy(), informed.copy(), marks,
+                per_trial(), np.full((n_steps, 2), -1, dtype=np.int64),
+            )
+
+        rejected = [
+            lambda: frog(n_steps=steps + 1),
+            lambda: frog(rows=np.array([0, 2])),
+            lambda: frog(cursor=np.ones(2, dtype=np.int64)),
+            lambda: ops.broadcast_r0_observed_block(
+                None, side, None, positions.copy(), informed.copy(), marks, 0, per_trial(),
+                per_trial(), None, None, None, per_trial(), per_trial(),
+                np.full((steps, 2), -1, dtype=np.int64),
+            ),
+        ]
+        for call in rejected:
+            with pytest.raises(ValueError):
+                call()
+        assert frog() == 1  # every agent informed: both trials are done at once
+
 
 # --------------------------------------------------------------------------- #
 # The fused r = 0 block kernel against per-step reference kernels

@@ -126,9 +126,8 @@ class TestBackendSeam:
     def test_auto_resolves_to_fastest_for_paper_model(self):
         config = BroadcastConfig(n_nodes=144, n_agents=8)
         assert resolve_backend(config) == _auto_fast()
-        # The fused r = 0 driver runs broadcasts only; gossip at r = 0 is
-        # fastest on batched x incremental, with or without a provider.
-        assert resolve_backend(GossipConfig(n_nodes=100, n_agents=4)) == "batched"
+        # One rule for every batchable run: gossip at r = 0 too.
+        assert resolve_backend(GossipConfig(n_nodes=100, n_agents=4)) == _auto_fast()
         assert resolve_backend(GossipConfig(n_nodes=100, n_agents=4, radius=1.0)) == _auto_fast()
 
     def test_every_builtin_mobility_is_batched_under_auto(self):
@@ -149,7 +148,7 @@ class TestBackendSeam:
                 n_nodes=100, n_agents=4, mobility=mobility, mobility_kwargs=kwargs
             )
             assert supports_batched(gossip), mobility
-            assert resolve_backend(gossip) == "batched"
+            assert resolve_backend(gossip) == _auto_fast()
 
     def test_obstacle_walk_is_batched_under_auto(self):
         from repro.grid.obstacles import ObstacleGrid
@@ -178,9 +177,9 @@ class TestBackendSeam:
         assert not supports_batched(
             GossipConfig(n_nodes=100, n_agents=4, mobility_kwargs={"rul": "simple"})
         )
-        # An observed broadcast at r = 0 is no fused-driver run: batched.
+        # An observed broadcast at r = 0 resolves as every batchable run.
         config = BroadcastConfig(n_nodes=144, n_agents=8, record_frontier=True)
-        assert resolve_backend(config) == "batched"
+        assert resolve_backend(config) == _auto_fast()
 
     def test_argument_overrides_config_backend(self):
         config = BroadcastConfig(n_nodes=144, n_agents=8)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.config import BroadcastConfig
 from repro.core.simulation import BroadcastSimulation

@@ -11,8 +11,11 @@ unit exactly once between them — no unit result is double-merged.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -63,6 +66,37 @@ class TestLeaseTable:
         assert living.claim("unit")
         assert living.owns("unit") and not dead.owns("unit")
         assert living.stats.steals == 1
+
+    def test_lease_of_a_gone_process_is_stolen_at_once(self, tmp_path):
+        """A lease written under a reaped child's PID is claimed without
+        waiting for the TTL; one written under a live process still conflicts."""
+        child = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.getpid())"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        living = LeaseTable(tmp_path, ttl=3600.0)
+        for key, pid in (("gone", int(child.stdout)), ("alive", os.getppid())):
+            living.path_for(key).write_text(
+                json.dumps({"owner": f"{pid}-0123456789ab", "claimed_at": time.time()}),
+                encoding="utf-8",
+            )
+        assert living.holder_gone("gone") and not living.expired("gone")
+        assert living.claim("gone") and living.owns("gone")
+        assert living.stats.steals == 1
+        assert not living.holder_gone("alive")
+        assert not living.claim("alive")
+        assert living.stats.conflicts == 1
+
+    def test_unparseable_or_unreadable_owner_keeps_the_ttl_rule(self, tmp_path):
+        table = LeaseTable(tmp_path, ttl=3600.0)
+        table.path_for("no-pid").write_text(json.dumps({"owner": "worker-a"}), encoding="utf-8")
+        table.path_for("corrupt").write_text("{not json", encoding="utf-8")
+        for key in ("no-pid", "corrupt"):
+            assert not table.holder_gone(key)
+            assert not table.claim(key)
+        assert table.stats.conflicts == 2
 
     def test_heartbeat_keeps_a_lease_alive(self, tmp_path):
         table = LeaseTable(tmp_path, ttl=0.4)

@@ -9,7 +9,6 @@ report is bit-for-bit the report of an uninterrupted run.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 import pytest

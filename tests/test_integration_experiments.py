@@ -9,7 +9,6 @@ the small scale.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.analysis.report import ExperimentReport

@@ -15,6 +15,7 @@ Three families of invariants:
 
 from __future__ import annotations
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -36,6 +37,13 @@ from repro.core.protocol import (
     flood_rumors_batch,
 )
 from repro.core.runner import run_broadcast_replications, run_gossip_replications
+from repro.dissemination.kernels import (
+    BroadcastProcess,
+    CoverProcess,
+    FrogProcess,
+    PredatorPreyProcess,
+    run_process_replications,
+)
 from repro.grid.geometry import pairwise_manhattan
 from repro.obs.metrics import global_registry
 
@@ -586,7 +594,7 @@ class TestCompiledBackendEquivalence:
             config, n_replications, seed=seed, backend="serial"
         )
         fused = []
-        usable = batched_module._fused_broadcast_usable
+        usable = batched_module._native_block_usable
 
         def spying(*args):
             fused.append(usable(*args))
@@ -601,7 +609,7 @@ class TestCompiledBackendEquivalence:
 
         min_draws = 0 if helper else driver.PREFETCH_MIN_DRAWS
         before = _steps_total()
-        with mock.patch.object(batched_module, "_fused_broadcast_usable", spying), \
+        with mock.patch.object(batched_module, "_native_block_usable", spying), \
                 mock.patch.object(driver, "ThreadPoolExecutor", spying_pool), \
                 mock.patch.object(driver, "PREFETCH_MIN_DRAWS", min_draws), \
                 mock.patch.object(driver, "cpu_share", lambda: 2 if helper else 1):
@@ -645,3 +653,153 @@ class TestCompiledBackendEquivalence:
             assert serial.min_rumors_known == compiled.min_rumors_known
             assert serial.first_rumor_broadcast_time == compiled.first_rumor_broadcast_time
             assert np.array_equal(serial.knowledge_curve, compiled.knowledge_curve)
+
+
+# --------------------------------------------------------------------------- #
+# Every native kind against serial, across block refills
+# --------------------------------------------------------------------------- #
+def _assert_fields_equal(serial_results, compiled_results) -> None:
+    """Every result field of every trial, arrays element for element."""
+    assert len(serial_results) == len(compiled_results)
+    for serial, compiled in zip(serial_results, compiled_results):
+        for field in dataclasses.fields(serial):
+            a, b = getattr(serial, field.name), getattr(compiled, field.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
+
+
+def _native_run(process, n_replications, seed, helper=False):
+    """``process`` under compiled with the draw helper forced on or off.
+
+    Returns the results, the kind each run took (``None``: the per-step
+    loop), whether a helper thread started, and the step counter's rise.
+    """
+    from repro.compiled import driver
+
+    taken, started = [], []
+    usable = batched_module._native_block_usable
+    pool = driver.ThreadPoolExecutor
+
+    def spying(*args):
+        taken.append(process.native_kind if usable(*args) else None)
+        return usable(*args)
+
+    def spying_pool(*args, **kwargs):
+        started.append(True)
+        return pool(*args, **kwargs)
+
+    before = _steps_total()
+    with mock.patch.object(batched_module, "_native_block_usable", spying), \
+            mock.patch.object(driver, "ThreadPoolExecutor", spying_pool), \
+            mock.patch.object(driver, "PREFETCH_MIN_DRAWS", 0 if helper else 1 << 17), \
+            mock.patch.object(driver, "cpu_share", lambda: 2 if helper else 1):
+        _, results = run_process_replications(process, n_replications, seed=seed, backend="compiled")
+    return results, taken, bool(started), _steps_total() - before
+
+
+@requires_compiled
+class TestNativeKindEquivalence:
+    """Each native block kind reproduces serial in every result field.
+
+    On the model of ``test_fused_driver_identical_across_block_refills``:
+    horizons past one 128-step block and 2-5 trials on small grids, so some
+    trials finish mid-block while others run on through draw-block refills
+    or tape top-ups, compaction and further blocks.  The block-draw kinds
+    run with and without the draw helper thread.
+    """
+
+    @staticmethod
+    def _check(process, n_replications, seed, helper=False, expect_helper=False):
+        _, serial = run_process_replications(process, n_replications, seed=seed, backend="serial")
+        compiled, taken, started, steps = _native_run(process, n_replications, seed, helper)
+        has_driver = repro.compiled.require_ops().has_block_driver
+        assert taken == [process.native_kind if has_driver else None]
+        # A trial stopped at t = 0 (covered by its walkers' start) runs no block.
+        assert started == (expect_helper and has_driver and any(r.n_steps for r in serial))
+        assert steps == sum(r.n_steps for r in compiled)
+        _assert_fields_equal(serial, compiled)
+
+    @settings(max_examples=max_examples(12), deadline=None)
+    @given(
+        side=st.integers(5, 10),
+        k=st.integers(2, 6),
+        radius=st.sampled_from([0.0, 0.5]),
+        name=st.sampled_from(["random_walk", "obstacle_walk", "brownian", "static"]),
+        observables=st.sampled_from(["frontier", "coverage", "both"]),
+        horizon=st.integers(130, 400),
+        n_replications=st.integers(2, 5),
+        helper=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_observed_broadcast(
+        self, side, k, radius, name, observables, horizon, n_replications, helper, seed
+    ):
+        _, registry_name, kwargs = _make_model(name, side)
+        config = BroadcastConfig(
+            n_nodes=side * side,
+            n_agents=k,
+            radius=radius,
+            max_steps=horizon,
+            mobility=registry_name,
+            mobility_kwargs=kwargs,
+            record_frontier=observables != "coverage",
+            record_coverage=observables != "frontier",
+        )
+        self._check(
+            BroadcastProcess(config), n_replications, seed, helper, helper and name != "static"
+        )
+
+    @settings(max_examples=max_examples(12), deadline=None)
+    @given(
+        side=st.integers(4, 10),
+        k=st.integers(1, 6),
+        radius=st.sampled_from([0.0, 0.5]),
+        fixed_source=st.booleans(),
+        horizon=st.integers(130, 400),
+        n_replications=st.integers(2, 5),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_frog(self, side, k, radius, fixed_source, horizon, n_replications, seed):
+        process = FrogProcess(
+            side * side, k, radius=radius, source=0 if fixed_source else None, max_steps=horizon
+        )
+        self._check(process, n_replications, seed)
+
+    @settings(max_examples=max_examples(12), deadline=None)
+    @given(
+        side=st.integers(4, 10),
+        n_predators=st.integers(1, 4),
+        n_preys=st.integers(1, 6),
+        radius=st.sampled_from([0.0, 0.5]),
+        preys_move=st.booleans(),
+        horizon=st.integers(130, 400),
+        n_replications=st.integers(2, 5),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_predator_prey(
+        self, side, n_predators, n_preys, radius, preys_move, horizon, n_replications, seed
+    ):
+        process = PredatorPreyProcess(
+            side * side,
+            n_predators,
+            n_preys,
+            capture_radius=radius,
+            max_steps=horizon,
+            preys_move=preys_move,
+        )
+        self._check(process, n_replications, seed)
+
+    @settings(max_examples=max_examples(12), deadline=None)
+    @given(
+        side=st.integers(2, 8),
+        k=st.integers(1, 8),
+        horizon=st.integers(130, 400),
+        n_replications=st.integers(2, 5),
+        helper=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_lazy_cover(self, side, k, horizon, n_replications, helper, seed):
+        """Side 2 with several walkers also covers trials at t = 0."""
+        self._check(CoverProcess(side, k, horizon), n_replications, seed, helper, helper)

@@ -132,15 +132,18 @@ class TestUnitKeys:
     @given(seed=seeds, n=st.integers(2, 10))
     def test_key_is_deterministic_and_chunk_sensitive(self, seed, n):
         spec = SeedStreamSpec.from_seed(seed)
-        make = lambda start, stop: WorkUnit(
-            label="sweep[x=1]",
-            kind="map",
-            payload={"fn": _double_trials, "kwargs": {"scale": 2.0}},
-            n_replications=n,
-            start=start,
-            stop=stop,
-            seed=spec,
-        )
+
+        def make(start, stop):
+            return WorkUnit(
+                label="sweep[x=1]",
+                kind="map",
+                payload={"fn": _double_trials, "kwargs": {"scale": 2.0}},
+                n_replications=n,
+                start=start,
+                stop=stop,
+                seed=spec,
+            )
+
         assert unit_key(make(0, n)) == unit_key(make(0, n))
         if n >= 2:
             assert unit_key(make(0, 1)) != unit_key(make(1, 2))
@@ -249,12 +252,15 @@ class TestRunSweep:
         from repro.analysis.sweep import ParameterSweep
 
         sweep = ParameterSweep(parameter="n_agents", values=grid, fixed={"n_nodes": 49})
-        factory = lambda point: BroadcastConfig(
-            n_nodes=point.fixed["n_nodes"],
-            n_agents=point.value,
-            radius=0.0,
-            max_steps=60,
-        )
+
+        def factory(point):
+            return BroadcastConfig(
+                n_nodes=point.fixed["n_nodes"],
+                n_agents=point.value,
+                radius=0.0,
+                max_steps=60,
+            )
+
         # The classic experiment loop: one spawned child per point, one
         # replication call per point.
         point_rngs = spawn_rngs(seed, len(sweep))
